@@ -6,8 +6,8 @@
 
 GO ?= go
 
-.PHONY: build test test-short test-race-subsys cover-check bench bench-quick bench-gate \
-	bench-baseline bench-hyperscale manifest-check vet fmt-check ci ci-bench nightly
+.PHONY: build test test-short test-race-subsys benchmark-module cover-check bench bench-quick \
+	bench-gate bench-baseline bench-hyperscale manifest-check vet fmt-check ci ci-bench nightly
 
 build:
 	$(GO) build ./...
@@ -18,12 +18,26 @@ test:
 test-short:
 	$(GO) test -short ./...
 
-# Race-detected pass over the invariant checkers, the workload
-# subsystem (trace parsing, generators), the cluster index property
-# tests, and the sharded-engine order/barrier/mailbox properties — fast
-# enough for the check gate, where the full -race suite is not.
+# Race-detected pass over the event-engine order properties, the
+# invariant checkers, the workload subsystem (trace parsing,
+# generators) and the cluster index property tests, then a short fuzz
+# of each external-input parser (trace CSV/JSON, churn CSV, fault CSV)
+# — fast enough for the check gate, where the full -race suite is not.
+# `go test -fuzz` takes one target per run, hence the loop.
+FUZZ_TARGETS = FuzzParseTraceCSV FuzzParseTraceJSON FuzzParseChurnCSV FuzzParseFaultCSV
 test-race-subsys:
 	$(GO) test -race ./internal/sim/... ./internal/simtest/... ./internal/workload/... ./internal/cluster/...
+	@set -e; for f in $(FUZZ_TARGETS); do \
+		echo "fuzz $$f (3s)"; \
+		$(GO) test -run '^$$' -fuzz "^$$f\$$" -fuzztime 3s ./internal/workload; \
+	done
+
+# The benchmark (benchmark/, run by benchmark/run.sh) is a Go module of
+# its own that the root `go test ./...` never compiles: vet and test it
+# here so a change to a simulator API it uses fails in CI, not at
+# benchmark time.
+benchmark-module:
+	cd benchmark && $(GO) vet ./... && $(GO) test ./...
 
 # Coverage floor over the library packages: the short tier with a
 # profile, gated against the committed floor in bench/coverage-floor.txt.
@@ -56,24 +70,32 @@ bench-quick:
 # of -count 3 as the noise floor) and fail on >10% ns/op regression
 # against bench/baseline.txt. cmd/bench-gate is the dependency-free
 # benchstat stand-in. The -bench regex is derived from
-# PINNED_BENCHMARKS so the run set and the gated set cannot drift.
+# PINNED_TOP so the run set and the gated set cannot drift.
 # Recipes avoid `test | tee` because the default shell has no pipefail —
 # a crashing benchmark must fail the target even mid-log.
-PINNED_BENCHMARKS = BenchmarkSchedulerThroughput BenchmarkFigure17_LargeScale BenchmarkSuiteQuickSerial BenchmarkGatewaySubmit BenchmarkGrayFailure BenchmarkColdStartStages BenchmarkLLMContinuousBatch BenchmarkShardedHyperscale
-# The gate compares per-name best ns/op, and a sub-benchmarked pinned
-# name emits timing lines only for its children — so the sharded
-# hyperscale benchmark is gated by its two sub-benchmark paths while the
-# -bench regex selects it by top-level name.
-PINNED_GATE_NAMES = $(subst BenchmarkShardedHyperscale,BenchmarkShardedHyperscale/shards=1 BenchmarkShardedHyperscale/shards=all,$(PINNED_BENCHMARKS))
+#
+# The hyperscale pin is a sub-benchmark path, so it runs in a `go test`
+# of its own with an anchored per-level regex: a multi-level -bench
+# pattern would silently drop every top-level benchmark that has no
+# sub-benchmarks.
+PINNED_TOP = BenchmarkSchedulerThroughput BenchmarkFigure17_LargeScale BenchmarkSuiteQuickSerial BenchmarkGatewaySubmit BenchmarkGrayFailure BenchmarkColdStartStages BenchmarkLLMContinuousBatch
+PINNED_BENCHMARKS = $(PINNED_TOP) BenchmarkHyperscalePlacement/nodes=10000/inst=32000
 empty :=
 space := $(empty) $(empty)
-PINNED_BENCH_RE = ^($(subst $(space),|,$(strip $(PINNED_BENCHMARKS))))$$
+PINNED_BENCH_RE = ^($(subst $(space),|,$(strip $(PINNED_TOP))))$$
+# pinned-run appends -count 3 of every pinned benchmark to $(1).
+define pinned-run
+	$(GO) test -run '^$$' -bench '$(PINNED_BENCH_RE)' -benchtime 1x -count 3 -benchmem . \
+		>> $(1) || { cat $(1); exit 1; }
+	$(GO) test -run '^$$' -bench '^BenchmarkHyperscalePlacement$$/^nodes=10000$$/^inst=32000$$' -benchtime 1x -count 3 -benchmem . \
+		>> $(1) || { cat $(1); exit 1; }
+endef
 BENCH_GATE_OUT ?= /tmp/dilu-bench-gate.txt
 bench-gate:
-	$(GO) test -run '^$$' -bench '$(PINNED_BENCH_RE)' -benchtime 1x -count 3 -benchmem . \
-		> $(BENCH_GATE_OUT) || { cat $(BENCH_GATE_OUT); exit 1; }
+	@: > $(BENCH_GATE_OUT)
+	$(call pinned-run,$(BENCH_GATE_OUT))
 	@cat $(BENCH_GATE_OUT)
-	$(GO) run ./cmd/bench-gate -baseline bench/baseline.txt -new $(BENCH_GATE_OUT) -max-regress 0.10 $(PINNED_GATE_NAMES)
+	$(GO) run ./cmd/bench-gate -baseline bench/baseline.txt -new $(BENCH_GATE_OUT) -max-regress 0.10 $(PINNED_BENCHMARKS)
 
 # Refresh the committed baseline after an intentional perf change: the
 # full -short sweep for benchstat visibility, plus -count 3 of the
@@ -83,7 +105,7 @@ bench-gate:
 # regression by the run-to-run noise margin).
 bench-baseline:
 	$(GO) test -short -run '^$$' -bench . -benchtime 1x -benchmem . > bench/baseline.txt
-	$(GO) test -run '^$$' -bench '$(PINNED_BENCH_RE)' -benchtime 1x -count 3 -benchmem . >> bench/baseline.txt
+	$(call pinned-run,bench/baseline.txt)
 
 # Hyperscale placement benchmark (40k GPUs / 32k instances): too heavy
 # for the per-PR bench smoke (-short keeps it out), pinned nightly so
@@ -95,11 +117,9 @@ bench-hyperscale:
 	@cat $(BENCH_NIGHTLY_OUT)
 
 # Full-registry manifest determinism check: every driver (slow tier
-# included) runs serially, on all cores, and in sharded-replay mode at
-# the golden scale; all manifests must be byte-identical. The shards
-# axis (1 vs 2 vs all-core) is the determinism claim of the sharded
-# engine — one run partitioned across cores, same bytes. This is the
-# whole-registry extension of the committed quick/trace golden tests.
+# included) runs serially and on all cores at the golden scale; the two
+# manifests must be byte-identical. This is the whole-registry extension
+# of the committed quick/trace golden tests.
 # The token-level drivers then get their own dedicated axis: continuous
 # batching joins/preempts mid-stream and KV charge/release races would
 # show up exactly here, so they are byte-compared in isolation too.
@@ -109,17 +129,11 @@ manifest-check:
 	$(GO) run ./cmd/dilu-bench -scale 0.1 -parallel 1 -q -manifest $(MANIFEST_DIR)/dilu-manifest-serial.json
 	$(GO) run ./cmd/dilu-bench -scale 0.1 -parallel 0 -q -manifest $(MANIFEST_DIR)/dilu-manifest-parallel.json
 	cmp $(MANIFEST_DIR)/dilu-manifest-serial.json $(MANIFEST_DIR)/dilu-manifest-parallel.json
-	$(GO) run ./cmd/dilu-bench -scale 0.1 -parallel 0 -shards 2 -q -manifest $(MANIFEST_DIR)/dilu-manifest-shards2.json
-	cmp $(MANIFEST_DIR)/dilu-manifest-serial.json $(MANIFEST_DIR)/dilu-manifest-shards2.json
-	$(GO) run ./cmd/dilu-bench -scale 0.1 -parallel 0 -shards 0 -q -manifest $(MANIFEST_DIR)/dilu-manifest-shardsall.json
-	cmp $(MANIFEST_DIR)/dilu-manifest-serial.json $(MANIFEST_DIR)/dilu-manifest-shardsall.json
-	@echo "manifest determinism: serial == parallel == shards=2 == shards=all"
+	@echo "manifest determinism: serial == parallel"
 	$(GO) run ./cmd/dilu-bench -scale 0.1 -parallel 1 -q -manifest $(MANIFEST_DIR)/dilu-manifest-llm-serial.json $(LLM_DRIVERS)
 	$(GO) run ./cmd/dilu-bench -scale 0.1 -parallel 0 -q -manifest $(MANIFEST_DIR)/dilu-manifest-llm-parallel.json $(LLM_DRIVERS)
 	cmp $(MANIFEST_DIR)/dilu-manifest-llm-serial.json $(MANIFEST_DIR)/dilu-manifest-llm-parallel.json
-	$(GO) run ./cmd/dilu-bench -scale 0.1 -parallel 0 -shards 2 -q -manifest $(MANIFEST_DIR)/dilu-manifest-llm-shards2.json $(LLM_DRIVERS)
-	cmp $(MANIFEST_DIR)/dilu-manifest-llm-serial.json $(MANIFEST_DIR)/dilu-manifest-llm-shards2.json
-	@echo "LLM driver determinism: serial == parallel == shards=2"
+	@echo "LLM driver determinism: serial == parallel"
 
 vet:
 	$(GO) vet ./...
@@ -134,7 +148,7 @@ fmt-check:
 # one-iteration suite sweep, then the pinned-benchmark gate.
 ci-bench: bench-quick bench-gate
 
-ci: build vet fmt-check test-short test-race-subsys cover-check ci-bench
+ci: build vet fmt-check test-short test-race-subsys benchmark-module cover-check ci-bench
 
 # nightly mirrors .github/workflows/nightly.yml: the slow path the
 # per-PR workflow skips.

@@ -2,11 +2,10 @@
 // evaluation (§5). Each benchmark runs the corresponding experiment
 // driver at a reduced scale and reports domain metrics alongside wall
 // time; `cmd/dilu-bench -scale 1` produces the full-length numbers
-// recorded in EXPERIMENTS.md.
+// (README, "Reproducing the paper").
 package dilu
 
 import (
-	"runtime"
 	"testing"
 
 	"dilu/internal/core"
@@ -142,36 +141,6 @@ func BenchmarkHyperscalePlacement(b *testing.B) {
 	}
 }
 
-// BenchmarkShardedHyperscale pins the sharded placement kernel on the
-// 40k-GPU / 32k-instance hyperscale batch: shards=1 takes the serial
-// scan paths, shards=all partitions the cluster across every core and
-// fans the candidate scans out on the fork-join pool. Placements are
-// bit-identical between the two (the shard-equivalence differentials
-// guard that); the ratio of the two timings is the parallel speedup on
-// the machine at hand. On a single-core host the two arms coincide —
-// the gate then guards the sharded dispatch overhead instead.
-func BenchmarkShardedHyperscale(b *testing.B) {
-	if testing.Short() {
-		b.Skip("hyperscale sizes are excluded from the short/CI bench sweep")
-	}
-	const nodes, inst = 10000, 32000
-	for _, bc := range []struct {
-		name   string
-		shards int
-	}{
-		{"shards=1", 1},
-		{"shards=all", runtime.GOMAXPROCS(0)},
-	} {
-		b.Run(bc.name, func(b *testing.B) {
-			for i := 0; i < b.N; i++ {
-				if placed := experiments.ScheduleBatchShardedOn(nodes, inst, 1, bc.shards); placed < inst*9/10 {
-					b.Fatalf("placed only %d/%d instances", placed, inst)
-				}
-			}
-		})
-	}
-}
-
 // BenchmarkHGSS measures one hybrid-growth profiling search.
 func BenchmarkHGSS(b *testing.B) {
 	spec := model.ByName("RoBERTa-large")
@@ -192,8 +161,8 @@ func BenchmarkTrainingProfiler(b *testing.B) {
 	}
 }
 
-// BenchmarkControllerAblation regenerates the DESIGN.md §4.6 controller
-// ablation table (not a paper artifact; quantifies the interpretation
+// BenchmarkControllerAblation regenerates the RCKM controller ablation
+// table (README, "Reproducing the paper") (not a paper artifact; quantifies the interpretation
 // choices against literal Algorithm 2).
 func BenchmarkControllerAblation(b *testing.B) { runExperiment(b, "ablation-controller") }
 

@@ -3,12 +3,11 @@
 // runs every experiment; pass experiment ids (e.g. "table2 figure7") to
 // run a subset.
 //
-//	dilu-bench -scale 1.0                 # full-length runs (EXPERIMENTS.md)
+//	dilu-bench -scale 1.0                 # full-length runs (README: Reproducing the paper)
 //	dilu-bench -scale 0.25 figure10       # quick look at one artifact
 //	dilu-bench -parallel 8                # drain the suite on 8 workers
 //	dilu-bench -tier quick                # sub-second smoke subset
 //	dilu-bench -seeds 1,2,3 figure9       # multi-seed sweep of one driver
-//	dilu-bench -shards 0 hyperscale_max   # sharded replay on all cores
 //	dilu-bench -trace prod.csv            # replay an external arrival trace
 //	dilu-bench -churn ops.csv -faults gray.csv  # replay a recorded incident
 //	dilu-bench -out results -manifest results/manifest.json
@@ -46,7 +45,6 @@ func run() int {
 	seed := flag.Int64("seed", 1, "deterministic random seed")
 	seeds := flag.String("seeds", "", "comma-separated seed sweep (overrides -seed), e.g. 1,2,3")
 	parallel := flag.Int("parallel", runtime.GOMAXPROCS(0), "worker count (1 = serial)")
-	shards := flag.Int("shards", 1, "shard count for the large-scale replay drivers (0 = all cores, 1 = serial); results are byte-identical at any value")
 	timeout := flag.Duration("timeout", 0, "per-driver wall-clock timeout (0 = none), e.g. 5m")
 	failFast := flag.Bool("failfast", false, "stop dispatching after the first failure")
 	tier := flag.String("tier", "", "run only these cost tiers (comma-separated: quick,standard,slow)")
@@ -197,11 +195,7 @@ func run() int {
 		}()
 	}
 
-	nshards := *shards
-	if nshards <= 0 {
-		nshards = runtime.GOMAXPROCS(0)
-	}
-	jobs := harness.JobsSharded(drivers, seedList, *scale, nshards)
+	jobs := harness.Jobs(drivers, seedList, *scale)
 	cfg := harness.Config{
 		Suite:    "dilu-bench",
 		Parallel: *parallel,

@@ -8,7 +8,8 @@
 // real-time kernel manager (Algorithm 2, §3.4) — together with every
 // baseline of the evaluation (Exclusive, MPS-l/-r, TGS, FaST-GS+,
 // INFless+-l/-r) on a deterministic discrete-time GPU cluster simulator
-// that substitutes for the paper's A100 testbed (see DESIGN.md).
+// that substitutes for the paper's A100 testbed (see README.md,
+// "Reproducing the paper").
 //
 // The root package re-exports the public API; the quickest way in:
 //
@@ -21,8 +22,8 @@
 //	fmt.Println(f.Rec.P95(), tj.Throughput(sys.Eng.Now()))
 //
 // Every table and figure of the paper's evaluation can be regenerated
-// through the experiments registry (see cmd/dilu-bench and
-// EXPERIMENTS.md).
+// through the experiments registry (see cmd/dilu-bench and README.md,
+// "Reproducing the paper").
 package dilu
 
 import (

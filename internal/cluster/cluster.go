@@ -127,16 +127,11 @@ type GPU struct {
 	funcCounts map[string]int
 	// occIdx is the occupancy bucket of the GPU's most recent ΣReq
 	// recording; occMask has bit b set iff an entry for this GPU
-	// currently sits in its shard's occupancy bucket b (stale entries
-	// stay until lazily compacted, and the mask keeps a GPU cycling
-	// through buckets from accumulating duplicates).
+	// currently sits in occupancy bucket b (stale entries stay until
+	// lazily compacted, and the mask keeps a GPU cycling through buckets
+	// from accumulating duplicates).
 	occIdx  int
 	occMask uint64
-	// shard is the contiguous position-range shard the GPU belongs to;
-	// 0 until SetShards partitions the inventory. A GPU's shard changes
-	// only in SetShards (which rebuilds the per-shard indexes), so the
-	// occupancy mask never straddles shards.
-	shard int
 }
 
 // Active reports whether any instance is placed on the GPU.
@@ -163,10 +158,6 @@ func (g *GPU) Util() float64 {
 // Pos returns the GPU's position in the cluster inventory (the stable
 // scan order of Cluster.GPUs); zero for GPUs built outside New.
 func (g *GPU) Pos() int { return g.pos }
-
-// Shard returns the inventory shard the GPU belongs to (0 on an
-// unsharded cluster).
-func (g *GPU) Shard() int { return g.shard }
 
 // Place reserves the placement's quotas on the GPU. Feasibility is the
 // scheduler's concern; Place only refuses memory overflow — mirroring
@@ -343,14 +334,7 @@ type Cluster struct {
 	// GPUs. Entries are appended on ΣReq changes and compacted lazily on
 	// read; GPU.occIdx/occMask identify the live entry. On a homogeneous
 	// (capacity 1.0) fleet, utilization equals ΣReq bit-for-bit.
-	//
-	// Storage is per (shard, bucket) — occs[s][b] — so parallel scan
-	// workers compact and walk disjoint state; shards (default 1, set by
-	// SetShards) partitions the inventory into contiguous position
-	// ranges. At one shard the layout is exactly the unsharded index.
-	shards     int
-	occs       [][OccupancyBuckets][]*GPU
-	occScratch []*GPU
+	occs [OccupancyBuckets][]*GPU
 
 	// classes records the fleet's device generations (one synthetic
 	// entry for homogeneous clusters); hetero is true when classes
@@ -385,10 +369,6 @@ type Config struct {
 	// prefix. A node carries one GPU generation. Empty means one
 	// uniform capacity-1.0 class — the pre-heterogeneity behavior.
 	Classes []GPUClass
-	// Shards partitions the inventory into contiguous position-range
-	// shards for parallel scans (see SetShards); <=1 keeps the single
-	// unsharded index.
-	Shards int
 }
 
 // classAssign returns each node's class index under largest-deficit
@@ -452,8 +432,6 @@ func New(cfg Config) *Cluster {
 	c := &Cluster{
 		posting: make(map[string][]*GPU),
 		classes: classes,
-		shards:  1,
-		occs:    make([][OccupancyBuckets][]*GPU, 1),
 	}
 	c.minCap, c.maxCap = classes[0].Capacity, classes[0].Capacity
 	for _, cl := range classes {
@@ -501,7 +479,6 @@ func New(cfg Config) *Cluster {
 		c.inactive[i] = i
 		c.inHeap[i] = true
 	}
-	c.SetShards(cfg.Shards)
 	return c
 }
 
@@ -844,26 +821,27 @@ func OccupancyBucketOf(util float64) int {
 	return idx
 }
 
-// noteOccupancy records g's current normalized utilization in its
-// shard's occupancy index. The previous bucket's entry (if different)
-// is left stale and compacted lazily; occMask dedups re-insertions into
-// a bucket that still holds a stale entry, which then simply becomes
+// noteOccupancy records g's current normalized utilization in the
+// occupancy index. The previous bucket's entry (if different) is left
+// stale and compacted lazily; occMask dedups re-insertions into a
+// bucket that still holds a stale entry, which then simply becomes
 // valid again.
 func (c *Cluster) noteOccupancy(g *GPU) {
 	idx := OccupancyBucketOf(g.Util())
 	g.occIdx = idx
 	if g.occMask&(1<<idx) == 0 {
 		g.occMask |= 1 << idx
-		c.occs[g.shard][idx] = append(c.occs[g.shard][idx], g)
+		c.occs[idx] = append(c.occs[idx], g)
 	}
 }
 
-// compactBucket compacts shard s's occupancy bucket b and returns its
-// live entries. It mutates only shard-s state (the bucket slice and the
-// occMask of shard-s GPUs), which is what makes concurrent compaction
-// of distinct shards safe.
-func (c *Cluster) compactBucket(s, b int) []*GPU {
-	bucket := c.occs[s][b]
+// OccupancyBucket compacts bucket b and returns the active GPUs whose
+// current ΣReq falls in it. Order within a bucket is not specified —
+// consumers needing the tie order of an inventory scan must rank by
+// (key, Pos()) lexicographically. The returned slice is the cluster's
+// live index: read-only, not to be held across placement changes.
+func (c *Cluster) OccupancyBucket(b int) []*GPU {
+	bucket := c.occs[b]
 	kept := bucket[:0]
 	for _, g := range bucket {
 		if g.Active() && g.occIdx == b {
@@ -876,88 +854,8 @@ func (c *Cluster) compactBucket(s, b int) []*GPU {
 	for i := len(kept); i < len(bucket); i++ {
 		bucket[i] = nil
 	}
-	c.occs[s][b] = kept
+	c.occs[b] = kept
 	return kept
-}
-
-// OccupancyBucket compacts bucket b and returns the active GPUs whose
-// current ΣReq falls in it. Order within a bucket is not specified —
-// consumers needing the tie order of an inventory scan must rank by
-// (key, Pos()) lexicographically. The returned slice is the cluster's
-// live index: read-only, not to be held across placement changes nor
-// across further OccupancyBucket calls (on a sharded cluster the
-// result is assembled in a reused scratch buffer).
-func (c *Cluster) OccupancyBucket(b int) []*GPU {
-	if c.shards == 1 {
-		return c.compactBucket(0, b)
-	}
-	c.occScratch = c.occScratch[:0]
-	for s := 0; s < c.shards; s++ {
-		c.occScratch = append(c.occScratch, c.compactBucket(s, b)...)
-	}
-	return c.occScratch
-}
-
-// OccupancyBucketShard compacts and returns shard s's slice of
-// occupancy bucket b. It is the parallel-scan entry point: calls for
-// distinct shards touch disjoint state and may run concurrently, as
-// long as nothing mutates placements meanwhile. Same read-only/do-not-
-// hold contract as OccupancyBucket.
-func (c *Cluster) OccupancyBucketShard(s, b int) []*GPU { return c.compactBucket(s, b) }
-
-// ---------------------------------------------------------------------------
-// Inventory shards.
-
-// SetShards partitions the inventory into n contiguous position-range
-// shards (clamped to [1, #GPUs]) and rebuilds the per-shard occupancy
-// index. Shard s covers positions [⌈s·N/n⌉, ⌈(s+1)·N/n⌉) — balanced to
-// within one GPU — so a shard's active GPUs are a contiguous segment of
-// the position-sorted active list (ActiveRange). Selection results are
-// independent of the shard count: the occupancy index only changes how
-// bucket entries are stored, and every consumer ranks candidates by a
-// total order. Safe to call at any time; existing active GPUs are
-// re-bucketed.
-func (c *Cluster) SetShards(n int) {
-	if n < 1 {
-		n = 1
-	}
-	if n > len(c.gpus) {
-		n = len(c.gpus)
-	}
-	if n == c.shards {
-		return
-	}
-	c.shards = n
-	c.occs = make([][OccupancyBuckets][]*GPU, n)
-	total := len(c.gpus)
-	for i, g := range c.gpus {
-		g.shard = i * n / total
-		g.occMask = 0
-	}
-	for _, g := range c.active {
-		c.noteOccupancy(g)
-	}
-}
-
-// ShardCount returns the number of inventory shards (1 unless SetShards
-// partitioned the cluster).
-func (c *Cluster) ShardCount() int { return c.shards }
-
-// ShardRange returns shard s's position range [lo, hi) in the
-// inventory.
-func (c *Cluster) ShardRange(s int) (lo, hi int) {
-	total := len(c.gpus)
-	return (s*total + c.shards - 1) / c.shards, ((s+1)*total + c.shards - 1) / c.shards
-}
-
-// ActiveRange returns shard s's segment of the position-sorted active
-// list — the 𝐺_act subset a parallel scan worker walks. Purely a
-// read-only view (two binary searches, no mutation), so concurrent
-// calls for any shards are safe. Same do-not-hold contract as
-// ActiveGPUs.
-func (c *Cluster) ActiveRange(s int) []*GPU {
-	lo, hi := c.ShardRange(s)
-	return c.active[c.activeIndex(lo):c.activeIndex(hi)]
 }
 
 // Stats aggregates the fragmentation view of the cluster.

@@ -126,61 +126,6 @@ func checkIndexesConsistent(t *testing.T, c *Cluster, step int) {
 	if !slices.Equal(got, want) {
 		t.Fatalf("step %d: AppendInactive(3) diverged from scan", step)
 	}
-
-	// Shard views (trivially satisfied at one shard): the position
-	// ranges tile the inventory, every GPU sits in its range's shard,
-	// the ActiveRange segments concatenate to the active list, and the
-	// per-shard occupancy buckets partition the global bucket contents.
-	prevHi := 0
-	var tiledActive []*GPU
-	for s := 0; s < c.ShardCount(); s++ {
-		lo, hi := c.ShardRange(s)
-		if lo != prevHi {
-			t.Fatalf("step %d: shard %d starts at %d, want %d", step, s, lo, prevHi)
-		}
-		prevHi = hi
-		for pos := lo; pos < hi; pos++ {
-			if c.gpus[pos].Shard() != s {
-				t.Fatalf("step %d: gpu pos %d has shard %d, want %d", step, pos, c.gpus[pos].Shard(), s)
-			}
-		}
-		for _, g := range c.ActiveRange(s) {
-			if g.pos < lo || g.pos >= hi {
-				t.Fatalf("step %d: ActiveRange(%d) holds pos %d outside [%d,%d)", step, s, g.pos, lo, hi)
-			}
-		}
-		tiledActive = append(tiledActive, c.ActiveRange(s)...)
-	}
-	if prevHi != len(c.gpus) {
-		t.Fatalf("step %d: shard ranges tile to %d, want %d", step, prevHi, len(c.gpus))
-	}
-	if !slices.Equal(tiledActive, c.ActiveGPUs()) {
-		t.Fatalf("step %d: concatenated ActiveRange segments diverge from the active list", step)
-	}
-	for b := 0; b < OccupancyBuckets; b++ {
-		shardUnion := map[*GPU]bool{}
-		n := 0
-		for s := 0; s < c.ShardCount(); s++ {
-			for _, g := range c.OccupancyBucketShard(s, b) {
-				if g.Shard() != s {
-					t.Fatalf("step %d: bucket %d shard %d surfaced %s of shard %d",
-						step, b, s, g.ID, g.Shard())
-				}
-				shardUnion[g] = true
-				n++
-			}
-		}
-		global := c.OccupancyBucket(b)
-		if len(shardUnion) != n || len(global) != n {
-			t.Fatalf("step %d: bucket %d shard union has %d entries (%d unique), global %d",
-				step, b, n, len(shardUnion), len(global))
-		}
-		for _, g := range global {
-			if !shardUnion[g] {
-				t.Fatalf("step %d: bucket %d global entry %s missing from shard union", step, b, g.ID)
-			}
-		}
-	}
 }
 
 // TestIndexConsistencyProperty interleaves placements, removals, and
@@ -328,74 +273,6 @@ func TestLifecycleIndexConsistencyProperty(t *testing.T) {
 							t.Fatalf("step %d: %s not schedulable after join", step, g.ID)
 						}
 					}
-				}
-				checkIndexesConsistent(t, c, step)
-			}
-		})
-	}
-}
-
-// TestShardedIndexConsistencyProperty runs the placement/removal/churn
-// interleavings on a sharded inventory, with SetShards repartitions
-// mixed into the op stream: after every operation each shard view must
-// agree with the global indexes and the global indexes with a
-// recompute. This is the partitioner's property test — the occupancy
-// index's per-shard storage may never change what the set of bucket
-// entries is, only where they are stored.
-func TestShardedIndexConsistencyProperty(t *testing.T) {
-	classes := []GPUClass{
-		{Name: "big", Capacity: 1.0, MemCapMB: 1 << 20, Weight: 0.7},
-		{Name: "small", Capacity: 0.5, MemCapMB: 1 << 19, Weight: 0.3},
-	}
-	for seed := int64(1); seed <= 8; seed++ {
-		seed := seed
-		t.Run(fmt.Sprintf("seed=%d", seed), func(t *testing.T) {
-			t.Parallel()
-			rng := rand.New(rand.NewSource(seed * 5309))
-			c := New(Config{Nodes: 5, GPUsPerNode: 3, Classes: classes, Shards: 4})
-			funcs := []string{"bert", "resnet", "llama", "gpt2", "vgg"}
-			var live []*Placement
-			onGPU := map[*Placement]*GPU{}
-			forget := func(p *Placement) {
-				delete(onGPU, p)
-				if i := slices.Index(live, p); i >= 0 {
-					live = slices.Delete(live, i, i+1)
-				}
-			}
-			steps := 400
-			if testing.Short() {
-				steps = 120
-			}
-			for step := 0; step < steps; step++ {
-				switch op := rng.Intn(12); {
-				case op < 5 || (len(live) == 0 && op < 9): // place
-					g := c.gpus[rng.Intn(len(c.gpus))]
-					p := &Placement{
-						Instance: fmt.Sprintf("i%d", step),
-						Func:     funcs[rng.Intn(len(funcs))],
-						Req:      float64(rng.Intn(1000)) / 999 * g.Capacity,
-						Lim:      rng.Float64() * 1.5,
-						MemMB:    float64(rng.Intn(4096)),
-					}
-					if err := g.Place(p); err == nil {
-						live = append(live, p)
-						onGPU[p] = g
-					} else if g.Health() != Failed {
-						t.Fatalf("step %d: place on %s failed: %v", step, g.ID, err)
-					}
-				case op < 8: // remove one
-					i := rng.Intn(len(live))
-					p := live[i]
-					onGPU[p].Remove(p)
-					forget(p)
-				case op < 9: // fail a node
-					for _, p := range c.FailNode(c.Nodes[rng.Intn(len(c.Nodes))]) {
-						forget(p)
-					}
-				case op < 10: // join a node back
-					c.JoinNode(c.Nodes[rng.Intn(len(c.Nodes))])
-				default: // repartition the inventory mid-flight
-					c.SetShards(1 + rng.Intn(8))
 				}
 				checkIndexesConsistent(t, c, step)
 			}

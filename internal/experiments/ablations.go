@@ -8,12 +8,12 @@ import (
 	"dilu/internal/workload"
 )
 
-// ControllerAblation quantifies the DESIGN.md §4.6 interpretation choices
-// against naive readings of Algorithm 2 on a stressful collocation: a
-// RoBERTa-large inference function under a fluctuating Gamma workload
-// sharing one GPU with a BERT-base training job. It is not a paper
-// artifact; it documents why the reproduction's controller deviates from
-// the literal pseudocode.
+// ControllerAblation quantifies the RCKM controller's interpretation
+// choices against naive readings of Algorithm 2 on a stressful
+// collocation: a RoBERTa-large inference function under a fluctuating
+// Gamma workload sharing one GPU with a BERT-base training job. It is
+// not a paper artifact; it documents why the reproduction's controller
+// deviates from the literal pseudocode.
 func ControllerAblation(opts Options) *report.Report {
 	opts = opts.withDefaults()
 	rep := report.New("ablation-controller",

@@ -50,7 +50,7 @@ func HeteroMix(opts Options) *report.Report {
 	for _, name := range order {
 		r := runLargeScaleClu(scheds[name], mix, horizon, cluster.Config{
 			Nodes: 1000, GPUsPerNode: 4, Classes: heteroClasses(),
-		}, opts.Shards)
+		})
 		opts.Meter.AddVirtual(horizon)
 		capH := r.capSeconds / 3600
 		if name == "Exclusive" {

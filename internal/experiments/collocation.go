@@ -13,7 +13,7 @@ import (
 )
 
 // collocCase is one training-inference collocation scenario of Figure 7.
-// Pairings follow the paper's model set; EXPERIMENTS.md documents them.
+// Pairings follow the paper's model set (README, "Reproducing the paper").
 type collocCase struct {
 	label      string
 	infModel   string

@@ -2,8 +2,8 @@
 // paper's evaluation (§5). Each driver builds the scenario from the
 // public building blocks (core.System, workload generators, profiler,
 // scheduler), runs it on virtual time, and emits a report.Report whose
-// rows mirror what the paper plots. EXPERIMENTS.md records the
-// paper-vs-measured comparison for every driver.
+// rows mirror what the paper plots. README.md ("Reproducing the paper")
+// describes how to regenerate them at full length.
 package experiments
 
 import (
@@ -22,12 +22,6 @@ type Options struct {
 	Scale float64
 	// Seed drives all randomness; 0 means 1.
 	Seed int64
-	// Shards partitions the large-scale placement replays into N
-	// deterministic shards driven through sim.ShardedEngine on all cores
-	// (cluster position ranges + conservative barrier windows); 0 or 1
-	// runs the serial loop. Results — and therefore manifest bytes — are
-	// identical at any value; only wall time changes.
-	Shards int
 	// Meter, when non-nil, observes every engine the driver spins up
 	// (virtual time advanced, engine count). The harness attaches one
 	// meter per run for throughput accounting; it never affects results.
@@ -43,9 +37,6 @@ func (o Options) withDefaults() Options {
 	}
 	if o.Seed == 0 {
 		o.Seed = 1
-	}
-	if o.Shards < 0 {
-		o.Shards = 0
 	}
 	return o
 }

@@ -40,7 +40,7 @@ func Hyperscale(opts Options) *report.Report {
 		"scheduler", "placed", "peak GPUs", "SM frag", "mem frag", "GPU-hours", "cost vs Exclusive"))
 	var exclusiveGPUh float64
 	for _, name := range order {
-		occ, stats, gpuSeconds, placed := runLargeScaleOn(scheds[name], mix, horizon, nodes, opts.Shards)
+		occ, stats, gpuSeconds, placed := runLargeScaleOn(scheds[name], mix, horizon, nodes)
 		opts.Meter.AddVirtual(horizon)
 		gpuH := gpuSeconds / 3600
 		if name == "Exclusive" {
@@ -54,14 +54,15 @@ func Hyperscale(opts Options) *report.Report {
 	return rep
 }
 
-// HyperscaleMax pushes the placement simulation to the sharded engine's
-// ceiling: 62,500 nodes × 4 GPUs (250,000 GPUs) absorbing ~200,000
-// instances of the §5.5 mix — ×6 past the hyperscale driver, ×62 past
-// the paper. Only Dilu runs here (the baselines' story is told at 40k);
-// the point of this driver is that one run completes at a quarter
-// million GPUs, with the candidate scans fanned out over the cluster
-// shards when opts.Shards > 1. Scale maps the size down the same way
-// Hyperscale does, flooring at the paper's 1,000 nodes.
+// HyperscaleMax pushes the placement simulation to its scale ceiling:
+// 62,500 nodes × 4 GPUs (250,000 GPUs) absorbing ~200,000 instances of
+// the §5.5 mix — ×6 past the hyperscale driver, ×62 past the paper. Only
+// Dilu runs here (the baselines' story is told at 40k); the point of
+// this driver is that one serial run completes at a quarter million
+// GPUs. Scale maps the size down the same way Hyperscale does, flooring
+// at the paper's 1,000 nodes. The report title and note still describe
+// the retired sharded replay; they are part of the run's fingerprint, so
+// they change only with the next deliberate manifest re-pin.
 func HyperscaleMax(opts Options) *report.Report {
 	opts = opts.withDefaults()
 	rep := report.New("hyperscale_max", "Sharded hyperscale ceiling (250k GPUs, 200k instances)")
@@ -79,7 +80,7 @@ func HyperscaleMax(opts Options) *report.Report {
 		"Hyperscale ceiling. One Dilu run at cluster ×62",
 		"scheduler", "GPUs", "placed", "peak GPUs", "SM frag", "mem frag", "GPU-hours"))
 	occ, stats, gpuSeconds, placed := runLargeScaleOn(
-		figure17Schedulers()["Dilu"], mix, horizon, nodes, opts.Shards)
+		figure17Schedulers()["Dilu"], mix, horizon, nodes)
 	opts.Meter.AddVirtual(horizon)
 	t.AddRow("Dilu", nodes*4, placed, occ.Max(), stats.SMFrag, stats.MemFrag, gpuSeconds/3600)
 	rep.AddSeries(occ.Downsample(120 * sim.Second))

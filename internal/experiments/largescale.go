@@ -88,16 +88,16 @@ type lsEvent struct {
 // runLargeScale replays the instance mix through one scheduler on the
 // paper's 1,000-node cluster and samples occupancy/fragmentation over
 // time.
-func runLargeScale(mk func(*cluster.Cluster) sched.Scheduler, mix []lsInstance, horizon sim.Duration, shards int) (*metrics.Series, cluster.Stats, float64) {
-	occ, stats, gpuSeconds, _ := runLargeScaleOn(mk, mix, horizon, 1000, shards)
+func runLargeScale(mk func(*cluster.Cluster) sched.Scheduler, mix []lsInstance, horizon sim.Duration) (*metrics.Series, cluster.Stats, float64) {
+	occ, stats, gpuSeconds, _ := runLargeScaleOn(mk, mix, horizon, 1000)
 	return occ, stats, gpuSeconds
 }
 
 // runLargeScaleOn is runLargeScale with a configurable node count (the
 // hyperscale driver runs 10,000 nodes); it additionally reports how many
 // deployment requests were placed.
-func runLargeScaleOn(mk func(*cluster.Cluster) sched.Scheduler, mix []lsInstance, horizon sim.Duration, nodes, shards int) (*metrics.Series, cluster.Stats, float64, int) {
-	r := runLargeScaleClu(mk, mix, horizon, cluster.Config{Nodes: nodes, GPUsPerNode: 4}, shards)
+func runLargeScaleOn(mk func(*cluster.Cluster) sched.Scheduler, mix []lsInstance, horizon sim.Duration, nodes int) (*metrics.Series, cluster.Stats, float64, int) {
+	r := runLargeScaleClu(mk, mix, horizon, cluster.Config{Nodes: nodes, GPUsPerNode: 4})
 	return r.occ, r.stats, r.gpuSeconds, r.placed
 }
 
@@ -117,30 +117,9 @@ type lsResult struct {
 // runLargeScaleClu is the configurable-cluster core of the large-scale
 // placement replays: the heterogeneity drivers pass mixed GPU classes,
 // everything else a plain node count.
-//
-// shards > 1 runs the replay in sharded mode: the cluster is partitioned
-// into position-range shards (parallelizing the scheduler's candidate
-// scans through a fork-join pool), and the event stream is driven through
-// a sim.ShardedEngine — each event lives on a shard heap, windows advance
-// on all cores, and the actual placements and releases execute on the
-// coordinator at barriers, ordered by (at, global event index) through
-// the deterministic mailbox. That order equals the serial loop's sorted
-// order, so the result is byte-identical at any shard count (guarded by
-// TestLargeScaleShardInvariance and the sched_shard_equiv differentials).
-func runLargeScaleClu(mk func(*cluster.Cluster) sched.Scheduler, mix []lsInstance, horizon sim.Duration, cfg cluster.Config, shards int) lsResult {
-	if shards > 1 {
-		cfg.Shards = shards
-	}
+func runLargeScaleClu(mk func(*cluster.Cluster) sched.Scheduler, mix []lsInstance, horizon sim.Duration, cfg cluster.Config) lsResult {
 	clu := cluster.New(cfg)
 	s := mk(clu)
-	var pool *sim.Pool
-	if shards > 1 {
-		pool = sim.NewPool(0)
-		defer pool.Close()
-		if p, ok := s.(interface{ SetParallel(*sim.Pool) }); ok {
-			p.SetParallel(pool)
-		}
-	}
 	var events []lsEvent
 	for i, inst := range mix {
 		events = append(events, lsEvent{inst.arrive, true, i})
@@ -172,7 +151,7 @@ func runLargeScaleClu(mk func(*cluster.Cluster) sched.Scheduler, mix []lsInstanc
 		lastAt, lastOcc, lastCap = at, cur, clu.OccupiedCapacity()
 		occ.Add(at, cur)
 	}
-	apply := func(ev lsEvent) {
+	for _, ev := range events {
 		if ev.arrive {
 			inst := mix[ev.idx]
 			decs, err := s.Schedule(sched.Request{
@@ -190,28 +169,6 @@ func runLargeScaleClu(mk func(*cluster.Cluster) sched.Scheduler, mix []lsInstanc
 			delete(placed, ev.idx)
 		}
 		record(ev.at)
-	}
-	if shards > 1 {
-		// Events round-robin onto shard heaps; each fires inside its
-		// window and mails the coordinator, which applies the placement
-		// against the shared cluster at the barrier. The mailbox key is
-		// the event's position in the sorted stream — sharding-invariant,
-		// so (at, key) delivery reproduces the serial loop order exactly
-		// regardless of shard count or window size.
-		se := sim.NewShardedEngine(shards, 0, pool)
-		for i, ev := range events {
-			sh := i % shards
-			box := se.Outbox(sh)
-			key := uint64(i)
-			se.Schedule(sh, ev.at, func(sim.Time) {
-				box.Send(sim.Coordinator, ev.at, key, func(sim.Time) { apply(ev) })
-			})
-		}
-		se.Run(horizon)
-	} else {
-		for _, ev := range events {
-			apply(ev)
-		}
 	}
 	record(horizon)
 	return lsResult{occ: occ, stats: clu.Snapshot(), classes: clu.ClassStats(),
@@ -242,7 +199,7 @@ func Figure17(opts Options) *report.Report {
 		"scheduler", "peak GPUs", "SM frag", "mem frag", "GPU-hours", "cost vs Exclusive"))
 	var exclusiveGPUh float64
 	for _, name := range order {
-		occ, stats, gpuSeconds := runLargeScale(scheds[name], mix, horizon, opts.Shards)
+		occ, stats, gpuSeconds := runLargeScale(scheds[name], mix, horizon)
 		opts.Meter.AddVirtual(horizon)
 		gpuH := gpuSeconds / 3600
 		if name == "Exclusive" {
@@ -271,7 +228,7 @@ func Figure18(opts Options) *report.Report {
 		g := gamma
 		occ, stats, _ := runLargeScale(func(c *cluster.Cluster) sched.Scheduler {
 			return sched.NewDilu(c, sched.Options{Gamma: g})
-		}, mix, horizon, opts.Shards)
+		}, mix, horizon)
 		opts.Meter.AddVirtual(horizon)
 		a.AddRow(fmt.Sprintf("%.2f", gamma), occ.Max(), stats.SMFrag, stats.MemFrag)
 	}
@@ -320,22 +277,6 @@ func ScheduleBatch(n int, seed int64) (placed int) {
 func ScheduleBatchOn(nodes, n int, seed int64) (placed int) {
 	clu := cluster.New(cluster.Config{Nodes: nodes, GPUsPerNode: 4})
 	return ScheduleBatchWith(sched.NewDilu(clu, sched.Options{}), n, seed)
-}
-
-// ScheduleBatchShardedOn is ScheduleBatchOn with the cluster partitioned
-// into position-range shards and the Dilu candidate scans fanned out on
-// a fork-join pool — the parallel placement kernel the sharded replay
-// drivers and BenchmarkShardedHyperscale exercise. Placement results are
-// bit-identical to ScheduleBatchOn at any shard count.
-func ScheduleBatchShardedOn(nodes, n int, seed int64, shards int) (placed int) {
-	clu := cluster.New(cluster.Config{Nodes: nodes, GPUsPerNode: 4, Shards: shards})
-	s := sched.NewDilu(clu, sched.Options{})
-	if shards > 1 {
-		pool := sim.NewPool(0)
-		defer pool.Close()
-		s.SetParallel(pool)
-	}
-	return ScheduleBatchWith(s, n, seed)
 }
 
 // ScheduleBatchWith replays the §5.5 instance mix through an arbitrary

@@ -10,7 +10,7 @@ import (
 
 // These tests lock in the headline result shapes at reduced scale so
 // regressions in the control loop or calibration surface immediately.
-// EXPERIMENTS.md records the full-scale numbers.
+// `dilu-bench -scale 1` produces the full-scale numbers.
 
 func rowFloat(t *testing.T, row []string, col int) float64 {
 	t.Helper()

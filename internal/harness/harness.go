@@ -46,15 +46,6 @@ func (j Job) Key() string { return report.RunKey(j.Driver, j.Seed, j.Scale) }
 // clamped to [0.1, …]) so manifest records state the parameters that
 // actually ran; jobs that normalize to the same key are deduplicated.
 func Jobs(drivers []experiments.Driver, seeds []int64, scale float64) []Job {
-	return JobsSharded(drivers, seeds, scale, 0)
-}
-
-// JobsSharded is Jobs with a replay shard count threaded into every
-// job's Options (see experiments.Options.Shards). Shards appears in
-// neither the manifest key nor the record: results are byte-identical at
-// any shard count — that invariance is exactly what `make manifest-check`
-// verifies — so recording it would only suggest it matters.
-func JobsSharded(drivers []experiments.Driver, seeds []int64, scale float64, shards int) []Job {
 	if len(seeds) == 0 {
 		seeds = []int64{1}
 	}
@@ -63,7 +54,7 @@ func JobsSharded(drivers []experiments.Driver, seeds []int64, scale float64, sha
 	for _, d := range drivers {
 		d := d
 		for _, seed := range seeds {
-			opts := experiments.Options{Scale: scale, Seed: seed, Shards: shards}.Normalized()
+			opts := experiments.Options{Scale: scale, Seed: seed}.Normalized()
 			job := Job{
 				Driver: d.ID,
 				Paper:  d.Paper,

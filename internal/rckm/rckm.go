@@ -225,10 +225,10 @@ type Config struct {
 	// EmergencyCooldown is the re-entry suppression window.
 	EmergencyCooldown sim.Duration
 
-	// Ablation switches for the DESIGN.md §4.6 controller choices; all
-	// default to the stabilized controller. They exist so the ablation
-	// benches can quantify each interpretation against the naive reading
-	// of Algorithm 2.
+	// Ablation switches for the controller's interpretation choices
+	// (README, "Reproducing the paper"); all default to the stabilized
+	// controller. They exist so the ablation benches can quantify each
+	// interpretation against the naive reading of Algorithm 2.
 	//
 	// NoHysteresis disables the exit threshold/cooldown (emergencies
 	// re-trigger freely). NoPressureHold ignores the interception

@@ -17,7 +17,6 @@ import (
 
 	"dilu/internal/cluster"
 	"dilu/internal/profiler"
-	"dilu/internal/sim"
 )
 
 // Request asks for n instances of one function to be placed.
@@ -170,14 +169,6 @@ type Dilu struct {
 	inactScratch []*cluster.GPU
 	candScratch  []multiCand
 	partners     map[string]bool
-
-	// pool fans candidate scans out over the cluster's shards (see
-	// parallel.go); the per-shard scratch below is indexed by shard, so
-	// workers never contend.
-	pool        *sim.Pool
-	bestScratch []shardBest
-	shardCands  [][]multiCand
-	shardCounts []int
 }
 
 // NewDilu builds the scheduler over a cluster.
@@ -298,28 +289,7 @@ func (s *Dilu) placeMultiGPU(req Request, stages int) (Decision, error) {
 			g.MemUsedMB+p.MemMB <= g.MemCapMB
 	}
 	cands := s.candScratch[:0]
-	if s.clu.ShardCount() > 1 {
-		// Sharded inventory: per-shard feasibility filters + worst-fit
-		// top-`stages` pre-selection, merged back into inventory order
-		// (see parallel.go). The feasibility count mirrors the serial
-		// branches below: heterogeneous workers scan the full inventory
-		// (so the scanned count is the whole feasible supply), while
-		// single-class workers scan actives and the interchangeable
-		// inactive supply is priced by one representative.
-		var scanned int
-		if s.clu.Heterogeneous() {
-			cands, scanned = s.collectMultiCandsSharded(feasible, stages, nil)
-		} else {
-			s.inactScratch = s.clu.AppendInactive(s.inactScratch[:0], stages)
-			cands, scanned = s.collectMultiCandsSharded(feasible, stages, s.inactScratch)
-			if n := s.clu.SchedulableInactive(); n > 0 && len(s.inactScratch) > 0 && feasible(s.inactScratch[0]) {
-				scanned += n
-			}
-		}
-		if scanned < stages {
-			return Decision{}, ErrNoCapacity
-		}
-	} else if s.clu.Heterogeneous() {
+	if s.clu.Heterogeneous() {
 		// Mixed fleets void the "inactive GPUs are interchangeable"
 		// argument below (classes differ in memory and capacity, so
 		// feasibility and worst-fit rank vary across idle GPUs): fall
@@ -544,11 +514,6 @@ func (s *Dilu) cacheCold(g *cluster.GPU, fn string) int {
 // (the break fires only on strict >, so equal-score candidates that
 // could win the coldness/position tie-break are still scanned).
 func (s *Dilu) selectOptGPUActive(p profiler.Profile, fn string) *cluster.GPU {
-	if s.clu.ShardCount() > 1 {
-		// Sharded inventory: fan the walk out over the shards (bit-exact
-		// merge under the same total order; see parallel.go).
-		return s.selectOptGPUActiveSharded(p, fn)
-	}
 	// Buckets whose normalized-utilization lower bound already breaks Ω
 	// for even the largest-capacity GPU hold no feasible candidate;
 	// start below them. (On a homogeneous fleet MaxCapacity is 1.0 and
@@ -698,10 +663,6 @@ type Static struct {
 	useLimit bool
 	clu      *cluster.Cluster
 	seq      int
-
-	// Sharded-scan state, as on Dilu (see parallel.go).
-	pool        *sim.Pool
-	bestScratch []shardBest
 }
 
 // NewINFlessL builds INFless+ with limit quotas.
@@ -810,14 +771,6 @@ func (s *Static) Schedule(req Request) ([]Decision, error) {
 // selection is unchanged from the pre-capacity code.
 func (s *Static) pick(q, memMB float64, wholeGPU bool) *cluster.GPU {
 	if wholeGPU {
-		return s.clu.FirstInactiveFit(q, memMB)
-	}
-	if s.clu.ShardCount() > 1 {
-		// Sharded inventory: per-shard walks merged under (free, Pos) —
-		// bit-exact with the serial walk (see parallel.go).
-		if g := s.pickSharded(q, memMB); g != nil {
-			return g
-		}
 		return s.clu.FirstInactiveFit(q, memMB)
 	}
 	headroom := 1 + 1e-9 - q/s.clu.MaxCapacity()

@@ -60,23 +60,3 @@ func (m *Meter) addTicks(n int64) {
 		m.ticks.Add(n)
 	}
 }
-
-// Merge atomically folds src's counters into m. The merge is a set of
-// commutative, associative adds, so shards reporting concurrently — or
-// in any permutation of orders — produce identical totals; this is what
-// keeps aggregated attribution deterministic at any shard count. Safe
-// on a nil receiver or source; src is read atomically and unmodified.
-func (m *Meter) Merge(src *Meter) {
-	if m == nil || src == nil {
-		return
-	}
-	if v := src.virtual.Load(); v != 0 {
-		m.virtual.Add(v)
-	}
-	if v := src.engines.Load(); v != 0 {
-		m.engines.Add(v)
-	}
-	if v := src.ticks.Load(); v != 0 {
-		m.ticks.Add(v)
-	}
-}

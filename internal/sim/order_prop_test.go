@@ -205,151 +205,6 @@ func TestEventOrderWithDynamicScheduling(t *testing.T) {
 	}
 }
 
-// buildRandomShardedSchedule mirrors buildRandomSchedule, routing the
-// same kind of random Schedule/ScheduleSeries interleaving through a
-// ShardedEngine with a random shard per op. It returns the reference
-// event list (seq mirrors the global counter) and each id's shard.
-func buildRandomShardedSchedule(rng *rand.Rand, se *ShardedEngine, horizon Time, record func(shard, id int) func(Time)) ([]refEvent, map[int]int) {
-	shardOf := map[int]int{}
-	var evs []refEvent
-	seq := uint64(0)
-	id := 0
-	ops := 1 + rng.Intn(20)
-	for op := 0; op < ops; op++ {
-		s := rng.Intn(se.Shards())
-		if rng.Intn(2) == 0 {
-			at := Time(rng.Int63n(int64(horizon)/100*125)) / 100 * 100
-			seq++
-			evs = append(evs, refEvent{at: at, seq: seq, id: id})
-			shardOf[id] = s
-			se.Schedule(s, at, record(s, id))
-			id++
-		} else {
-			n := 1 + rng.Intn(30)
-			times := make([]Time, n)
-			for i := range times {
-				times[i] = Time(rng.Int63n(int64(horizon))) / 100 * 100
-			}
-			slices.Sort(times)
-			ids := make([]int, n)
-			for i := range ids {
-				seq++
-				evs = append(evs, refEvent{at: times[i], seq: seq, id: id})
-				shardOf[id] = s
-				ids[i] = id
-				id++
-			}
-			next := 0
-			se.ScheduleSeries(s, 0, times, func(now Time) {
-				record(s, ids[next])(now)
-				next++
-			})
-		}
-	}
-	return evs, shardOf
-}
-
-// mergeShardFired k-way-merges per-shard pop streams by the reference
-// (at, seq) of each fired id — the merge a barrier coordinator would
-// perform — so the global order the shards jointly produced can be
-// compared against the serial reference sort.
-func mergeShardFired(got [][]fired, byID map[int]refEvent) []fired {
-	heads := make([]int, len(got))
-	var merged []fired
-	for {
-		best := -1
-		for s := range got {
-			if heads[s] >= len(got[s]) {
-				continue
-			}
-			if best < 0 {
-				best = s
-				continue
-			}
-			e, b := byID[got[s][heads[s]].id], byID[got[best][heads[best]].id]
-			if e.at < b.at || (e.at == b.at && e.seq < b.seq) {
-				best = s
-			}
-		}
-		if best < 0 {
-			return merged
-		}
-		merged = append(merged, got[best][heads[best]])
-		heads[best]++
-	}
-}
-
-// TestShardedEventOrderRandomInterleavings is the partitioner/barrier
-// property: random interleavings partitioned across random shard counts
-// (random windows, serial and pooled) pop, per shard, in exactly the
-// reference (time, seq) order restricted to that shard — and the merged
-// global stream equals the serial reference heap's order over all
-// events. Global sequence assignment at registration is what makes the
-// second half hold at any shard count.
-func TestShardedEventOrderRandomInterleavings(t *testing.T) {
-	const horizon = 10 * Second
-	pool := NewPool(4)
-	defer pool.Close()
-	windows := []Duration{10 * Millisecond, 100 * Millisecond, Second, horizon}
-	for trial := 0; trial < 200; trial++ {
-		rng := rand.New(rand.NewSource(int64(trial) + 9000))
-		shards := 1 + rng.Intn(8)
-		window := windows[rng.Intn(len(windows))]
-		var p *Pool
-		if rng.Intn(2) == 0 {
-			p = pool
-		}
-		se := NewShardedEngine(shards, window, p)
-		got := make([][]fired, shards)
-		record := func(shard, id int) func(Time) {
-			return func(now Time) { got[shard] = append(got[shard], fired{id: id, at: now}) }
-		}
-		evs, shardOf := buildRandomShardedSchedule(rng, se, horizon, record)
-		se.Run(horizon)
-
-		byID := map[int]refEvent{}
-		for _, e := range evs {
-			byID[e.id] = e
-		}
-		fired := 0
-		for s := 0; s < shards; s++ {
-			var sub []refEvent
-			for _, e := range evs {
-				if shardOf[e.id] == s {
-					sub = append(sub, e)
-				}
-			}
-			want := refOrder(sub, horizon)
-			if len(got[s]) != len(want) {
-				t.Fatalf("trial %d (shards=%d): shard %d fired %d events, want %d",
-					trial, shards, s, len(got[s]), len(want))
-			}
-			for i := range want {
-				if got[s][i].id != want[i].id || got[s][i].at != want[i].at {
-					t.Fatalf("trial %d (shards=%d): shard %d pop %d = %+v, want (id %d, %s)",
-						trial, shards, s, i, got[s][i], want[i].id, want[i].at)
-				}
-			}
-			fired += len(want)
-		}
-
-		merged := mergeShardFired(got, byID)
-		want := refOrder(evs, horizon)
-		if len(merged) != len(want) {
-			t.Fatalf("trial %d (shards=%d): merged %d events, want %d", trial, shards, len(merged), len(want))
-		}
-		for i := range want {
-			if merged[i].id != want[i].id || merged[i].at != want[i].at {
-				t.Fatalf("trial %d (shards=%d): merged pop %d = %+v, want (id %d, %s)",
-					trial, shards, i, merged[i], want[i].id, want[i].at)
-			}
-		}
-		if se.Pending() != len(evs)-fired {
-			t.Fatalf("trial %d: %d pending after run, want %d", trial, se.Pending(), len(evs)-fired)
-		}
-	}
-}
-
 // FuzzEventOrder lets the fuzzer search for interleavings where the
 // engine's pop order diverges from the reference sort. Bytes decode to a
 // deterministic op script: each op is either one Schedule or one short
@@ -410,92 +265,6 @@ func FuzzEventOrder(f *testing.F) {
 		for i := range want {
 			if got[i].id != want[i].id || got[i].at != want[i].at {
 				t.Fatalf("pop %d = %+v, want (id %d, %s)", i, got[i], want[i].id, want[i].at)
-			}
-		}
-	})
-}
-
-// FuzzShardedEventOrder is the differential form of FuzzEventOrder: the
-// same decoded op script drives a serial Engine and a ShardedEngine
-// (shard count, window and shard assignment all fuzzer-chosen), and the
-// sharded run's merged pop stream must match the serial run exactly.
-func FuzzShardedEventOrder(f *testing.F) {
-	f.Add([]byte{0x03, 0x01, 0x40, 0x82, 0x10, 0x03, 0x55})
-	f.Add([]byte{0x0c, 0xff, 0x00, 0xff, 0x00, 0xff, 0x00, 0x10, 0x20})
-	f.Add([]byte{0x11, 0x07})
-	f.Fuzz(func(t *testing.T, data []byte) {
-		if len(data) == 0 {
-			return
-		}
-		const horizon = Second
-		shards := 1 + int(data[0]%6)
-		window := []Duration{TickPeriod, 50 * Millisecond, Second}[int(data[0]/7)%3]
-		data = data[1:]
-
-		eng := NewEngine()
-		se := NewShardedEngine(shards, window, nil)
-		var serial []fired
-		shardGot := make([][]fired, shards)
-		var evs []refEvent
-		seq := uint64(0)
-		id := 0
-		op := 0
-		for i := 0; i < len(data); {
-			b := data[i]
-			i++
-			s := op % shards // deterministic round-robin partition
-			op++
-			if b%2 == 0 {
-				at := Time(b) * 7 * Millisecond
-				seq++
-				evs = append(evs, refEvent{at: at, seq: seq, id: id})
-				evID := id
-				eng.Schedule(at, func(now Time) { serial = append(serial, fired{id: evID, at: now}) })
-				se.Schedule(s, at, func(now Time) { shardGot[s] = append(shardGot[s], fired{id: evID, at: now}) })
-				id++
-				continue
-			}
-			n := int(b%5) + 1
-			var times []Time
-			for j := 0; j < n && i < len(data); j++ {
-				times = append(times, Time(data[i])*5*Millisecond)
-				i++
-			}
-			if len(times) == 0 {
-				continue
-			}
-			slices.Sort(times)
-			ids := make([]int, len(times))
-			for j := range times {
-				seq++
-				evs = append(evs, refEvent{at: times[j], seq: seq, id: id})
-				ids[j] = id
-				id++
-			}
-			nextA, nextB := 0, 0
-			eng.ScheduleSeries(0, slices.Clone(times), func(now Time) {
-				serial = append(serial, fired{id: ids[nextA], at: now})
-				nextA++
-			})
-			se.ScheduleSeries(s, 0, times, func(now Time) {
-				shardGot[s] = append(shardGot[s], fired{id: ids[nextB], at: now})
-				nextB++
-			})
-		}
-		eng.Run(horizon)
-		se.Run(horizon)
-
-		byID := map[int]refEvent{}
-		for _, e := range evs {
-			byID[e.id] = e
-		}
-		merged := mergeShardFired(shardGot, byID)
-		if len(merged) != len(serial) {
-			t.Fatalf("sharded fired %d events, serial fired %d", len(merged), len(serial))
-		}
-		for i := range serial {
-			if merged[i] != serial[i] {
-				t.Fatalf("pop %d: sharded %+v, serial %+v", i, merged[i], serial[i])
 			}
 		}
 	})

@@ -116,19 +116,12 @@ func ParseChurnCSV(r io.Reader) ([]ChurnEvent, error) {
 			return nil, fmt.Errorf("workload: churn line %d: want seconds,action,node, got %q", line, text)
 		}
 		dataRows++
-		secs, err := strconv.ParseFloat(strings.TrimSpace(parts[0]), 64)
+		at, header, err := parseSeconds(parts[0], dataRows == 1)
 		if err != nil {
-			// Only the first data row may be a column header, and only
-			// when it holds no digits at all — a malformed mid-file
-			// timestamp ("1o0") must error, not vanish. (Same rule as
-			// ParseTraceCSV.)
-			if dataRows == 1 && !strings.ContainsAny(parts[0], "0123456789") {
-				continue
-			}
-			return nil, fmt.Errorf("workload: churn line %d: bad timestamp %q", line, parts[0])
+			return nil, fmt.Errorf("workload: churn line %d: %v", line, err)
 		}
-		if secs < 0 {
-			return nil, fmt.Errorf("workload: churn line %d: negative timestamp", line)
+		if header {
+			continue
 		}
 		var kind ChurnKind
 		switch action := strings.ToLower(strings.TrimSpace(parts[1])); action {
@@ -145,7 +138,7 @@ func ParseChurnCSV(r io.Reader) ([]ChurnEvent, error) {
 		if err != nil || node < 0 {
 			return nil, fmt.Errorf("workload: churn line %d: bad node %q", line, parts[2])
 		}
-		out = append(out, ChurnEvent{At: sim.FromSeconds(secs), Kind: kind, Node: node})
+		out = append(out, ChurnEvent{At: at, Kind: kind, Node: node})
 	}
 	if err := sc.Err(); err != nil {
 		return nil, err

@@ -4,6 +4,7 @@ import (
 	"bufio"
 	"fmt"
 	"io"
+	"math"
 	"os"
 	"sort"
 	"strconv"
@@ -164,19 +165,12 @@ func ParseFaultCSV(r io.Reader) ([]FaultEvent, error) {
 			return nil, fmt.Errorf("workload: fault line %d: want seconds,action,node,gpu[,factor], got %q", line, text)
 		}
 		dataRows++
-		secs, err := strconv.ParseFloat(strings.TrimSpace(parts[0]), 64)
+		at, header, err := parseSeconds(parts[0], dataRows == 1)
 		if err != nil {
-			// Only the first data row may be a column header, and only
-			// when it holds no digits at all — a malformed mid-file
-			// timestamp must error, not vanish. (Same rule as
-			// ParseChurnCSV.)
-			if dataRows == 1 && !strings.ContainsAny(parts[0], "0123456789") {
-				continue
-			}
-			return nil, fmt.Errorf("workload: fault line %d: bad timestamp %q", line, parts[0])
+			return nil, fmt.Errorf("workload: fault line %d: %v", line, err)
 		}
-		if secs < 0 {
-			return nil, fmt.Errorf("workload: fault line %d: negative timestamp", line)
+		if header {
+			continue
 		}
 		var kind FaultKind
 		switch action := strings.ToLower(strings.TrimSpace(parts[1])); action {
@@ -201,7 +195,7 @@ func ParseFaultCSV(r io.Reader) ([]FaultEvent, error) {
 		factor := 0.0
 		if len(parts) == 5 {
 			factor, err = strconv.ParseFloat(strings.TrimSpace(parts[4]), 64)
-			if err != nil || factor < 0 {
+			if err != nil || factor < 0 || math.IsNaN(factor) || math.IsInf(factor, 0) {
 				return nil, fmt.Errorf("workload: fault line %d: bad factor %q", line, parts[4])
 			}
 		}
@@ -210,7 +204,7 @@ func ParseFaultCSV(r io.Reader) ([]FaultEvent, error) {
 				return nil, fmt.Errorf("workload: fault line %d: slow needs factor ≥ 1 (1 restores)", line)
 			}
 		}
-		out = append(out, FaultEvent{At: sim.FromSeconds(secs), Kind: kind, Node: node, GPU: gpu, Factor: factor})
+		out = append(out, FaultEvent{At: at, Kind: kind, Node: node, GPU: gpu, Factor: factor})
 	}
 	if err := sc.Err(); err != nil {
 		return nil, err

@@ -47,6 +47,35 @@ func TestParserEdgeCasesRowNumberedErrors(t *testing.T) {
 			"0.5,alpha\n0..7,beta\n", "tr:2: bad timestamp \"0..7\""},
 		{"trace missing function", parseTrace,
 			"0.5,alpha\n1.5\n", "tr:2: want \"seconds,function\""},
+		// --- timestamps sim.Time cannot hold ---
+		// NaN and ±Inf parse as floats, and 1e300 s overflows the int64
+		// microsecond clock: converted, all three wrap to a negative time
+		// (-9223372036854.775s), so they must be rejected by row.
+		{"churn NaN seconds", parseChurn,
+			"NaN,fail,0\n", "churn line 1: non-finite timestamp \"NaN\""},
+		{"churn Inf seconds", parseChurn,
+			"10,fail,1\nInf,join,1\n", "churn line 2: non-finite timestamp \"+Inf\""},
+		{"churn huge seconds", parseChurn,
+			"1e300,drain,0\n", "churn line 1: out-of-range timestamp \"1e+300\""},
+		{"fault Inf seconds", parseFault,
+			"Inf,error,0,*\n", "fault line 1: non-finite timestamp \"+Inf\""},
+		{"fault huge seconds", parseFault,
+			"# hdr\n9.3e12,error,0,0\n", "fault line 2: out-of-range timestamp \"9.3e+12\""},
+		{"fault NaN factor", parseFault,
+			"1,slow,0,0,NaN\n", "fault line 1: bad factor \"NaN\""},
+		{"fault Inf factor", parseFault,
+			"1,slow,0,0,Inf\n", "fault line 1: bad factor \"Inf\""},
+		{"trace NaN seconds", parseTrace,
+			"0.5,alpha\nNaN,beta\n", "tr:2: non-finite timestamp \"NaN\""},
+		{"trace -Inf seconds", parseTrace,
+			"-Inf,alpha\n", "tr:1: non-finite timestamp \"-Inf\""},
+		{"trace huge seconds", parseTrace,
+			"seconds,function\n1e300,alpha\n", "tr:2: out-of-range timestamp \"1e+300\""},
+		{"trace JSON huge t", parseTraceJSON,
+			`{"events": [{"t": 0.5, "func": "a"}, {"t": 1e300, "func": "b"}]}`,
+			"tr: event 1: out-of-range timestamp \"1e+300\""},
+		{"trace JSON negative t", parseTraceJSON,
+			`{"events": [{"t": -0.5, "func": "a"}]}`, "tr: event 0: negative timestamp \"-0.5\""},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
@@ -74,6 +103,20 @@ func parseChurn(in string) error {
 func parseTrace(in string) error {
 	_, err := ParseTraceCSV("tr", strings.NewReader(in))
 	return err
+}
+
+func parseTraceJSON(in string) error {
+	_, err := ParseTraceJSON("tr", strings.NewReader(in))
+	return err
+}
+
+// The largest timestamp sim.Time can hold still parses: the range check
+// rejects only what would wrap.
+func TestParsersAcceptTimeRangeEdge(t *testing.T) {
+	evs, err := ParseChurnCSV(strings.NewReader("9223372036854,fail,0\n"))
+	if err != nil || len(evs) != 1 || evs[0].At <= 0 {
+		t.Fatalf("churn parse of the range edge: %v (%+v)", err, evs)
+	}
 }
 
 // Non-monotone seconds are not an error in any of the three formats:

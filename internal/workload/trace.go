@@ -7,6 +7,7 @@ import (
 	"fmt"
 	"io"
 	"io/fs"
+	"math"
 	"os"
 	"path/filepath"
 	"slices"
@@ -34,12 +35,10 @@ type Trace struct {
 	Events []TraceEvent
 }
 
-// normalize sorts events and validates timestamps.
+// normalize sorts events and validates function names (the parsers
+// validate timestamps row by row).
 func (t *Trace) normalize() error {
 	for _, e := range t.Events {
-		if e.At < 0 {
-			return fmt.Errorf("workload: trace %q has negative timestamp %v", t.Label, e.At)
-		}
 		if e.Func == "" {
 			return fmt.Errorf("workload: trace %q has an event without a function", t.Label)
 		}
@@ -124,6 +123,44 @@ func (ts Times) Generate(_ *sim.RNG, dur sim.Duration) []sim.Time {
 // ---------------------------------------------------------------------------
 // Parsing.
 
+// parseSeconds parses the timestamp field of one schedule row (trace,
+// churn and fault CSVs) into virtual time; see toTime for what it
+// rejects. Errors do not name the row: callers prefix it. The first
+// data row of a file may instead be a column header: header reports a
+// first-row field with no digits at all ("seconds"), so a malformed
+// mid-file timestamp ("0..5") still errors rather than vanishing.
+func parseSeconds(field string, firstRow bool) (at sim.Time, header bool, err error) {
+	field = strings.TrimSpace(field)
+	v, err := strconv.ParseFloat(field, 64)
+	if err != nil {
+		if firstRow && !strings.ContainsAny(field, "0123456789") {
+			return 0, true, nil
+		}
+		return 0, false, fmt.Errorf("bad timestamp %q", field)
+	}
+	at, err = toTime(v)
+	return at, false, err
+}
+
+// toTime converts a timestamp of v seconds to virtual time. It rejects
+// what sim.Time (int64 microseconds) cannot hold: NaN, ±Inf, negative
+// values, and values at or past 2^63 µs (~292,000 years), which the
+// conversion would otherwise wrap to a large negative time.
+func toTime(v float64) (sim.Time, error) {
+	var why string
+	switch {
+	case math.IsNaN(v) || math.IsInf(v, 0):
+		why = "non-finite"
+	case v < 0:
+		why = "negative"
+	case v*float64(sim.Second) >= math.MaxInt64:
+		why = "out-of-range"
+	default:
+		return sim.FromSeconds(v), nil
+	}
+	return 0, fmt.Errorf("%s timestamp %q", why, strconv.FormatFloat(v, 'g', -1, 64))
+}
+
 // ParseTraceCSV reads the simple CSV trace format:
 //
 //	# comment lines and blank lines are skipped
@@ -149,24 +186,14 @@ func ParseTraceCSV(label string, r io.Reader) (*Trace, error) {
 			return nil, fmt.Errorf("workload: %s:%d: want \"seconds,function\", got %q", label, line, text)
 		}
 		dataRows++
-		sec, fn = strings.TrimSpace(sec), strings.TrimSpace(fn)
-		v, err := strconv.ParseFloat(sec, 64)
+		at, header, err := parseSeconds(sec, dataRows == 1)
 		if err != nil {
-			// A first row that fails to parse is the optional header only
-			// if it looks like one — no digits at all ("seconds"). A
-			// malformed timestamp ("0..5") must error, not vanish.
-			if dataRows == 1 && !strings.ContainsAny(sec, "0123456789") {
-				continue
-			}
-			return nil, fmt.Errorf("workload: %s:%d: bad timestamp %q: %v", label, line, sec, err)
+			return nil, fmt.Errorf("workload: %s:%d: %v", label, line, err)
 		}
-		if v < 0 {
-			// Row-numbered, like every other parse error: normalize()
-			// would also reject it, but only with a trace-level message
-			// that leaves the offending row to a manual hunt.
-			return nil, fmt.Errorf("workload: %s:%d: negative timestamp %q", label, line, sec)
+		if header {
+			continue
 		}
-		tr.Events = append(tr.Events, TraceEvent{At: sim.FromSeconds(v), Func: fn})
+		tr.Events = append(tr.Events, TraceEvent{At: at, Func: strings.TrimSpace(fn)})
 	}
 	if err := sc.Err(); err != nil {
 		return nil, fmt.Errorf("workload: %s: %v", label, err)
@@ -200,8 +227,12 @@ func ParseTraceJSON(label string, r io.Reader) (*Trace, error) {
 		label = doc.Name
 	}
 	tr := &Trace{Label: label}
-	for _, e := range doc.Events {
-		tr.Events = append(tr.Events, TraceEvent{At: sim.FromSeconds(e.T), Func: e.Func})
+	for i, e := range doc.Events {
+		at, err := toTime(e.T)
+		if err != nil {
+			return nil, fmt.Errorf("workload: %s: event %d: %v", label, i, err)
+		}
+		tr.Events = append(tr.Events, TraceEvent{At: at, Func: e.Func})
 	}
 	if err := tr.normalize(); err != nil {
 		return nil, err
