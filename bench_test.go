@@ -199,7 +199,7 @@ func BenchmarkGrayFailure(b *testing.B) { runExperiment(b, "gray_failure") }
 // pinned slow-GPU schedule.
 func BenchmarkStragglerTail(b *testing.B) { runExperiment(b, "straggler_tail") }
 
-// BenchmarkColdStartStages runs the three-arm staged cold-start
+// BenchmarkColdStartStages runs the two-arm staged cold-start
 // comparison: stage decomposition, per-stage violation attribution, and
 // kernel-cache warm pools all on the hot path of the cached arm.
 func BenchmarkColdStartStages(b *testing.B) { runExperiment(b, "coldstart_stages") }

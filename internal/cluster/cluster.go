@@ -285,8 +285,8 @@ type Node struct {
 	ID   string
 	GPUs []*GPU
 
-	// Kernels is the node-local kernel/JIT artifact cache: nil until
-	// the serving plane enables the staged cold-start model. Together
+	// Kernels is the node-local kernel/JIT artifact cache: the serving
+	// plane gives every node one; nil on a bare cluster. Together
 	// with the FuncGPUs posting index (which tracks *current* hosting)
 	// it forms the cache-affinity signal schedulers consult — the cache
 	// remembers functions the node served *before*, surviving teardown.
@@ -294,9 +294,8 @@ type Node struct {
 }
 
 // KernelsWarm reports whether the node's kernel cache (if any) holds
-// compiled kernels for the function. Safe to call with the stage model
-// disabled: a nil cache is never warm, so affinity tie-breaking is
-// inert on the legacy path.
+// compiled kernels for the function. Safe to call on a bare cluster: a
+// nil cache is never warm, so affinity tie-breaking is inert there.
 func (n *Node) KernelsWarm(fn string) bool {
 	return n.Kernels != nil && n.Kernels.Warm(fn)
 }

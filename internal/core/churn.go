@@ -140,9 +140,7 @@ func (f *Function) sweepWarmRetired() {
 		}
 		w.dead = true
 		f.warm = append(f.warm[:i], f.warm[i+1:]...)
-		reqs := w.si.inst.Abort()
-		f.teardown(w.si)
-		f.redispatch(reqs, now)
+		f.teardown(w.si, now)
 	}
 }
 
@@ -159,12 +157,10 @@ func (f *Function) evictFailed(now sim.Time) {
 		f.active = append(f.active[:i], f.active[i+1:]...)
 		f.sys.churn.EvictedInstances++
 		si.inst.SetActive(false)
-		reqs := si.inst.Abort()
-		f.teardown(si)
+		f.teardown(si, now)
 		if _, err := f.launch(true); err != nil {
 			f.sys.churn.LostLaunches++
 		}
-		f.redispatch(reqs, now)
 	}
 }
 
@@ -204,9 +200,7 @@ func (f *Function) retire(si *servedInstance, now sim.Time) {
 	}
 	f.active = append(f.active[:idx], f.active[idx+1:]...)
 	si.inst.SetActive(false)
-	reqs := si.inst.Abort()
-	f.teardown(si)
-	f.redispatch(reqs, now)
+	f.teardown(si, now)
 }
 
 // redispatch returns aborted requests to the gateway: straight onto the

@@ -13,15 +13,13 @@ import (
 	"dilu/internal/sim"
 )
 
-// ColdStartConfig enables the staged cold-start model with node-local
-// kernel caches. Nil (the Config default) keeps the legacy scalar
-// path — identical timing, no caches, no stage attribution — so every
-// pre-stage driver manifest stays byte-identical.
+// ColdStartConfig tunes the staged cold-start model and its node-local
+// kernel caches. The zero value is the defaults.
 type ColdStartConfig struct {
 	// JITFactor scales the kernel-JIT stage of a cold launch whose
 	// target nodes all hold compiled kernels for the function: 0 (the
 	// default) skips the stage entirely, 0.5 halves it, 1 disables the
-	// shortening while keeping caches and attribution live.
+	// shortening while keeping the caches live.
 	JITFactor float64
 	// CacheCap bounds each node's kernel cache (LRU entries); <= 0
 	// defaults to 32 functions per node.
@@ -35,9 +33,9 @@ func (c ColdStartConfig) withDefaults() ColdStartConfig {
 	return c
 }
 
-// ColdStartStats aggregates the run's cold-launch activity for the SLO
+// coldStartStats aggregates the run's cold-launch activity for the SLO
 // summary's cold-start block.
-type ColdStartStats struct {
+type coldStartStats struct {
 	KernelCacheHits   int64
 	KernelCacheMisses int64
 	PrewarmLaunches   int64
@@ -45,39 +43,24 @@ type ColdStartStats struct {
 	ColdTime          sim.Duration
 }
 
-// ColdStartStats returns the run's cold-launch counters.
-func (sys *System) ColdStartStats() ColdStartStats { return sys.coldStats }
-
-// trackColdStages reports whether precise cold-on-path attribution is
-// armed: either the stage model or prewarming makes cold starts
-// first-class.
-func (sys *System) trackColdStages() bool {
-	return sys.cfg.ColdStart != nil || sys.cfg.Prewarm != nil
-}
-
 // coldStages returns the effective stage durations for a cold launch
-// on the decision's GPUs. With the stage model enabled, a launch whose
-// target nodes all hold compiled kernels for the function shrinks its
-// JIT stage by JITFactor; multi-node instances hit only when every
-// node is warm (each shard JITs locally). The default decomposition
-// sums exactly to Spec.ColdStart(), so the legacy path's timing is
-// unchanged to the nanosecond.
+// on the decision's GPUs. A launch whose target nodes all hold compiled
+// kernels for the function shrinks its JIT stage by JITFactor;
+// multi-node instances hit only when every node is warm (each shard
+// JITs locally). A miss pays the full decomposition, which sums exactly
+// to Spec.ColdStart().
 func (f *Function) coldStages(dec sched.Decision) model.ColdStartStages {
 	st := f.Spec.ColdStartStages()
-	cc := f.sys.cfg.ColdStart
-	if cc == nil {
-		return st
-	}
 	warm := len(dec.GPUs) > 0
 	for _, g := range dec.GPUs {
-		if g.Node == nil || !g.Node.KernelsWarm(f.Name) {
+		if !g.Node.KernelsWarm(f.Name) {
 			warm = false
 			break
 		}
 	}
 	if warm {
 		f.sys.coldStats.KernelCacheHits++
-		st.KernelJIT = sim.Duration(float64(st.KernelJIT) * cc.JITFactor)
+		st.KernelJIT = sim.Duration(float64(st.KernelJIT) * f.sys.cfg.ColdStart.JITFactor)
 	} else {
 		f.sys.coldStats.KernelCacheMisses++
 	}
@@ -86,16 +69,10 @@ func (f *Function) coldStages(dec sched.Decision) model.ColdStartStages {
 
 // noteKernels records the function's kernels as compiled on every node
 // the decision touches — called when an instance activates (its JIT,
-// full or shortened, has completed by then). No-op on the legacy path:
-// caches exist only when the stage model is configured.
+// full or shortened, has completed by then).
 func (f *Function) noteKernels(dec sched.Decision) {
-	if f.sys.cfg.ColdStart == nil {
-		return
-	}
 	for _, g := range dec.GPUs {
-		if g.Node != nil && g.Node.Kernels != nil {
-			g.Node.Kernels.Note(f.Name)
-		}
+		g.Node.Kernels.Note(f.Name)
 	}
 }
 
@@ -140,42 +117,9 @@ func coldStageOnPath(arrive, ready sim.Time, st model.ColdStartStages) metrics.C
 	return bestStage
 }
 
-// flushPendingCold is flushPending for a cold launch's activation: the
-// same priority/deadline drain, with each dispatched request stamped
-// with the cold-start stage on its critical path. Dispatch order and
-// timing are identical to flushPending — the stamp is attribution
-// metadata the recorder only counts when stage tracking is armed, so
-// the legacy path's bytes are untouched.
-func (f *Function) flushPendingCold(now sim.Time, st model.ColdStartStages) {
-	if len(f.pending) == 0 {
-		return
-	}
-	f.orderPending()
-	drained := 0
-	for _, req := range f.pending {
-		in := f.pickLeastLoaded()
-		if in == nil {
-			break
-		}
-		req.Dispatch = now
-		req.ColdStage = coldStageOnPath(req.Arrive, now, st)
-		f.enqueue(in, req)
-		drained++
-	}
-	if drained == 0 {
-		return
-	}
-	f.pending = append(f.pending[:0], f.pending[drained:]...)
-}
-
-// coldStartSLO assembles the SLO summary's cold-start block; nil (and
-// therefore absent from manifests) unless the stage model or
-// prewarming is configured.
-func (sys *System) coldStartSLO() *metrics.ColdStartSLO {
-	if !sys.trackColdStages() {
-		return nil
-	}
-	cs := &metrics.ColdStartSLO{
+// coldStartSLO assembles the SLO summary's cold-start block.
+func (sys *System) coldStartSLO() metrics.ColdStartSLO {
+	cs := metrics.ColdStartSLO{
 		KernelCacheHits:   sys.coldStats.KernelCacheHits,
 		KernelCacheMisses: sys.coldStats.KernelCacheMisses,
 		PrewarmLaunches:   sys.coldStats.PrewarmLaunches,

@@ -234,3 +234,56 @@ func TestMPSLRespectsStaticGrantUnderScaleChanges(t *testing.T) {
 		t.Fatalf("inference starved after job release: %d", f.Served())
 	}
 }
+
+// scaleInOnce scales in exactly once, at the first sample at or after
+// `at`, with a fixed keep-alive TTL.
+type scaleInOnce struct {
+	at   sim.Time
+	ttl  sim.Duration
+	done bool
+}
+
+func (p *scaleInOnce) Name() string               { return "scale-in-once" }
+func (p *scaleInOnce) KeepAliveTTL() sim.Duration { return p.ttl }
+func (p *scaleInOnce) Decide(now sim.Time, _ float64, _ int, _ float64) int {
+	if p.done || now < p.at {
+		return 0
+	}
+	p.done = true
+	return -1
+}
+
+// TestKeepAliveExpiryRequeuesInFlightBatch: a keep-alive entry whose
+// TTL expires while it is still executing the batch it carried out of
+// service hands that batch back to the gateway. Detaching it with the
+// requests inside would strand them in flight forever.
+func TestKeepAliveExpiryRequeuesInFlightBatch(t *testing.T) {
+	sys := MustSystem(Config{
+		Nodes: 1, GPUsPerNode: 4, Seed: 1,
+		NewScaler: func() scaler.Policy {
+			return &scaleInOnce{at: 2 * sim.Second, ttl: sim.Millisecond}
+		},
+	})
+	arr := make([]sim.Time, 400)
+	for i := range arr {
+		arr[i] = sim.Time(i) * 5 * sim.Millisecond
+	}
+	f, err := sys.DeployInference("f", "GPT2-large", InferOpts{
+		Instances: 2, Arrivals: workload.Times{Label: "every-5ms", T: arr},
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	sys.Run(600 * sim.Second)
+	if len(f.warm) == 0 {
+		t.Fatal("scale-in never parked an instance in keep-alive")
+	}
+	if f.Served() != 400 || f.InFlightCount() != 0 {
+		t.Fatalf("served %d of 400, %d still in flight", f.Served(), f.InFlightCount())
+	}
+	for _, w := range f.warm {
+		if w.si.inst.Busy() {
+			t.Fatalf("expired keep-alive entry still holds %d requests", w.si.inst.Load())
+		}
+	}
+}

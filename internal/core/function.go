@@ -111,16 +111,12 @@ type Function struct {
 	arrived int // arrivals in the current 1 s sample window
 
 	// Gateway ledger (see gateway.go): submitted = admitted + shed, and
-	// admitted = served + in-flight + lost. The simtest
-	// request-conservation invariant recounts these from the serving
-	// plane every tick. lost counts admitted requests destroyed with
-	// their instance on the no-keep-alive scale-in path (the one teardown
-	// that drops work rather than redispatching it — see scaleIn).
+	// admitted = served + in-flight. The simtest request-conservation
+	// invariant recounts these from the serving plane every tick.
 	tenant    string
 	submitted int64
 	admitted  int64
 	shed      int64
-	lost      int64
 
 	// res is the request-resilience state (timeout/retry/hedge); nil
 	// whenever Config.Resilience is nil — every touchpoint guards on
@@ -149,15 +145,16 @@ func (f *Function) GatewayCounts() (submitted, admitted, shed int64) {
 	return f.submitted, f.admitted, f.shed
 }
 
-// Lost returns admitted requests destroyed with their instance (the
-// no-keep-alive scale-in teardown) — the only way an admitted request
-// leaves the system unserved.
-func (f *Function) Lost() int64 { return f.lost }
+// Lost always returns 0: every teardown hands its instance's
+// outstanding work back to the gateway, so an admitted request is
+// either served or still in flight. It stays for the benchmark module's
+// conservation check, which still reads it.
+func (f *Function) Lost() int64 { return 0 }
 
 // InFlightCount is the ledger view of the function's in-system requests:
-// admitted but neither served nor lost. Fair-share admission treats it
-// as the tenant's dominant-resource demand.
-func (f *Function) InFlightCount() int64 { return f.admitted - f.Served() - f.lost }
+// admitted but not yet served. Fair-share admission treats it as the
+// tenant's dominant-resource demand.
+func (f *Function) InFlightCount() int64 { return f.admitted - f.Served() }
 
 // RecountInFlight recounts in-flight requests from first principles —
 // gateway pending plus every instance's queued and batched work,
@@ -225,9 +222,6 @@ func (sys *System) DeployInference(name, modelName string, opts InferOpts) (*Fun
 	}
 	if sys.cfg.Prewarm != nil {
 		f.prewarm = newPrewarmState(*sys.cfg.Prewarm)
-	}
-	if sys.trackColdStages() {
-		f.Rec.SetColdStageTracking(true)
 	}
 	if f.tenant != "" {
 		f.Rec.SetTenant(f.tenant)
@@ -352,8 +346,11 @@ func (f *Function) orderPending() {
 
 // flushPending hands queued gateway requests to active instances in
 // priority/deadline order (FIFO-stable within ties), keeping whatever
-// cannot be placed queued for the next activation.
-func (f *Function) flushPending(now sim.Time) {
+// cannot be placed queued for the next activation. st is the cold
+// launch whose activation triggered the flush: each dispatched request
+// is stamped with the launch stage on its critical path. Warm callers
+// pass zero stages, which stamps every request ColdNone.
+func (f *Function) flushPending(now sim.Time, st model.ColdStartStages) {
 	if len(f.pending) == 0 {
 		return
 	}
@@ -365,6 +362,7 @@ func (f *Function) flushPending(now sim.Time) {
 			break
 		}
 		req.Dispatch = now
+		req.ColdStage = coldStageOnPath(req.Arrive, now, st)
 		f.enqueue(in, req)
 		drained++
 	}
@@ -397,7 +395,7 @@ func (f *Function) launch(cold bool) (*servedInstance, error) {
 		w.si.inst.SetActive(true)
 		f.active = append(f.active, w.si)
 		f.Launches.Inc()
-		f.flushPending(sys.Eng.Now())
+		f.flushPending(sys.Eng.Now(), model.ColdStartStages{})
 		return w.si, nil
 	}
 	var dec sched.Decision
@@ -446,19 +444,16 @@ func (f *Function) launch(cold bool) (*servedInstance, error) {
 	if cold {
 		f.ColdStarts.Inc()
 		f.Launches.Inc()
-		// Staged cold start: the default decomposition's total equals
-		// the historical scalar exactly, and with the stage model
-		// enabled a kernel-cache hit shrinks the JIT stage. The
-		// activation flush stamps each freed request with the stage on
-		// its critical path — attribution metadata the recorder counts
-		// only when stage tracking is armed.
+		// Staged cold start: a kernel-cache hit shrinks the JIT stage,
+		// and the activation flush stamps each freed request with the
+		// stage on its critical path.
 		st := f.coldStages(dec)
 		sys.coldStats.ColdLaunches++
 		sys.coldStats.ColdTime += st.Total()
 		sys.Eng.After(st.Total(), func(now sim.Time) {
 			in.SetActive(true)
 			f.noteKernels(dec)
-			f.flushPendingCold(now, st)
+			f.flushPending(now, st)
 		})
 	} else {
 		in.SetActive(true)
@@ -510,7 +505,8 @@ func (f *Function) scaleOut() {
 }
 
 // scaleIn deactivates the least-loaded instance; its reservation either
-// enters the keep-alive pool (TTL > 0) or is torn down immediately.
+// enters the keep-alive pool (TTL > 0) or is torn down immediately, its
+// in-flight batch going back through the gateway.
 func (f *Function) scaleIn(now sim.Time) {
 	if len(f.active) <= 1 {
 		return
@@ -539,32 +535,15 @@ func (f *Function) scaleIn(now sim.Time) {
 		ttl = f.policy.KeepAliveTTL()
 	}
 	if ttl <= 0 {
-		if f.sys.cfg.RequeueOnTeardown || f.res != nil {
-			// Requeue-on-teardown: the dying instance's in-flight batch
-			// (the queue already drained above) goes back through the
-			// gateway with original arrival stamps — the retried work
-			// shows up as latency, not as lost requests. Resilience-
-			// enabled systems always take this path.
-			reqs := si.inst.Abort()
-			f.teardown(si)
-			f.redispatch(reqs, now)
-			return
-		}
-		// The instance dies with whatever batch it was executing: those
-		// requests are destroyed, not redispatched (retrying work whose
-		// results are half-computed is the caller's policy, and no
-		// pre-gateway driver did). The ledger records them so request
-		// conservation still balances: admitted = served + in-flight + lost.
-		f.lost += int64(si.inst.Load())
-		f.teardown(si)
+		f.teardown(si, now)
 		return
 	}
 	w := &warmEntry{si: si, expires: now + ttl}
 	f.warm = append(f.warm, w)
-	f.sys.Eng.Schedule(w.expires, func(sim.Time) {
+	f.sys.Eng.Schedule(w.expires, func(at sim.Time) {
 		if !w.reused && !w.dead {
 			w.dead = true
-			f.teardown(si)
+			f.teardown(si, at)
 		}
 	})
 }
@@ -581,16 +560,17 @@ func (f *Function) popWarm() *warmEntry {
 	return nil
 }
 
-// teardown releases an instance's devices and reservations.
-func (f *Function) teardown(si *servedInstance) {
-	if l, ok := si.inst.(*instance.LLM); ok {
-		// Unwind any remaining KV charge through the stage backings before
-		// the placements go away (the lost-teardown path, where no Abort
-		// preceded us); a post-Abort call finds nothing to release.
-		l.ReleaseAllKV()
-	}
+// teardown is the single exit path of a served instance: it aborts the
+// instance's outstanding work (releasing any KV charge through the
+// stage backings while the placements still exist), releases its
+// devices and reservations, and hands the aborted requests back to the
+// gateway with their original arrival stamps — the lost work shows up
+// as latency, never as a lost request.
+func (f *Function) teardown(si *servedInstance, now sim.Time) {
+	reqs := si.inst.Abort()
 	f.sys.detach(si.dec, si.stages)
 	si.dec.Release()
+	f.redispatch(reqs, now)
 }
 
 // sample is the 1 Hz control step for this function.
@@ -599,7 +579,7 @@ func (f *Function) sample(now sim.Time) {
 	f.arrived = 0
 	f.RPSTrace.Add(now, rps)
 	f.InstTrace.Add(now, float64(len(f.active)))
-	f.flushPending(now)
+	f.flushPending(now, model.ColdStartStages{})
 	if f.prewarm != nil {
 		f.prewarm.observe(rps)
 		f.prewarmStep(now)

@@ -57,15 +57,11 @@ type TenantStats struct {
 }
 
 // gateway is the admission front of a System: the pluggable policy and
-// the per-tenant ledger. Tenant accounting is always on (the counters
-// are what the conservation invariant audits); the SLO-summary gateway
-// block is reported only once a policy or a non-default tenant makes
-// the run multi-tenant, so pre-gateway manifests keep their bytes.
+// the per-tenant ledger the conservation invariant audits.
 type gateway struct {
 	policy AdmissionPolicy
 	stats  map[string]*TenantStats
 	order  []string // first-submission order (deterministic)
-	report bool
 }
 
 // tenantStats returns (creating on first use) the ledger of one tenant.
@@ -76,9 +72,6 @@ func (sys *System) tenantStats(tenant string) *TenantStats {
 	ts := &TenantStats{Tenant: tenant}
 	sys.gw.stats[tenant] = ts
 	sys.gw.order = append(sys.gw.order, tenant)
-	if tenant != "" {
-		sys.gw.report = true
-	}
 	return ts
 }
 
@@ -131,15 +124,11 @@ func (sys *System) GatewayTenantStats() []TenantStats {
 
 // gatewaySLO rolls the admission ledger into the SLO summary's gateway
 // block: aggregate and per-tenant submitted/admitted/shed, with served
-// and goodput joined from the tenant's deployed functions. Nil until a
-// policy or a non-default tenant makes the run multi-tenant, so
-// pre-gateway manifests keep their bytes. Tenants are sorted by name
-// for output stability; the default tenant renders as "default".
-func (sys *System) gatewaySLO(horizon sim.Duration) *metrics.GatewaySLO {
-	if !sys.gw.report {
-		return nil
-	}
-	g := &metrics.GatewaySLO{}
+// and goodput joined from the tenant's deployed functions. Tenants are
+// sorted by name for output stability; the default tenant renders as
+// "default".
+func (sys *System) gatewaySLO(horizon sim.Duration) metrics.GatewaySLO {
+	var g metrics.GatewaySLO
 	if sys.gw.policy != nil {
 		g.Policy = sys.gw.policy.Name()
 	}

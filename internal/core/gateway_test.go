@@ -225,24 +225,25 @@ func TestShedRequestsNeverReachInstances(t *testing.T) {
 		t.Fatalf("served %d, want the 2 admitted", f.Served())
 	}
 	sum := sys.SLOSummary()
-	if sum.Gateway == nil {
-		t.Fatal("admission policy set but no gateway SLO block")
-	}
 	if sum.Gateway.Policy != "token-bucket" || sum.Gateway.Shed != 8 {
 		t.Fatalf("gateway block %+v", sum.Gateway)
 	}
 }
 
-// TestGatewayBlockAbsentForDefaultRuns pins the byte-compat contract:
-// a single-tenant admit-all run reports no gateway block, so every
-// pre-gateway manifest keeps its bytes.
-func TestGatewayBlockAbsentForDefaultRuns(t *testing.T) {
+// TestGatewayBlockPresentForDefaultRuns: a single-tenant admit-all run
+// still reports its gateway block — no policy, one "default" tenant row
+// carrying the whole ledger.
+func TestGatewayBlockPresentForDefaultRuns(t *testing.T) {
 	sys, _ := gatewaySystem(t, Config{Nodes: 1, GPUsPerNode: 2, Seed: 4})
 	for i := 0; i < 5; i++ {
 		sys.Submit(0, Request{Func: "f"})
 	}
 	sys.Run(sim.Second)
-	if sum := sys.SLOSummary(); sum.Gateway != nil {
-		t.Fatalf("default run grew a gateway block: %+v", sum.Gateway)
+	g := sys.SLOSummary().Gateway
+	if g.Policy != "" || g.Submitted != 5 || g.Admitted != 5 || g.Shed != 0 {
+		t.Fatalf("default run gateway block %+v, want admit-all 5/5/0", g)
+	}
+	if len(g.Tenants) != 1 || g.Tenants[0].Tenant != "default" || g.Tenants[0].Admitted != 5 {
+		t.Fatalf("default run tenant rows %+v, want one default row", g.Tenants)
 	}
 }

@@ -54,19 +54,13 @@ type Config struct {
 	// Health enables the per-GPU health monitor and quarantine cycle
 	// (see HealthConfig); nil disables monitoring.
 	Health *HealthConfig
-	// ColdStart enables the staged cold-start model with node-local
-	// kernel caches (see ColdStartConfig); nil keeps the legacy scalar
-	// cold start — identical timing, no caches, no stage attribution.
-	ColdStart *ColdStartConfig
+	// ColdStart tunes the staged cold-start model and the node-local
+	// kernel caches (see ColdStartConfig); the zero value is the
+	// defaults.
+	ColdStart ColdStartConfig
 	// Prewarm enables predictive prewarming (see PrewarmConfig); nil
 	// disables the layer with zero overhead.
 	Prewarm *PrewarmConfig
-	// RequeueOnTeardown makes the no-keep-alive scale-in path requeue an
-	// instance's in-flight batch through the gateway instead of counting
-	// it lost. Default false preserves the historical drop-on-teardown
-	// ledger (resilience-enabled systems always requeue — losing
-	// requests would defeat the retry machinery).
-	RequeueOnTeardown bool
 	// Seed drives all randomness.
 	Seed int64
 	// Meter, when non-nil, observes the engine's virtual-time progress
@@ -100,10 +94,7 @@ func (c Config) withDefaults() Config {
 		r := c.Resilience.withDefaults()
 		c.Resilience = &r
 	}
-	if c.ColdStart != nil {
-		cs := c.ColdStart.withDefaults()
-		c.ColdStart = &cs
-	}
+	c.ColdStart = c.ColdStart.withDefaults()
 	if c.Prewarm != nil {
 		pw := c.Prewarm.withDefaults()
 		c.Prewarm = &pw
@@ -170,9 +161,9 @@ type System struct {
 	health     *healthMonitor
 
 	// coldStats aggregates cold-launch activity (kernel-cache hits,
-	// prewarm launches, total cold time); surfaced in the SLO summary
-	// only when the stage model or prewarming is configured.
-	coldStats ColdStartStats
+	// prewarm launches, total cold time) for the SLO summary's
+	// cold-start block.
+	coldStats coldStartStats
 
 	// llmDeployed latches once any deployment uses the token-level
 	// runtime; it gates the 1 Hz KV-occupancy probe and the SLO summary's
@@ -206,7 +197,7 @@ func NewSystem(cfg Config) (*System, error) {
 		devActive:   make(map[*gpu.Device]bool),
 		funcByName:  make(map[string]*Function),
 		tenantFuncs: make(map[string][]*Function),
-		gw:          gateway{policy: cfg.Admission, stats: make(map[string]*TenantStats), report: cfg.Admission != nil},
+		gw:          gateway{policy: cfg.Admission, stats: make(map[string]*TenantStats)},
 		GPUSeries:   metrics.NewSeries("occupied-gpus"),
 	}
 	if cfg.Meter != nil {
@@ -238,10 +229,8 @@ func NewSystem(cfg Config) (*System, error) {
 	if cfg.Health != nil {
 		sys.health = newHealthMonitor(sys, *cfg.Health)
 	}
-	if cfg.ColdStart != nil {
-		for _, n := range clu.Nodes {
-			n.Kernels = gpu.NewKernelCache(cfg.ColdStart.CacheCap)
-		}
+	for _, n := range clu.Nodes {
+		n.Kernels = gpu.NewKernelCache(cfg.ColdStart.CacheCap)
 	}
 	sys.tickHandle = sys.Eng.AddDynamicTicker(sim.TickerFunc(sys.tick))
 	sys.updateTickActivity() // nothing deployed yet: start deregistered

@@ -17,7 +17,7 @@ import (
 func ControllerAblation(opts Options) *report.Report {
 	opts = opts.withDefaults()
 	rep := report.New("ablation-controller",
-		"RCKM controller ablations (DESIGN.md §4.6, not a paper artifact)")
+		"RCKM controller ablations (README \"Reproducing the paper\", not a paper artifact)")
 	dur := opts.dur(120 * sim.Second)
 	variants := []struct {
 		label string

@@ -17,17 +17,7 @@ import (
 // parameter load → kernel JIT), node-local kernel-cache warm pools, and
 // predictive prewarming. Both scenarios force repeated scale-to-zero-ish
 // cycles (Dilu's TTL-0 scaler tears warm pools down immediately) so the
-// relaunch path — where the legacy scalar model misattributed every
-// wait to "cold start" — is actually exercised.
-
-// coldStartBlock pulls the staged roll-up out of a summary, failing
-// loudly when a stage-enabled arm did not produce one.
-func coldStartBlock(arm string, sum *metrics.SLOSummary) *metrics.ColdStartSLO {
-	if sum.ColdStart == nil {
-		panic(fmt.Sprintf("coldstart: arm %q missing cold_start block from SLO summary", arm))
-	}
-	return sum.ColdStart
-}
+// relaunch path is actually exercised.
 
 // squareWave is a deterministic on/off arrival rate: `burst` seconds at
 // high RPS then `quiet` seconds at low RPS, repeating. Unlike
@@ -47,14 +37,12 @@ func squareWave(label string, high, low float64, burst, quiet sim.Duration) work
 	}
 }
 
-// ColdStartStages compares three arms on identical bursty load:
+// ColdStartStages compares two arms on identical bursty load:
 //
-//   - scalar: the legacy monolithic cold start with its wait>0
-//     violation heuristic (the misattribution this PR fixes);
-//   - staged: the same timing decomposed into stages — attribution
-//     becomes precise (which launch phase was on the violating
-//     request's critical path, warm queueing split out) but nothing
-//     gets faster (JITFactor 1 keeps cache hits timing-neutral);
+//   - staged: cold starts decomposed into stages, with each violation
+//     attributed to the launch phase on the violating request's
+//     critical path (warm queueing split out); nothing gets faster
+//     (JITFactor 1 keeps cache hits timing-neutral);
 //   - staged+cache: kernel-cache hits skip the JIT stage on relaunch
 //     (GKM warm pools) and the scheduler breaks placement ties toward
 //     cache-warm nodes.
@@ -82,19 +70,18 @@ func ColdStartStages(opts Options) *report.Report {
 
 	arms := []struct {
 		name string
-		cold *core.ColdStartConfig
+		cold core.ColdStartConfig
 		aff  bool
 	}{
-		{"scalar", nil, false},
-		{"staged", &core.ColdStartConfig{JITFactor: 1}, false},
-		{"staged+cache", &core.ColdStartConfig{}, true},
+		{"staged", core.ColdStartConfig{JITFactor: 1}, false},
+		{"staged+cache", core.ColdStartConfig{}, true},
 	}
 
 	timing := rep.AddTable(report.NewTable(
 		"Cold-start timing by arm (cache hits skip the JIT stage)",
 		"arm", "reqs", "cold launches", "kcache hit", "kcache miss", "mean cold ms", "goodput rps", "p99 ms"))
 	attr := rep.AddTable(report.NewTable(
-		"Violation attribution by arm (scalar = wait>0 heuristic)",
+		"Violation attribution by arm",
 		"arm", "viol", "cold viol", "image init", "model load", "kernel jit", "warm queue", "SVR %"))
 
 	for _, arm := range arms {
@@ -113,8 +100,7 @@ func ColdStartStages(opts Options) *report.Report {
 		sys := core.MustSystem(cfg)
 		// StartCold: the deploy itself is a cold start (serverless
 		// semantics), so the first burst's requests queue behind the
-		// staged launch and get stage-attributed — the exact window the
-		// legacy wait>0 heuristic lumped into one "cold" bucket. Bursts
+		// staged launch and get stage-attributed. Bursts
 		// at 3× one instance's capacity force scale-out within a few
 		// samples; quiet phases at 0.2× force scale-in, and TTL-0
 		// teardown makes the next burst pay a fresh cold start.
@@ -137,16 +123,10 @@ func ColdStartStages(opts Options) *report.Report {
 				p99 = fs.P99Millis
 			}
 		}
-		if arm.cold == nil {
-			cs := sys.ColdStartStats()
-			timing.AddRow(arm.name, float64(sum.Requests), float64(cs.ColdLaunches),
-				0, 0, meanColdMillis(cs), sum.GoodputRPS, p99)
-		} else {
-			c := coldStartBlock(arm.name, sum)
-			timing.AddRow(arm.name, float64(sum.Requests), float64(c.ColdLaunches),
-				float64(c.KernelCacheHits), float64(c.KernelCacheMisses),
-				c.MeanColdMillis(), sum.GoodputRPS, p99)
-		}
+		c := sum.ColdStart
+		timing.AddRow(arm.name, float64(sum.Requests), float64(c.ColdLaunches),
+			float64(c.KernelCacheHits), float64(c.KernelCacheMisses),
+			c.MeanColdMillis(), sum.GoodputRPS, p99)
 		attr.AddRow(arm.name, float64(sum.Violations), float64(sum.ColdStartViolations),
 			stageViol(sum, metrics.ColdImageInit), stageViol(sum, metrics.ColdModelLoad),
 			stageViol(sum, metrics.ColdKernelJIT), warmQueueViol(sum),
@@ -154,22 +134,10 @@ func ColdStartStages(opts Options) *report.Report {
 		if arm.name == "staged+cache" {
 			rep.SetSLO(sum)
 			rep.AddNote("staged+cache: %d/%d cold launches hit the kernel cache, mean effective cold start %.0f ms",
-				sum.ColdStart.KernelCacheHits,
-				sum.ColdStart.KernelCacheHits+sum.ColdStart.KernelCacheMisses,
-				sum.ColdStart.MeanColdMillis())
+				c.KernelCacheHits, c.KernelCacheHits+c.KernelCacheMisses, c.MeanColdMillis())
 		}
 	}
 	return rep
-}
-
-// meanColdMillis is the legacy-arm counterpart of
-// ColdStartSLO.MeanColdMillis, computed from the raw system counters
-// (the scalar arm has no cold_start summary block by design).
-func meanColdMillis(cs core.ColdStartStats) float64 {
-	if cs.ColdLaunches == 0 {
-		return 0
-	}
-	return cs.ColdTime.Millis() / float64(cs.ColdLaunches)
 }
 
 // stageViol sums one stage's violation count over the summary's funcs.
@@ -266,7 +234,7 @@ func PrewarmPolicy(opts Options) *report.Report {
 			NewScaler: func() scaler.Policy {
 				return scaler.NewDilu(scaler.DiluConfig{})
 			},
-			ColdStart: &core.ColdStartConfig{JITFactor: 1},
+			ColdStart: core.ColdStartConfig{JITFactor: 1},
 			Prewarm:   arm.prewarm,
 		})
 		for i, m := range models {
@@ -282,7 +250,7 @@ func PrewarmPolicy(opts Options) *report.Report {
 		}
 		sys.Run(dur)
 		sum := sys.SLOSummary()
-		c := coldStartBlock(arm.name, sum)
+		c := sum.ColdStart
 
 		for _, fs := range sum.Funcs {
 			perFunc.AddRow(arm.name, fs.Func, float64(fs.Requests),

@@ -356,7 +356,7 @@ func Figure11(opts Options) *report.Report {
 		with := run("Dilu")
 		b.AddRow(n, without, with, with/maxf(without, 1e-9))
 	}
-	rep.AddNote("paper: <1%% training loss, ~1.00 normalized inference latency (our substrate adds no interception cost; see DESIGN.md)")
+	rep.AddNote("paper: <1%% training loss, ~1.00 normalized inference latency (our substrate adds no interception cost; see README \"Reproducing the paper\")")
 	return rep
 }
 

@@ -60,12 +60,10 @@ func Hyperscale(opts Options) *report.Report {
 // Dilu runs here (the baselines' story is told at 40k); the point of
 // this driver is that one serial run completes at a quarter million
 // GPUs. Scale maps the size down the same way Hyperscale does, flooring
-// at the paper's 1,000 nodes. The report title and note still describe
-// the retired sharded replay; they are part of the run's fingerprint, so
-// they change only with the next deliberate manifest re-pin.
+// at the paper's 1,000 nodes.
 func HyperscaleMax(opts Options) *report.Report {
 	opts = opts.withDefaults()
-	rep := report.New("hyperscale_max", "Sharded hyperscale ceiling (250k GPUs, 200k instances)")
+	rep := report.New("hyperscale_max", "Hyperscale ceiling (250k GPUs, 200k instances)")
 	nodes := int(62500 * opts.Scale)
 	if nodes < 1000 {
 		nodes = 1000
@@ -84,7 +82,7 @@ func HyperscaleMax(opts Options) *report.Report {
 	opts.Meter.AddVirtual(horizon)
 	t.AddRow("Dilu", nodes*4, placed, occ.Max(), stats.SMFrag, stats.MemFrag, gpuSeconds/3600)
 	rep.AddSeries(occ.Downsample(120 * sim.Second))
-	rep.AddNote("the new scale ceiling: sharded windows + parallel candidate scans keep a 250k-GPU replay tractable, byte-identical at any shard count")
+	rep.AddNote("the scale ceiling: one serial Algorithm 1 replay over the cluster's incremental placement indexes keeps a 250k-GPU run tractable")
 	return rep
 }
 

@@ -58,12 +58,12 @@ func All() []Driver {
 		{"figure16", "Figure 16 — aggregate throughput", TierSlow, Figure16},
 		{"figure17", "Figure 17 — large-scale simulation", TierStandard, Figure17},
 		{"figure18", "Figure 18 — sensitivity analyses", TierSlow, Figure18},
-		{"ablation-controller", "DESIGN.md §4.6 — RCKM controller ablations (extra)", TierStandard, ControllerAblation},
+		{"ablation-controller", "RCKM controller ablations — README \"Reproducing the paper\" (extra)", TierStandard, ControllerAblation},
 		{"slo_sweep", "SLO pressure sweep over production-shaped workloads (extra)", TierStandard, SLOSweep},
 		{"trace_replay", "Committed sample-trace replay with SLO accounting (extra)", TierStandard, TraceReplay},
 		{"tenant_mix", "Multi-tenant Zipf mix across schedulers (extra)", TierStandard, TenantMixStudy},
 		{"hyperscale", "Hyperscale placement — 40k GPUs / 32k instances (extra)", TierSlow, Hyperscale},
-		{"hyperscale_max", "Sharded hyperscale ceiling — 250k GPUs / 200k instances (extra)", TierSlow, HyperscaleMax},
+		{"hyperscale_max", "Hyperscale ceiling — 250k GPUs / 200k instances (extra)", TierSlow, HyperscaleMax},
 		{"hetero_mix", "Heterogeneous 70/30 fleet placement comparison (extra)", TierStandard, HeteroMix},
 		{"churn_recovery", "SLO attainment through a node-failure wave (extra)", TierStandard, ChurnRecovery},
 		{"rolling_drain", "Zero-downtime rolling drain sweep (extra)", TierStandard, RollingDrain},

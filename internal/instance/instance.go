@@ -47,7 +47,7 @@ type Request struct {
 	// ColdStage is the cold-start stage on this request's critical path,
 	// stamped by the serving plane when a launch's activation flush
 	// dispatches it (ColdNone when it never waited for a launch). The
-	// recorder only counts it when stage tracking is armed.
+	// recorder attributes the request's SLO violation to it.
 	ColdStage metrics.ColdStage
 
 	// Token-level metadata for autoregressive (LLM) requests: the prompt

@@ -473,24 +473,6 @@ func (in *LLM) Abort() []Request {
 	return reqs
 }
 
-// ReleaseAllKV frees every sequence's KV memory and clears all serving
-// state without returning requests — the lost-teardown path, where the
-// requests are charged to the function's lost ledger rather than
-// redispatched. Must run before the placements are removed so the KV
-// charge unwinds through the same backing it was made through.
-func (in *LLM) ReleaseAllKV() {
-	for _, s := range in.seqs {
-		in.releaseKV(s.kvMB)
-		s.kvMB = 0
-	}
-	in.seqs = nil
-	in.queue = nil
-	in.inStep = false
-	in.stepWork = 0
-	in.prefillStep = false
-	in.setPressured(false)
-}
-
 // Idle reports whether the instance has no queued or resident work.
 func (in *LLM) Idle() bool { return len(in.queue) == 0 && len(in.seqs) == 0 }
 

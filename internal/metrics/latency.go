@@ -57,17 +57,10 @@ type LatencyRecorder struct {
 	// one-sort-per-epoch contract.
 	sorted bool
 	sorts  int
-	// violations counts samples above the SLO; waitViolations is the
-	// legacy attribution — the subset whose request waited at the
-	// gateway before dispatch, regardless of whether a launch was on its
-	// path. It keeps pre-stage-model manifest bytes stable.
-	violations     int
-	waitViolations int
-	// trackStages arms the precise cold-on-path attribution: per-stage
-	// violation counters plus the warm-queue bucket (waited, but no
-	// launch on the path). Off by default so recorders on the legacy
-	// path never count — the omitempty manifest fields must stay zero.
-	trackStages         bool
+	// violations counts samples above the SLO, attributed to the
+	// cold-start stage on the request's path or, when it waited with no
+	// launch on the path, to the warm-queue bucket.
+	violations          int
 	stageViolations     [4]int // indexed by ColdStage; [ColdNone] unused
 	warmQueueViolations int
 }
@@ -91,46 +84,27 @@ func (r *LatencyRecorder) Tenant() string { return r.tenant }
 // SLO returns the recorder's SLO target.
 func (r *LatencyRecorder) SLO() sim.Duration { return r.slo }
 
-// Observe records one request latency with no gateway-wait attribution.
-func (r *LatencyRecorder) Observe(latency sim.Duration) { r.ObserveWait(latency, 0) }
-
-// ObserveWait records one request latency together with the time the
-// request spent waiting at the gateway for an instance (zero when it
-// was dispatched on arrival), with no cold-stage attribution.
-func (r *LatencyRecorder) ObserveWait(latency, wait sim.Duration) {
-	r.ObserveWaitStage(latency, wait, ColdNone)
+// Observe records one request latency with no gateway wait and no
+// launch on its path.
+func (r *LatencyRecorder) Observe(latency sim.Duration) {
+	r.ObserveWaitStage(latency, 0, ColdNone)
 }
 
-// SetColdStageTracking arms (or disarms) per-stage attribution. The
-// serving plane sets it when the staged cold-start model or prewarming
-// is configured; recorders on the legacy path leave it off so the
-// omitempty stage counters stay zero in manifests.
-func (r *LatencyRecorder) SetColdStageTracking(on bool) { r.trackStages = on }
-
-// ObserveWaitStage records one request latency, its gateway wait, and
-// the cold-start stage on its critical path (ColdNone when the request
-// waited for an already-launching-free reason or not at all).
-//
-// Violation attribution is two-tier. The legacy counter keeps the
-// historical wait>0 heuristic unconditionally — fault-free manifests
-// depend on its bytes. When stage tracking is armed, a violating
-// sample is additionally attributed precisely: to the stage actually
-// on its path, or to the warm-queue bucket when it waited with no
-// launch on the path.
+// ObserveWaitStage records one request latency, the time the request
+// spent waiting at the gateway for an instance (zero when it was
+// dispatched on arrival), and the cold-start stage on its critical
+// path (ColdNone when no launch was on it). A violating sample is
+// attributed to that stage, or to the warm-queue bucket when it waited
+// with no launch on its path.
 func (r *LatencyRecorder) ObserveWaitStage(latency, wait sim.Duration, stage ColdStage) {
 	r.samples = append(r.samples, latency)
 	r.sorted = false
 	if r.slo > 0 && latency > r.slo {
 		r.violations++
-		if wait > 0 {
-			r.waitViolations++
-		}
-		if r.trackStages {
-			if stage != ColdNone {
-				r.stageViolations[stage]++
-			} else if wait > 0 {
-				r.warmQueueViolations++
-			}
+		if stage != ColdNone {
+			r.stageViolations[stage]++
+		} else if wait > 0 {
+			r.warmQueueViolations++
 		}
 	}
 }
@@ -142,30 +116,23 @@ func (r *LatencyRecorder) Count() int { return len(r.samples) }
 func (r *LatencyRecorder) Violations() int { return r.violations }
 
 // ColdStartViolations returns the violating samples attributed to the
-// cold-start path. With stage tracking armed it is the precise count —
-// violations with a launch stage on the critical path; otherwise it
-// falls back to the legacy wait>0 heuristic (which also sweeps in
-// warm-queueing waits, the PR-3 misattribution this split fixes).
+// cold-start path: violations with a launch stage on the critical path.
 func (r *LatencyRecorder) ColdStartViolations() int {
-	if r.trackStages {
-		return r.stageViolations[ColdImageInit] +
-			r.stageViolations[ColdModelLoad] +
-			r.stageViolations[ColdKernelJIT]
-	}
-	return r.waitViolations
+	return r.stageViolations[ColdImageInit] +
+		r.stageViolations[ColdModelLoad] +
+		r.stageViolations[ColdKernelJIT]
 }
 
 // StageViolations returns the violating samples whose critical path ran
-// through the given cold-start stage. Zero unless stage tracking is
-// armed; ColdNone always reports zero (see WarmQueueViolations).
+// through the given cold-start stage. ColdNone always reports zero (see
+// WarmQueueViolations).
 func (r *LatencyRecorder) StageViolations(stage ColdStage) int {
 	return r.stageViolations[stage]
 }
 
 // WarmQueueViolations returns the violating samples that waited at the
 // gateway with no launch on their critical path — warm queueing,
-// redispatch after churn, retry/hedge waits. Zero unless stage
-// tracking is armed.
+// redispatch after churn, retry/hedge waits.
 func (r *LatencyRecorder) WarmQueueViolations() int { return r.warmQueueViolations }
 
 // Goodput returns the number of samples that met the SLO. With no SLO
@@ -246,11 +213,10 @@ func (r *LatencyRecorder) Max() sim.Duration {
 
 // Reset discards all samples and counters, including the sort-epoch
 // counter, so a reused recorder starts a fresh one-sort-per-epoch
-// regime (tracking arming survives — it is configuration, not state).
+// regime.
 func (r *LatencyRecorder) Reset() {
 	r.samples = r.samples[:0]
 	r.violations = 0
-	r.waitViolations = 0
 	r.stageViolations = [4]int{}
 	r.warmQueueViolations = 0
 	r.sorted = true

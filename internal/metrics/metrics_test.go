@@ -27,7 +27,7 @@ func TestLatencyOneSortPerMutationEpoch(t *testing.T) {
 		t.Fatalf("chained percentile calls cost %d sorts, want exactly 1", r.sorts)
 	}
 	// A mutation opens a new epoch: one more sort, and only one.
-	r.ObserveWait(7*sim.Millisecond, sim.Millisecond)
+	r.ObserveWaitStage(7*sim.Millisecond, sim.Millisecond, ColdNone)
 	r.P95()
 	r.P99()
 	if r.sorts != 2 {
@@ -54,34 +54,15 @@ func TestLatencyOneSortPerMutationEpoch(t *testing.T) {
 	}
 }
 
-// TestColdStageAttribution pins the two-tier attribution: the legacy
-// wait>0 counter is unconditional (manifest bytes), while the per-stage
-// and warm-queue counters only move when tracking is armed, and
-// ColdStartViolations switches from the heuristic to the precise sum.
+// TestColdStageAttribution pins the per-stage attribution: a violation
+// counts against the launch stage on its path, a wait with no launch on
+// the path counts as warm queueing, and ColdStartViolations is the
+// stage sum.
 func TestColdStageAttribution(t *testing.T) {
 	slo := 10 * sim.Millisecond
 	viol := 50 * sim.Millisecond
 
-	// Untracked recorder: stage markers are ignored, heuristic rules.
-	r := NewLatencyRecorder("legacy", slo)
-	r.ObserveWaitStage(viol, 5*sim.Millisecond, ColdModelLoad)
-	r.ObserveWaitStage(viol, 5*sim.Millisecond, ColdNone) // warm queue
-	r.ObserveWaitStage(viol, 0, ColdNone)                 // pure exec violation
-	if got := r.ColdStartViolations(); got != 2 {
-		t.Fatalf("legacy ColdStartViolations = %d, want 2 (wait>0 heuristic)", got)
-	}
-	for st := ColdImageInit; st <= ColdKernelJIT; st++ {
-		if r.StageViolations(st) != 0 {
-			t.Fatalf("untracked recorder counted stage %v", st)
-		}
-	}
-	if r.WarmQueueViolations() != 0 {
-		t.Fatal("untracked recorder counted warm-queue violations")
-	}
-
-	// Tracked recorder: precise attribution.
-	r = NewLatencyRecorder("staged", slo)
-	r.SetColdStageTracking(true)
+	r := NewLatencyRecorder("staged", slo)
 	r.ObserveWaitStage(viol, 5*sim.Millisecond, ColdImageInit)
 	r.ObserveWaitStage(viol, 5*sim.Millisecond, ColdModelLoad)
 	r.ObserveWaitStage(viol, 5*sim.Millisecond, ColdModelLoad)
@@ -90,7 +71,7 @@ func TestColdStageAttribution(t *testing.T) {
 	r.ObserveWaitStage(viol, 0, ColdNone)                                 // pure exec violation
 	r.ObserveWaitStage(sim.Millisecond, 5*sim.Millisecond, ColdModelLoad) // met SLO
 	if got := r.ColdStartViolations(); got != 4 {
-		t.Fatalf("tracked ColdStartViolations = %d, want 4 (stage sum)", got)
+		t.Fatalf("ColdStartViolations = %d, want 4 (stage sum)", got)
 	}
 	if r.StageViolations(ColdImageInit) != 1 || r.StageViolations(ColdModelLoad) != 2 ||
 		r.StageViolations(ColdKernelJIT) != 1 {

@@ -21,19 +21,16 @@ type SLOFuncStats struct {
 	SLOMillis float64 `json:"slo_ms"`
 	Requests  int64   `json:"requests"`
 	// Violations counts requests over the SLO; ColdStartViolations is
-	// the subset attributed to the cold-start path — under the staged
-	// model, violations with a launch stage on the critical path;
-	// otherwise the legacy wait>0 heuristic.
+	// the subset with a launch stage on the critical path.
 	Violations          int64 `json:"violations"`
 	ColdStartViolations int64 `json:"cold_start_violations"`
-	// Per-stage attribution (staged cold-start model only): which launch
-	// phase was on the violating request's critical path, with waits
-	// that had no launch on the path split out as warm queueing. All
-	// omitempty — zero (hence absent) on the legacy path.
-	ImageInitViolations int64 `json:"image_init_violations,omitempty"`
-	ModelLoadViolations int64 `json:"model_load_violations,omitempty"`
-	KernelJITViolations int64 `json:"kernel_jit_violations,omitempty"`
-	WarmQueueViolations int64 `json:"warm_queue_violations,omitempty"`
+	// Per-stage attribution: which launch phase was on the violating
+	// request's critical path, with waits that had no launch on the path
+	// split out as warm queueing.
+	ImageInitViolations int64 `json:"image_init_violations"`
+	ModelLoadViolations int64 `json:"model_load_violations"`
+	KernelJITViolations int64 `json:"kernel_jit_violations"`
+	WarmQueueViolations int64 `json:"warm_queue_violations"`
 	// GoodputRPS is SLO-met requests per second of horizon.
 	GoodputRPS float64 `json:"goodput_rps"`
 	P95Millis  float64 `json:"p95_ms"`
@@ -70,8 +67,7 @@ type TenantSLOStats struct {
 
 // GatewaySLO is the admission-layer block of a run summary: how many
 // requests the gateway saw, admitted, and shed — in aggregate and per
-// tenant. Present only for multi-tenant runs or runs with an admission
-// policy; pre-gateway manifests keep their bytes.
+// tenant.
 type GatewaySLO struct {
 	Policy    string           `json:"policy,omitempty"`
 	Submitted int64            `json:"submitted"`
@@ -112,26 +108,24 @@ type ResilienceSLO struct {
 // ColdStartSLO is the staged cold-start block of a run summary:
 // per-stage violation attribution summed over functions, warm-queue
 // waits split out, kernel-cache effectiveness, and prewarming activity.
-// Present only on runs with the stage model or prewarming configured;
-// every column is omitempty so partial activity keeps minimal bytes.
 type ColdStartSLO struct {
-	ImageInitViolations int64 `json:"image_init_violations,omitempty"`
-	ModelLoadViolations int64 `json:"model_load_violations,omitempty"`
-	KernelJITViolations int64 `json:"kernel_jit_violations,omitempty"`
-	WarmQueueViolations int64 `json:"warm_queue_violations,omitempty"`
+	ImageInitViolations int64 `json:"image_init_violations"`
+	ModelLoadViolations int64 `json:"model_load_violations"`
+	KernelJITViolations int64 `json:"kernel_jit_violations"`
+	WarmQueueViolations int64 `json:"warm_queue_violations"`
 	// KernelCacheHits/Misses count cold launches that found (or missed)
 	// every target node's kernel cache warm; a hit shrinks the JIT stage.
-	KernelCacheHits   int64 `json:"kernel_cache_hits,omitempty"`
-	KernelCacheMisses int64 `json:"kernel_cache_misses,omitempty"`
+	KernelCacheHits   int64 `json:"kernel_cache_hits"`
+	KernelCacheMisses int64 `json:"kernel_cache_misses"`
 	// PrewarmLaunches counts cold launches initiated ahead of demand by
 	// the prewarming policy — their cold starts are paid off the request
 	// path.
-	PrewarmLaunches int64 `json:"prewarm_launches,omitempty"`
+	PrewarmLaunches int64 `json:"prewarm_launches"`
 	// ColdLaunches / ColdMillisTotal are the run's cold-launch count and
 	// total cold-start wall clock actually paid (cache shortening
 	// included), so drivers can report mean effective cold-start time.
-	ColdLaunches    int64   `json:"cold_launches,omitempty"`
-	ColdMillisTotal float64 `json:"cold_ms_total,omitempty"`
+	ColdLaunches    int64   `json:"cold_launches"`
+	ColdMillisTotal float64 `json:"cold_ms_total"`
 }
 
 // MeanColdMillis returns the mean effective cold-start duration paid
@@ -147,17 +141,15 @@ func (c *ColdStartSLO) MeanColdMillis() float64 {
 type SLOSummary struct {
 	Funcs []SLOFuncStats `json:"funcs,omitempty"`
 
-	// Gateway is the admission roll-up; nil for single-tenant runs with
-	// the admit-all policy (the pre-gateway configuration).
-	Gateway *GatewaySLO `json:"gateway,omitempty"`
+	// Gateway is the admission roll-up.
+	Gateway GatewaySLO `json:"gateway"`
 
 	// Resilience is the gray-failure/mitigation roll-up; nil for runs
 	// that never injected a fault nor enabled retry/hedge/quarantine.
 	Resilience *ResilienceSLO `json:"resilience,omitempty"`
 
-	// ColdStart is the staged cold-start roll-up; nil for runs on the
-	// legacy scalar cold-start path.
-	ColdStart *ColdStartSLO `json:"cold_start,omitempty"`
+	// ColdStart is the staged cold-start roll-up.
+	ColdStart ColdStartSLO `json:"cold_start"`
 
 	// LLM is the token-level serving roll-up; nil for runs that never
 	// deployed a token-level function.
@@ -182,10 +174,8 @@ func (s *SLOSummary) ViolationRate() float64 {
 	return float64(s.Violations) / float64(s.Requests)
 }
 
-// ColdStartShare returns the fraction of violations attributed to the
-// cold-start path. Under the staged model this means a launch stage
-// was on the violating request's critical path; on the legacy path it
-// is the wait>0 heuristic, which also sweeps in warm-queueing waits.
+// ColdStartShare returns the fraction of violations with a launch stage
+// on the violating request's critical path.
 func (s *SLOSummary) ColdStartShare() float64 {
 	if s.Violations == 0 {
 		return 0

@@ -10,36 +10,40 @@ import (
 
 func TestObserveWaitAttribution(t *testing.T) {
 	r := NewLatencyRecorder("f", 100*sim.Millisecond)
-	r.ObserveWait(50*sim.Millisecond, 0)                   // within SLO
-	r.ObserveWait(150*sim.Millisecond, 0)                  // violation, hot path
-	r.ObserveWait(200*sim.Millisecond, 80*sim.Millisecond) // violation, waited at gateway
-	r.ObserveWait(90*sim.Millisecond, 60*sim.Millisecond)  // waited but still met SLO
+	r.ObserveWaitStage(50*sim.Millisecond, 0, ColdNone)                   // within SLO
+	r.ObserveWaitStage(150*sim.Millisecond, 0, ColdNone)                  // violation, hot path
+	r.ObserveWaitStage(200*sim.Millisecond, 80*sim.Millisecond, ColdNone) // violation, waited in a warm queue
+	r.ObserveWaitStage(90*sim.Millisecond, 60*sim.Millisecond, ColdNone)  // waited but still met SLO
 	if r.Violations() != 2 {
 		t.Fatalf("violations = %d", r.Violations())
 	}
-	if r.ColdStartViolations() != 1 {
-		t.Fatalf("cold violations = %d", r.ColdStartViolations())
+	// A waited violation with no launch on its path is warm queueing,
+	// not a cold-start violation.
+	if r.ColdStartViolations() != 0 || r.WarmQueueViolations() != 1 {
+		t.Fatalf("cold violations = %d, warm queue = %d, want 0/1",
+			r.ColdStartViolations(), r.WarmQueueViolations())
 	}
 	if r.Goodput() != 2 {
 		t.Fatalf("goodput = %d", r.Goodput())
 	}
 	r.Reset()
-	if r.Violations() != 0 || r.ColdStartViolations() != 0 || r.Count() != 0 {
+	if r.Violations() != 0 || r.ColdStartViolations() != 0 || r.WarmQueueViolations() != 0 || r.Count() != 0 {
 		t.Fatal("reset incomplete")
 	}
 }
 
-func TestObserveDelegatesToObserveWait(t *testing.T) {
+func TestObserveRecordsNoAttribution(t *testing.T) {
 	r := NewLatencyRecorder("f", 100*sim.Millisecond)
 	r.Observe(150 * sim.Millisecond)
-	if r.Violations() != 1 || r.ColdStartViolations() != 0 {
-		t.Fatalf("observe: v=%d cold=%d", r.Violations(), r.ColdStartViolations())
+	if r.Violations() != 1 || r.ColdStartViolations() != 0 || r.WarmQueueViolations() != 0 {
+		t.Fatalf("observe: v=%d cold=%d warm=%d",
+			r.Violations(), r.ColdStartViolations(), r.WarmQueueViolations())
 	}
 }
 
 func TestNoSLOMeansNoViolations(t *testing.T) {
 	r := NewLatencyRecorder("f", 0)
-	r.ObserveWait(10*sim.Second, 5*sim.Second)
+	r.ObserveWaitStage(10*sim.Second, 5*sim.Second, ColdNone)
 	if r.Violations() != 0 || r.Goodput() != 1 {
 		t.Fatal("zero SLO must disable violation accounting")
 	}
@@ -48,14 +52,14 @@ func TestNoSLOMeansNoViolations(t *testing.T) {
 func TestSummarizeSLO(t *testing.T) {
 	a := NewLatencyRecorder("a", 100*sim.Millisecond)
 	for i := 0; i < 98; i++ {
-		a.ObserveWait(50*sim.Millisecond, 0)
+		a.ObserveWaitStage(50*sim.Millisecond, 0, ColdNone)
 	}
-	a.ObserveWait(150*sim.Millisecond, 10*sim.Millisecond)
-	a.ObserveWait(120*sim.Millisecond, 0)
+	a.ObserveWaitStage(150*sim.Millisecond, 10*sim.Millisecond, ColdModelLoad)
+	a.ObserveWaitStage(120*sim.Millisecond, 0, ColdNone)
 
 	b := NewLatencyRecorder("b", 50*sim.Millisecond)
 	for i := 0; i < 10; i++ {
-		b.ObserveWait(200*sim.Millisecond, 20*sim.Millisecond)
+		b.ObserveWaitStage(200*sim.Millisecond, 20*sim.Millisecond, ColdImageInit)
 	}
 
 	sum := SummarizeSLO(100*sim.Second, a, b, nil)

@@ -228,10 +228,10 @@ func (st ColdStartStages) Total() sim.Duration {
 }
 
 // Cold-start decomposition constants. ImageInit+KernelJIT must sum to
-// the pre-stage-model scalar's 2 s container-init term exactly (integer
-// nanoseconds), so ColdStartStages().Total() == the historical
-// ColdStart() for every spec — the byte-identity of all pre-stage
-// driver manifests depends on it.
+// ColdStart()'s 2 s container-init term exactly (integer nanoseconds),
+// so ColdStartStages().Total() == ColdStart() for every spec: a
+// kernel-cache miss pays exactly ColdStart(), the bound the migration
+// handover and the prewarm lead time are computed from.
 const (
 	coldImageInit = 3 * sim.Second / 2 // 1.5 s: image pull + runtime init
 	coldKernelJIT = sim.Second / 2     // 0.5 s: kernel JIT / graph capture

@@ -75,9 +75,8 @@ type SLOBlock struct {
 	P99Attainment       float64 `json:"p99_attainment"`
 
 	// Gateway is the admission-layer roll-up (per-tenant admitted/shed
-	// and goodput); omitted for single-tenant admit-all runs so
-	// pre-gateway manifests keep their bytes.
-	Gateway *metrics.GatewaySLO `json:"gateway,omitempty"`
+	// and goodput).
+	Gateway metrics.GatewaySLO `json:"gateway"`
 
 	// Resilience is the gray-failure roll-up (fault events and per-cause
 	// mitigation attribution); omitted for fault-free runs so pre-fault
@@ -85,10 +84,8 @@ type SLOBlock struct {
 	Resilience *metrics.ResilienceSLO `json:"resilience,omitempty"`
 
 	// ColdStart is the staged cold-start roll-up (per-stage violation
-	// attribution, kernel-cache hits, prewarm launches); omitted for
-	// runs on the legacy scalar cold-start path so pre-stage manifests
-	// keep their bytes.
-	ColdStart *metrics.ColdStartSLO `json:"cold_start,omitempty"`
+	// attribution, kernel-cache hits, prewarm launches).
+	ColdStart metrics.ColdStartSLO `json:"cold_start"`
 
 	// LLM is the token-level serving roll-up (TTFT/TPOT, token
 	// throughput, KV-cache peaks and pressure events); omitted for runs

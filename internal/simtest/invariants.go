@@ -107,13 +107,11 @@ func KVConservation() core.Invariant {
 // the serving plane, per function and per tenant:
 //
 //   - submitted = admitted + shed (the gateway never loses a decision);
-//   - admitted = served + in-flight + lost, where in-flight is recounted
-//     from first principles — gateway pending plus every instance's
-//     queued and batched requests, including keep-alive entries — and
-//     lost is the explicit ledger of batches destroyed by no-keep-alive
-//     scale-in; an eviction or sweep that dropped requests without
-//     either redispatching or recording them is caught the tick it
-//     happens;
+//   - admitted = served + in-flight, where in-flight is recounted from
+//     first principles — gateway pending plus every instance's queued
+//     and batched requests, including keep-alive entries; a teardown,
+//     eviction or sweep that dropped requests instead of redispatching
+//     them is caught the tick it happens;
 //   - the tenant ledgers' totals equal the function ledgers' totals (a
 //     request is accounted against exactly one tenant and one function,
 //     even when its request-level tenant differs from the function's
@@ -139,8 +137,8 @@ func RequestConservation() core.Invariant {
 				}
 				inflight := f.InFlightCount()
 				if inflight < 0 {
-					return fmt.Errorf("%s: negative in-flight ledger: admitted %d < served %d + lost %d",
-						f.Name, adm, f.Served(), f.Lost())
+					return fmt.Errorf("%s: negative in-flight ledger: admitted %d < served %d",
+						f.Name, adm, f.Served())
 				}
 				if recount, extra := f.RecountInFlight(), f.ExtraCopies(); recount != inflight+extra {
 					return fmt.Errorf("%s: in-flight drifted: ledger %d + %d extra copies, ground truth %d (pending+queued+batched+parked)",
