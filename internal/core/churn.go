@@ -38,8 +38,8 @@ type ChurnStats struct {
 func (sys *System) ChurnStats() ChurnStats { return sys.churn }
 
 // ScheduleChurn replays a node-lifecycle schedule against the system.
-// Events ride a single ScheduleSeries cursor — pointer-free, exactly
-// like arrival traces — with timestamps relative to the current virtual
+// Events ride a single ScheduleSeries cursor — exactly like arrival
+// traces — with timestamps relative to the current virtual
 // time. The slice is cloned and sorted; callers may reuse theirs.
 func (sys *System) ScheduleChurn(events []workload.ChurnEvent) {
 	if len(events) == 0 {

@@ -24,7 +24,9 @@ type InferOpts struct {
 	// (generative models default to their pipeline depth when 0).
 	Stages int
 	// Arrivals drives the function's request workload; nil means requests
-	// are submitted manually via System.Submit.
+	// are submitted manually via System.Submit. The engine pulls its
+	// Stream one arrival at a time, bounded at arrivalBound after the
+	// deployment.
 	Arrivals workload.Arrivals
 	// Profile overrides Dilu profiling when non-nil (used by ablations
 	// and calibration experiments).
@@ -240,16 +242,16 @@ func (sys *System) DeployInference(name, modelName string, opts InferOpts) (*Fun
 	}
 	if opts.Arrivals != nil {
 		// Arrival times are relative to the deployment moment: a
-		// function deployed mid-run starts its trace fresh. One shared
-		// callback serves every arrival — the submission time arrives as
-		// the event's `now` — so an N-request trace costs N heap slots,
-		// not N closures. Arrivals enter through the gateway like any
-		// Submit, with the deployment's tenant/priority/deadline stamped
-		// on every request.
-		base := sys.Eng.Now()
-		arr := opts.Arrivals.Generate(sys.rng.Fork(int64(len(sys.funcs)+1)), sys.remainingHorizonHint())
+		// function deployed mid-run starts its trace fresh. The engine
+		// pulls the cursor one arrival at a time from the function's own
+		// RNG fork, so arrivals are drawn only as the run reaches them,
+		// and one shared callback serves every arrival — the submission time
+		// arrives as the event's `now`. Arrivals enter through the
+		// gateway like any Submit, with the deployment's
+		// tenant/priority/deadline stamped on every request.
+		cur := opts.Arrivals.Stream(sys.rng.Fork(int64(len(sys.funcs)+1)), arrivalBound)
 		tmpl := Request{Func: name, Tenant: opts.Tenant, Priority: opts.Priority, Deadline: opts.Deadline}
-		sys.Eng.ScheduleSeries(base, arr, func(now sim.Time) { sys.submit(f, now, tmpl) })
+		sys.Eng.ScheduleCursor(sys.Eng.Now(), cur, func(now sim.Time) { sys.submit(f, now, tmpl) })
 	}
 	sys.funcs = append(sys.funcs, f)
 	// Last deployment wins the name (redeploy semantics); Submit resolves
@@ -263,9 +265,11 @@ func (sys *System) DeployInference(name, modelName string, opts InferOpts) (*Fun
 	return f, nil
 }
 
-// remainingHorizonHint bounds pre-generated arrivals; experiments run at
-// most a few simulated hours.
-func (sys *System) remainingHorizonHint() sim.Duration { return 4 * sim.Hour }
+// arrivalBound is the fixed bound, relative to the deployment, on each
+// function's arrivals; experiments run at most a few simulated hours.
+// Arrivals are pulled lazily, so a run shorter than the bound never
+// draws the rest.
+const arrivalBound = 4 * sim.Hour
 
 // inject delivers one admitted request into the serving plane. It is
 // the gateway's dispatch step — System.Submit is the public entry

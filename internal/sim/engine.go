@@ -7,7 +7,7 @@
 // for Dilu: request arrivals and cold-start completions are events, while
 // the RCKM token cycle and GPU execution advance on a fixed 5 ms tick.
 //
-// Two properties keep the hot path cheap at scale without changing
+// Three properties keep the hot path cheap at scale without changing
 // results:
 //
 //   - The event queue is a value-based 4-ary min-heap: scheduling an
@@ -15,6 +15,12 @@
 //     per-event allocation behind container/heap's interface{} API.
 //     Pop order is totally determined by (time, sequence), so the heap's
 //     internal arrangement never affects behaviour.
+//   - Series of events to one callback (request arrivals, churn and
+//     fault schedules) are registered as a Cursor through
+//     ScheduleCursor or ScheduleSeries. The engine holds only each
+//     series' next entry and pulls the one after when it fires, so an
+//     arrival process is drawn as the run reaches it, in O(1) memory
+//     per series.
 //   - Tickers registered through AddDynamicTicker carry an activity bit.
 //     While every dynamic ticker is inactive (and no always-active ticker
 //     exists), Run fast-forwards virtual time straight to the next event
@@ -132,26 +138,59 @@ func (h *eventHeap) pop() event {
 	return top
 }
 
-// eventStream is a pre-generated, time-sorted series of callbacks to one
-// shared function (a request-arrival trace). It is consumed by cursor:
-// the engine merges stream heads with the heap top by (at, seq), so the
-// series behaves exactly as if each entry had been Scheduled
-// individually at registration — same seq range, same tie order — while
-// costing one cursor instead of len(times) heap slots, and keeping the
-// times array pointer-free (the GC never scans it).
-type eventStream struct {
-	base  Time
-	times []Time
-	seq0  uint64
-	next  int
-	fn    func(Time)
+// Cursor is a pull source of non-decreasing times: each Next returns
+// the next time and true, or false once the source is exhausted — and
+// on every call after that. A generated cursor (an arrival process)
+// draws each time only when Next asks for it, so a source over an
+// hours-long bound costs O(1) memory however many entries it could
+// yield.
+type Cursor interface {
+	Next() (Time, bool)
 }
 
-// head returns the stream's next event; valid only while next is in
-// range.
-func (s *eventStream) head() event {
-	return event{at: s.base + s.times[s.next], seq: s.seq0 + uint64(s.next), fn: s.fn}
+// SliceCursor is a Cursor over a fixed series (a churn, fault or trace
+// schedule). It only reads the slice, so one slice may back cursors on
+// engines running in parallel.
+type SliceCursor struct {
+	times []Time
+	next  int
 }
+
+// NewSliceCursor returns a cursor over times, which must be
+// non-decreasing and must not be modified while the cursor is live.
+func NewSliceCursor(times []Time) *SliceCursor { return &SliceCursor{times: times} }
+
+// Next implements Cursor.
+func (c *SliceCursor) Next() (Time, bool) {
+	if c.next >= len(c.times) {
+		return 0, false
+	}
+	c.next++
+	return c.times[c.next-1], true
+}
+
+// Remaining reports how many entries Next has yet to return.
+func (c *SliceCursor) Remaining() int { return len(c.times) - c.next }
+
+// eventStream is a time-sorted series of callbacks to one shared
+// function (a request-arrival process, a churn or fault schedule),
+// pulled from its cursor one entry at a time. The engine merges stream
+// heads with the heap top by (at, seq). Every entry carries the single
+// seq reserved when the stream was registered; no other event's seq
+// falls between that stream's entries, so the series orders against
+// other events (including exact-time ties) exactly as if each entry had
+// been Scheduled individually at registration, while costing one pulled
+// head instead of a heap slot per entry.
+type eventStream struct {
+	at   Time // absolute time of the pulled head
+	seq  uint64
+	base Time
+	src  Cursor
+	fn   func(Time)
+}
+
+// head returns the stream's next event.
+func (s *eventStream) head() event { return event{at: s.at, seq: s.seq, fn: s.fn} }
 
 // Ticker is a component invoked on every fixed simulation tick, in
 // registration order. Tick receives the current virtual time.
@@ -277,35 +316,61 @@ func (e *Engine) After(d Duration, fn func(Time)) { e.Schedule(e.now+d, fn) }
 
 // ScheduleSeries registers fn to run at base+times[i] for every entry of
 // times, which must be non-decreasing with base+times[0] not in the
-// past. It is equivalent to calling Schedule(base+t, fn) for each t — the
-// events occupy the same sequence range, so ordering against other
-// events (including exact-time ties) is identical — but holds the series
-// as a cursor over the caller's slice instead of filling the heap. The
-// engine takes ownership of times; the caller must not modify it.
+// past. It is ScheduleCursor over a SliceCursor: equivalent to calling
+// Schedule(base+t, fn) for each t, but without filling the heap. The
+// engine only reads times; the caller must not modify it.
 func (e *Engine) ScheduleSeries(base Time, times []Time, fn func(Time)) {
-	if len(times) == 0 {
-		return
-	}
-	if base+times[0] < e.now {
-		panic("sim: ScheduleSeries starts in the past")
-	}
-	for i := 1; i < len(times); i++ {
-		if times[i] < times[i-1] {
-			panic("sim: ScheduleSeries times must be non-decreasing")
-		}
-	}
-	e.streams = append(e.streams, eventStream{
-		base: base, times: times, seq0: e.seq + 1, fn: fn,
-	})
-	e.seq += uint64(len(times))
+	e.ScheduleCursor(base, NewSliceCursor(times), fn)
 }
 
-// Pending reports the number of queued one-shot events, including
-// unconsumed series entries.
+// ScheduleCursor registers fn to run at base+t for every time t the
+// cursor yields. The engine pulls one entry at registration and the
+// next each time one fires, before that entry's callback runs, so Next
+// must not depend on what fn does. A generated cursor thus draws at
+// most one entry past the end of the run. Ordering against other
+// events, exact-time ties included, is that of a Schedule call per
+// entry made now. Entries must be non-decreasing with the first not in
+// the past; a violation panics when the offending entry is pulled.
+func (e *Engine) ScheduleCursor(base Time, c Cursor, fn func(Time)) {
+	t, ok := c.Next()
+	if !ok {
+		return
+	}
+	if base+t < e.now {
+		panic("sim: series starts in the past")
+	}
+	e.seq++
+	e.streams = append(e.streams, eventStream{at: base + t, seq: e.seq, base: base, src: c, fn: fn})
+}
+
+// advance pulls stream i's next entry, releasing the stream once its
+// cursor is exhausted (order among streams is irrelevant — (at, seq)
+// decides everything).
+func (e *Engine) advance(i int) {
+	s := &e.streams[i]
+	if t, ok := s.src.Next(); ok {
+		if s.base+t < s.at {
+			panic("sim: series times must be non-decreasing")
+		}
+		s.at = s.base + t
+		return
+	}
+	last := len(e.streams) - 1
+	e.streams[i] = e.streams[last]
+	e.streams[last] = eventStream{}
+	e.streams = e.streams[:last]
+}
+
+// Pending reports the number of queued one-shot events plus each
+// stream's pulled head and, for a SliceCursor, its remaining entries. A
+// generated cursor counts only its head: its later entries are not
+// drawn yet.
 func (e *Engine) Pending() int {
-	n := len(e.events)
+	n := len(e.events) + len(e.streams)
 	for i := range e.streams {
-		n += len(e.streams[i].times) - e.streams[i].next
+		if c, ok := e.streams[i].src.(*SliceCursor); ok {
+			n += c.Remaining()
+		}
 	}
 	return n
 }
@@ -319,18 +384,15 @@ func (e *Engine) earliestAt() (Time, bool) {
 		at, have = e.events[0].at, true
 	}
 	for i := range e.streams {
-		s := &e.streams[i]
-		if s.next < len(s.times) {
-			if h := s.base + s.times[s.next]; !have || h < at {
-				at, have = h, true
-			}
+		if h := e.streams[i].at; !have || h < at {
+			at, have = h, true
 		}
 	}
 	return at, have
 }
 
 // popDue removes and returns the earliest pending event if it is due at
-// or before bound. Drained streams are dropped as they surface.
+// or before bound.
 func (e *Engine) popDue(bound Time) (event, bool) {
 	src := -1 // -1: heap
 	var best event
@@ -338,21 +400,10 @@ func (e *Engine) popDue(bound Time) (event, bool) {
 	if len(e.events) > 0 {
 		best, have = e.events[0], true
 	}
-	for i := 0; i < len(e.streams); {
-		s := &e.streams[i]
-		if s.next >= len(s.times) {
-			// Drained; release the series (order among sources is
-			// irrelevant — (at, seq) decides everything).
-			last := len(e.streams) - 1
-			e.streams[i] = e.streams[last]
-			e.streams[last] = eventStream{}
-			e.streams = e.streams[:last]
-			continue
-		}
-		if h := s.head(); !have || h.less(best) {
+	for i := range e.streams {
+		if h := e.streams[i].head(); !have || h.less(best) {
 			best, src, have = h, i, true
 		}
-		i++
 	}
 	if !have || best.at > bound {
 		return event{}, false
@@ -360,7 +411,7 @@ func (e *Engine) popDue(bound Time) (event, bool) {
 	if src < 0 {
 		e.events.pop()
 	} else {
-		e.streams[src].next++
+		e.advance(src)
 	}
 	return best, true
 }

@@ -7,18 +7,64 @@ import (
 )
 
 // The event queue's contract: pops are totally ordered by (time, seq),
-// where seq is assigned in submission order — one per Schedule call, a
-// contiguous range per ScheduleSeries — regardless of how entries are
-// physically held (4-ary heap slots vs series cursors). These property
-// tests pit random interleavings of Schedule/ScheduleSeries against a
-// reference implementation that holds every event in a flat slice and
-// sorts by (time, seq).
+// where seq is assigned in submission order as if every entry were its
+// own Schedule call — one per Schedule, a contiguous range per series —
+// regardless of how entries are physically held (4-ary heap slots, a
+// slice series, or a generated cursor pulled one entry at a time under
+// a single reserved seq). These property tests pit random interleavings
+// of Schedule, ScheduleSeries and ScheduleCursor against a reference
+// implementation that holds every event in a flat slice and sorts by
+// (time, seq).
 
 // refEvent mirrors one scheduled entry in the reference order.
 type refEvent struct {
 	at  Time
 	seq uint64
 	id  int
+	gen int // 1 + index of the generated cursor holding it; 0 otherwise
+}
+
+// genCursor is a generated cursor: like an arrival process, it draws
+// each time from its own source only when pulled, so the engine never
+// sees more than its head. Zero gaps give ties inside the stream.
+type genCursor struct {
+	rng  *rand.Rand
+	t    Time
+	step Time
+	left int
+}
+
+func newGenCursor(seed int64, start, step Time, n int) *genCursor {
+	return &genCursor{rng: rand.New(rand.NewSource(seed)), t: start, step: step, left: n}
+}
+
+// Next implements Cursor.
+func (c *genCursor) Next() (Time, bool) {
+	if c.left == 0 {
+		return 0, false
+	}
+	c.left--
+	c.t += Time(c.rng.Intn(3)) * c.step
+	return c.t, true
+}
+
+// expectedPending is what Engine.Pending reports for the events of evs
+// that did not fire by horizon: every one-shot and slice-series entry,
+// but only the pulled head of each generated cursor.
+func expectedPending(evs []refEvent, horizon Time) int {
+	n := 0
+	heads := map[int]bool{}
+	for _, e := range evs {
+		switch {
+		case e.at <= horizon:
+		case e.gen == 0:
+			n++
+		case !heads[e.gen]:
+			heads[e.gen] = true
+			n++
+		}
+	}
+	return n
 }
 
 // refOrder computes the expected firing order: stable is unnecessary
@@ -52,24 +98,48 @@ type fired struct {
 	at Time
 }
 
-// buildRandomSchedule drives eng with a random interleaving of Schedule
-// and ScheduleSeries calls and returns the reference event list. Times
-// are drawn from a coarse lattice so exact-time ties between heap events
-// and series entries are common, not exceptional.
+// buildRandomSchedule drives eng with a random interleaving of
+// Schedule, ScheduleSeries and ScheduleCursor calls and returns the
+// reference event list. Times are drawn from a coarse lattice so
+// exact-time ties between heap events and series entries are common,
+// and each generated cursor is bracketed by one-shots at its own entry
+// times, scheduled before and after its registration, so ties against
+// both sides of its reserved seq are exercised every time.
 func buildRandomSchedule(rng *rand.Rand, eng *Engine, horizon Time, record func(id int) func(Time)) []refEvent {
 	var evs []refEvent
 	seq := uint64(0) // mirrors the engine's internal counter
 	id := 0
+	gens := 0
+	oneShot := func(at Time) {
+		seq++
+		evs = append(evs, refEvent{at: at, seq: seq, id: id})
+		eng.Schedule(at, record(id))
+		id++
+	}
+	// series records a stream's entries in the reference, one seq each,
+	// and returns the shared callback that resolves which entry fired by
+	// consumption order — exactly how the engine advances the cursor.
+	series := func(times []Time, gen int) func(Time) {
+		ids := make([]int, len(times))
+		for i := range ids {
+			seq++
+			evs = append(evs, refEvent{at: times[i], seq: seq, id: id, gen: gen})
+			ids[i] = id
+			id++
+		}
+		next := 0
+		return func(now Time) {
+			record(ids[next])(now)
+			next++
+		}
+	}
 	ops := 1 + rng.Intn(20)
 	for op := 0; op < ops; op++ {
-		if rng.Intn(2) == 0 {
+		switch rng.Intn(3) {
+		case 0:
 			// One-shot event; occasionally past the horizon (must not fire).
-			at := Time(rng.Int63n(int64(horizon)/100*125)) / 100 * 100
-			seq++
-			evs = append(evs, refEvent{at: at, seq: seq, id: id})
-			eng.Schedule(at, record(id))
-			id++
-		} else {
+			oneShot(Time(rng.Int63n(int64(horizon)/100*125)) / 100 * 100)
+		case 1:
 			// Series: sorted coarse times, possibly with internal
 			// duplicates, sharing one callback like a real arrival trace.
 			n := 1 + rng.Intn(30)
@@ -78,30 +148,37 @@ func buildRandomSchedule(rng *rand.Rand, eng *Engine, horizon Time, record func(
 				times[i] = Time(rng.Int63n(int64(horizon))) / 100 * 100
 			}
 			slices.Sort(times)
-			ids := make([]int, n)
-			for i := range ids {
-				seq++
-				evs = append(evs, refEvent{at: times[i], seq: seq, id: id})
-				ids[i] = id
-				id++
-			}
-			// The shared callback resolves which series entry fired by
-			// consumption order — exactly how the engine advances the
-			// cursor.
-			next := 0
-			eng.ScheduleSeries(0, times, func(now Time) {
-				record(ids[next])(now)
-				next++
-			})
+			eng.ScheduleSeries(0, times, series(times, 0))
+		default:
+			// Generated cursor, possibly running past the horizon. A
+			// twin with the same seed gives the reference its times.
+			seed, n := rng.Int63(), 1+rng.Intn(30)
+			start := Time(rng.Int63n(int64(horizon))) / 100 * 100
+			step := horizon / 40
+			times := drainCursor(newGenCursor(seed, start, step, n))
+			oneShot(times[rng.Intn(n)])
+			gens++
+			fn := series(times, gens)
+			eng.ScheduleCursor(0, newGenCursor(seed, start, step, n), fn)
+			oneShot(times[rng.Intn(n)])
 		}
 	}
 	return evs
 }
 
+// drainCursor collects every remaining entry of c.
+func drainCursor(c Cursor) []Time {
+	var out []Time
+	for t, ok := c.Next(); ok; t, ok = c.Next() {
+		out = append(out, t)
+	}
+	return out
+}
+
 // TestEventOrderRandomInterleavings is the core property: any mix of
-// Schedule and ScheduleSeries pops in exactly the (time, seq) order the
-// reference slice-sort predicts, and every callback observes its own
-// scheduled time.
+// Schedule, ScheduleSeries and ScheduleCursor pops in exactly the
+// (time, seq) order the reference slice-sort predicts, every callback
+// observes its own scheduled time, and Pending counts what is left.
 func TestEventOrderRandomInterleavings(t *testing.T) {
 	const horizon = 10 * Second
 	for trial := 0; trial < 200; trial++ {
@@ -124,9 +201,9 @@ func TestEventOrderRandomInterleavings(t *testing.T) {
 					trial, i, got[i].id, got[i].at, want[i].id, want[i].at)
 			}
 		}
-		if eng.Pending() != len(evs)-len(want) {
+		if got, want := eng.Pending(), expectedPending(evs, horizon); got != want {
 			t.Fatalf("trial %d: %d pending after run, want %d (past-horizon events)",
-				trial, eng.Pending(), len(evs)-len(want))
+				trial, got, want)
 		}
 	}
 }
@@ -207,8 +284,8 @@ func TestEventOrderWithDynamicScheduling(t *testing.T) {
 
 // FuzzEventOrder lets the fuzzer search for interleavings where the
 // engine's pop order diverges from the reference sort. Bytes decode to a
-// deterministic op script: each op is either one Schedule or one short
-// ScheduleSeries.
+// deterministic op script: each op is one Schedule, one short
+// ScheduleSeries, or the same short series through a generated cursor.
 func FuzzEventOrder(f *testing.F) {
 	f.Add([]byte{0x01, 0x40, 0x82, 0x10, 0x03, 0x55})
 	f.Add([]byte{0xff, 0x00, 0xff, 0x00, 0xff, 0x00, 0x10, 0x20})
@@ -252,10 +329,15 @@ func FuzzEventOrder(f *testing.F) {
 				id++
 			}
 			next := 0
-			eng.ScheduleSeries(0, times, func(now Time) {
+			fn := func(now Time) {
 				record(ids[next])(now)
 				next++
-			})
+			}
+			if b%4 == 1 {
+				eng.ScheduleSeries(0, times, fn)
+			} else {
+				eng.ScheduleCursor(0, funcCursor(NewSliceCursor(times).Next), fn)
+			}
 		}
 		eng.Run(horizon)
 		want := refOrder(evs, horizon)
@@ -269,3 +351,10 @@ func FuzzEventOrder(f *testing.F) {
 		}
 	})
 }
+
+// funcCursor adapts a Next function to Cursor, hiding a SliceCursor
+// behind a type the engine treats as generated.
+type funcCursor func() (Time, bool)
+
+// Next implements Cursor.
+func (f funcCursor) Next() (Time, bool) { return f() }

@@ -55,8 +55,8 @@ func (d Diurnal) rate(u float64) float64 {
 	}
 }
 
-// Generate implements Arrivals.
-func (d Diurnal) Generate(rng *sim.RNG, dur sim.Duration) []sim.Time {
+// Stream implements Arrivals.
+func (d Diurnal) Stream(rng *sim.RNG, dur sim.Duration) sim.Cursor {
 	period := d.Period
 	if period <= 0 {
 		period = 240 * sim.Second
@@ -73,7 +73,12 @@ func (d Diurnal) Generate(rng *sim.RNG, dur sim.Duration) []sim.Time {
 		},
 		Peak: peak,
 	}
-	return rf.Generate(rng, dur)
+	return rf.Stream(rng, dur)
+}
+
+// Generate implements Arrivals.
+func (d Diurnal) Generate(rng *sim.RNG, dur sim.Duration) []sim.Time {
+	return drain(d.Stream(rng, dur))
 }
 
 // Pareto is a heavy-tailed renewal process: inter-arrival gaps follow a
@@ -89,10 +94,10 @@ type Pareto struct {
 // Name implements Arrivals.
 func (p Pareto) Name() string { return "pareto" }
 
-// Generate implements Arrivals.
-func (p Pareto) Generate(rng *sim.RNG, dur sim.Duration) []sim.Time {
+// Stream implements Arrivals.
+func (p Pareto) Stream(rng *sim.RNG, dur sim.Duration) sim.Cursor {
 	if p.RPS <= 0 {
-		return nil
+		return exhausted{}
 	}
 	alpha := p.Alpha
 	if alpha <= 1 {
@@ -100,15 +105,12 @@ func (p Pareto) Generate(rng *sim.RNG, dur sim.Duration) []sim.Time {
 	}
 	// Mean gap of Pareto(α, x_m) is α·x_m/(α−1); match it to 1/RPS.
 	xm := (alpha - 1) / (alpha * p.RPS)
-	var out []sim.Time
-	t := sim.Time(0)
-	for {
-		t += sim.FromSeconds(rng.Pareto(alpha, xm))
-		if t >= dur {
-			return out
-		}
-		out = append(out, t)
-	}
+	return &renewal{gap: func() sim.Duration { return sim.FromSeconds(rng.Pareto(alpha, xm)) }, dur: dur}
+}
+
+// Generate implements Arrivals.
+func (p Pareto) Generate(rng *sim.RNG, dur sim.Duration) []sim.Time {
+	return drain(p.Stream(rng, dur))
 }
 
 // TenantArrivals is one tenant's share of a multi-tenant mix.
@@ -157,6 +159,14 @@ func (m TenantMix) Weights() []float64 {
 	return w
 }
 
+// shape returns tenant i's arrival process at rate rps.
+func (m TenantMix) shape(i int, rps float64) Arrivals {
+	if m.Shape != nil {
+		return m.Shape(i, rps)
+	}
+	return Poisson{RPS: rps}
+}
+
 // Split materializes every tenant's arrival sequence. Each tenant draws
 // from an independent forked RNG stream, so adding a tenant never
 // perturbs the others' arrivals.
@@ -164,19 +174,12 @@ func (m TenantMix) Split(rng *sim.RNG, dur sim.Duration) []TenantArrivals {
 	weights := m.Weights()
 	out := make([]TenantArrivals, len(weights))
 	for i, w := range weights {
-		rps := m.TotalRPS * w
-		var arr Arrivals
-		if m.Shape != nil {
-			arr = m.Shape(i, rps)
-		} else {
-			arr = Poisson{RPS: rps}
-		}
 		id := fmt.Sprintf("tenant-%02d", i)
 		out[i] = TenantArrivals{
 			Tenant: id,
 			Name:   id,
 			Weight: w,
-			Times:  arr.Generate(rng.Fork(int64(i+1)), dur),
+			Times:  m.shape(i, m.TotalRPS*w).Generate(rng.Fork(int64(i+1)), dur),
 		}
 	}
 	return out
@@ -185,13 +188,18 @@ func (m TenantMix) Split(rng *sim.RNG, dur sim.Duration) []TenantArrivals {
 // Name implements Arrivals for the aggregate mix.
 func (m TenantMix) Name() string { return "tenant-mix" }
 
-// Generate implements Arrivals: the merged arrival sequence of every
-// tenant (the aggregate offered load).
-func (m TenantMix) Generate(rng *sim.RNG, dur sim.Duration) []sim.Time {
-	split := m.Split(rng, dur)
-	seqs := make([][]sim.Time, len(split))
-	for i, t := range split {
-		seqs[i] = t.Times
+// Stream implements Arrivals: the merged arrivals of every tenant (the
+// aggregate offered load), each tenant on the RNG fork Split gives it.
+func (m TenantMix) Stream(rng *sim.RNG, dur sim.Duration) sim.Cursor {
+	weights := m.Weights()
+	srcs := make([]sim.Cursor, len(weights))
+	for i, w := range weights {
+		srcs[i] = m.shape(i, m.TotalRPS*w).Stream(rng.Fork(int64(i+1)), dur)
 	}
-	return Merge(seqs...)
+	return merge(srcs)
+}
+
+// Generate implements Arrivals.
+func (m TenantMix) Generate(rng *sim.RNG, dur sim.Duration) []sim.Time {
+	return drain(m.Stream(rng, dur))
 }

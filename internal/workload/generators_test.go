@@ -183,16 +183,34 @@ func TestBurstyReplayIdentical(t *testing.T) {
 	}
 }
 
-// TestRateFuncResetRewindsCursor exercises the reuse hazard directly: a
-// RateFunc whose RPS closure keeps a monotone cursor is Generated twice
-// from the same value. Without Reset the second run would start with the
-// cursor past every window and see only the base rate.
-func TestRateFuncResetRewindsCursor(t *testing.T) {
+// TestBurstyInterleavedCursorsMatchSequential is the reuse hazard for a
+// rate with a monotone window index: two live cursors of one Bursty value
+// are pulled alternately, as two deployments on one engine would be, and
+// must each yield exactly what a sequential drain of the same seed does.
+// A window index shared between the cursors would let one skip the
+// other's bursts.
+func TestBurstyInterleavedCursorsMatchSequential(t *testing.T) {
 	b := Bursty{BaseRPS: 10, Scale: 6, BurstDur: 20 * sim.Second, Quiet: 30 * sim.Second}
-	rf := b.rateFunc(sim.NewRNG(8), 300*sim.Second)
-	first := rf.Generate(sim.NewRNG(1), 300*sim.Second)
-	second := rf.Generate(sim.NewRNG(1), 300*sim.Second)
-	if !slices.Equal(first, second) {
-		t.Fatalf("reused RateFunc diverged: %d vs %d arrivals", len(first), len(second))
+	const dur = 300 * sim.Second
+	wantA := b.Generate(sim.NewRNG(1), dur)
+	wantB := b.Generate(sim.NewRNG(2), dur)
+	ca, cb := b.Stream(sim.NewRNG(1), dur), b.Stream(sim.NewRNG(2), dur)
+	var gotA, gotB []sim.Time
+	for okA, okB := true, true; okA || okB; {
+		var at sim.Time
+		if at, okA = ca.Next(); okA {
+			gotA = append(gotA, at)
+		}
+		// B runs three pulls per A pull so the cursors sit in
+		// different burst windows most of the time.
+		for i := 0; i < 3 && okB; i++ {
+			if at, okB = cb.Next(); okB {
+				gotB = append(gotB, at)
+			}
+		}
+	}
+	if !slices.Equal(gotA, wantA) || !slices.Equal(gotB, wantB) {
+		t.Fatalf("interleaved cursors diverged: A %d vs %d, B %d vs %d arrivals",
+			len(gotA), len(wantA), len(gotB), len(wantB))
 	}
 }

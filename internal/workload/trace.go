@@ -28,8 +28,8 @@ type TraceEvent struct {
 // Trace is an external arrival recording replayed against the system —
 // the production counterpart of the synthetic generators. Events are
 // sorted by (At, Func); per-function subsequences compile down to plain
-// []sim.Time slices, so replay rides the pointer-free
-// sim.Engine.ScheduleSeries cursor exactly like generated workloads.
+// []sim.Time slices, replayed through a sim.SliceCursor on the same
+// engine stream as generated workloads.
 type Trace struct {
 	Label  string
 	Events []TraceEvent
@@ -98,9 +98,10 @@ func (t *Trace) Arrivals(fn string) Arrivals {
 }
 
 // Times is a pre-materialized arrival sequence wrapped as an Arrivals
-// source (trace replay, tenant-mix splits). Generate ignores the RNG and
-// returns a copy of the prefix inside the horizon, so one Times value can
-// feed engines running in parallel.
+// source (trace replay, tenant-mix splits). It ignores the RNG. Stream
+// reads the prefix inside the horizon in place and never writes T, so
+// one Times value can feed engines running in parallel; Generate
+// returns a copy of that prefix.
 type Times struct {
 	Label string
 	T     []sim.Time
@@ -109,15 +110,15 @@ type Times struct {
 // Name implements Arrivals.
 func (ts Times) Name() string { return ts.Label }
 
-// Generate implements Arrivals.
-func (ts Times) Generate(_ *sim.RNG, dur sim.Duration) []sim.Time {
+// Stream implements Arrivals.
+func (ts Times) Stream(_ *sim.RNG, dur sim.Duration) sim.Cursor {
 	n := sort.Search(len(ts.T), func(i int) bool { return ts.T[i] >= dur })
-	if n == 0 {
-		return nil
-	}
-	out := make([]sim.Time, n)
-	copy(out, ts.T[:n])
-	return out
+	return sim.NewSliceCursor(ts.T[:n])
+}
+
+// Generate implements Arrivals.
+func (ts Times) Generate(rng *sim.RNG, dur sim.Duration) []sim.Time {
+	return drain(ts.Stream(rng, dur))
 }
 
 // ---------------------------------------------------------------------------

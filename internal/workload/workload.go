@@ -4,13 +4,17 @@
 // Periodic traces (Table 3, Figures 12, 15) synthesized from the shape
 // descriptions published with INFless and "Serverless in the Wild".
 //
-// Generators materialize the full arrival sequence for a run up front
-// from a seeded RNG, keeping every experiment deterministic.
+// Every process is written once, as a cursor (Arrivals.Stream) that
+// draws the next arrival from a seeded RNG only when asked, so an
+// engine pulls arrivals as the run reaches them and memory per function
+// is O(1) however long the bound. Generate drains the same cursor into
+// a slice for offline views (offered-load plots, trace export); both
+// yield the same sequence from the same RNG, keeping every experiment
+// deterministic.
 package workload
 
 import (
 	"math"
-	"slices"
 
 	"dilu/internal/sim"
 )
@@ -18,8 +22,48 @@ import (
 // Arrivals produces a deterministic arrival-time sequence over a horizon.
 type Arrivals interface {
 	Name() string
-	// Generate returns strictly non-decreasing arrival times in [0, dur).
+	// Stream returns a cursor over non-decreasing arrival times
+	// in [0, dur), drawn from rng one at a time as the cursor is pulled.
+	// The cursor owns rng from then on.
+	Stream(rng *sim.RNG, dur sim.Duration) sim.Cursor
+	// Generate returns the whole sequence Stream would yield.
 	Generate(rng *sim.RNG, dur sim.Duration) []sim.Time
+}
+
+// drain collects every remaining time of c; nil when there are none.
+func drain(c sim.Cursor) []sim.Time {
+	var out []sim.Time
+	for t, ok := c.Next(); ok; t, ok = c.Next() {
+		out = append(out, t)
+	}
+	return out
+}
+
+// exhausted is the cursor of an empty process.
+type exhausted struct{}
+
+// Next implements sim.Cursor.
+func (exhausted) Next() (sim.Time, bool) { return 0, false }
+
+// renewal is the cursor of a renewal process: arrivals at the running
+// sum of independent gaps, cut at the horizon.
+type renewal struct {
+	gap func() sim.Duration // nil once the horizon is reached
+	t   sim.Time
+	dur sim.Duration
+}
+
+// Next implements sim.Cursor.
+func (r *renewal) Next() (sim.Time, bool) {
+	if r.gap == nil {
+		return 0, false
+	}
+	r.t += r.gap()
+	if r.t >= r.dur {
+		r.gap = nil
+		return 0, false
+	}
+	return r.t, true
 }
 
 // Constant emits requests at an exact fixed rate (deterministic gaps).
@@ -28,17 +72,18 @@ type Constant struct{ RPS float64 }
 // Name implements Arrivals.
 func (c Constant) Name() string { return "constant" }
 
-// Generate implements Arrivals.
-func (c Constant) Generate(_ *sim.RNG, dur sim.Duration) []sim.Time {
+// Stream implements Arrivals.
+func (c Constant) Stream(_ *sim.RNG, dur sim.Duration) sim.Cursor {
 	if c.RPS <= 0 {
-		return nil
+		return exhausted{}
 	}
 	gap := sim.FromSeconds(1 / c.RPS)
-	var out []sim.Time
-	for t := gap; t < dur; t += gap {
-		out = append(out, t)
-	}
-	return out
+	return &renewal{gap: func() sim.Duration { return gap }, dur: dur}
+}
+
+// Generate implements Arrivals.
+func (c Constant) Generate(rng *sim.RNG, dur sim.Duration) []sim.Time {
+	return drain(c.Stream(rng, dur))
 }
 
 // Poisson is a homogeneous Poisson arrival process.
@@ -47,20 +92,18 @@ type Poisson struct{ RPS float64 }
 // Name implements Arrivals.
 func (p Poisson) Name() string { return "poisson" }
 
+// Stream implements Arrivals.
+func (p Poisson) Stream(rng *sim.RNG, dur sim.Duration) sim.Cursor {
+	if p.RPS <= 0 {
+		return exhausted{}
+	}
+	rate := p.RPS
+	return &renewal{gap: func() sim.Duration { return sim.FromSeconds(rng.Exp(rate)) }, dur: dur}
+}
+
 // Generate implements Arrivals.
 func (p Poisson) Generate(rng *sim.RNG, dur sim.Duration) []sim.Time {
-	if p.RPS <= 0 {
-		return nil
-	}
-	var out []sim.Time
-	t := sim.Time(0)
-	for {
-		t += sim.FromSeconds(rng.Exp(p.RPS))
-		if t >= dur {
-			return out
-		}
-		out = append(out, t)
-	}
+	return drain(p.Stream(rng, dur))
 }
 
 // Gamma is a renewal process with Gamma-distributed inter-arrival gaps
@@ -75,61 +118,73 @@ type Gamma struct {
 // Name implements Arrivals.
 func (g Gamma) Name() string { return "gamma" }
 
+// Stream implements Arrivals.
+func (g Gamma) Stream(rng *sim.RNG, dur sim.Duration) sim.Cursor {
+	if g.RPS <= 0 {
+		return exhausted{}
+	}
+	meanGap, cv := 1/g.RPS, g.CV
+	return &renewal{gap: func() sim.Duration { return sim.FromSeconds(rng.GammaInterArrival(meanGap, cv)) }, dur: dur}
+}
+
 // Generate implements Arrivals.
 func (g Gamma) Generate(rng *sim.RNG, dur sim.Duration) []sim.Time {
-	if g.RPS <= 0 {
-		return nil
-	}
-	meanGap := 1 / g.RPS
-	var out []sim.Time
-	t := sim.Time(0)
-	for {
-		t += sim.FromSeconds(rng.GammaInterArrival(meanGap, g.CV))
-		if t >= dur {
-			return out
-		}
-		out = append(out, t)
-	}
+	return drain(g.Stream(rng, dur))
 }
 
 // RateFunc is a non-homogeneous Poisson process whose instantaneous rate
 // is given by RPS(t). It is the building block for the Azure-style traces.
 //
-// Thinning queries RPS at non-decreasing times within one Generate, so
-// implementations may keep a monotone cursor over precomputed rate
-// segments. A stateful RPS must supply Reset so a reused RateFunc value
-// replays identically: Generate rewinds the cursor before every run.
+// RPS must be a pure function of time: cursors over one RateFunc value
+// may be live on several engines at once, each querying RPS at its own
+// times, so no state inside RPS may carry from one query to the next.
 type RateFunc struct {
 	Label string
 	RPS   func(t sim.Time) float64
 	Peak  float64 // an upper bound of RPS over the horizon, for thinning
-	// Reset rewinds any cursor state inside RPS to time zero. Called at
-	// the start of every Generate; nil means RPS is stateless.
-	Reset func()
 }
 
 // Name implements Arrivals.
 func (r RateFunc) Name() string { return r.Label }
 
-// Generate implements Arrivals via Lewis-Shedler thinning.
-func (r RateFunc) Generate(rng *sim.RNG, dur sim.Duration) []sim.Time {
+// Stream implements Arrivals via Lewis-Shedler thinning.
+func (r RateFunc) Stream(rng *sim.RNG, dur sim.Duration) sim.Cursor {
 	if r.Peak <= 0 {
-		return nil
+		return exhausted{}
 	}
-	if r.Reset != nil {
-		r.Reset()
-	}
-	var out []sim.Time
-	t := sim.Time(0)
-	for {
-		t += sim.FromSeconds(rng.Exp(r.Peak))
-		if t >= dur {
-			return out
+	return &thinning{rng: rng, rate: r.RPS, peak: r.Peak, dur: dur}
+}
+
+// Generate implements Arrivals.
+func (r RateFunc) Generate(rng *sim.RNG, dur sim.Duration) []sim.Time {
+	return drain(r.Stream(rng, dur))
+}
+
+// thinning is the Lewis-Shedler cursor: candidates from a Poisson
+// process at peak, each kept with probability rate(t)/peak. Candidates
+// are queried in non-decreasing time order.
+type thinning struct {
+	rng  *sim.RNG
+	rate func(sim.Time) float64
+	peak float64
+	t    sim.Time
+	dur  sim.Duration
+	done bool
+}
+
+// Next implements sim.Cursor.
+func (c *thinning) Next() (sim.Time, bool) {
+	for !c.done {
+		c.t += sim.FromSeconds(c.rng.Exp(c.peak))
+		if c.t >= c.dur {
+			c.done = true
+			break
 		}
-		if rng.Float64() < r.RPS(t)/r.Peak {
-			out = append(out, t)
+		if c.rng.Float64() < c.rate(c.t)/c.peak {
+			return c.t, true
 		}
 	}
+	return 0, false
 }
 
 // Bursty synthesizes the Azure "Bursty" trace class: a low base rate with
@@ -146,12 +201,30 @@ type Bursty struct {
 // Name implements Arrivals.
 func (b Bursty) Name() string { return "bursty" }
 
-// rateFunc precomputes the burst windows and returns the thinning
-// process over them. The rate closure keeps a monotone cursor over the
-// (ascending, disjoint) windows instead of scanning the whole list per
-// candidate arrival; the cursor is declared through RateFunc.Reset so a
-// replayed RateFunc rewinds it instead of resuming past the last burst.
-func (b Bursty) rateFunc(rng *sim.RNG, dur sim.Duration) RateFunc {
+// burstWindows is one cursor's burst schedule: ascending, disjoint
+// windows and a monotone index into them. Each Stream call builds its
+// own, so live cursors of one Bursty value never share the index.
+type burstWindows struct {
+	b      Bursty
+	bursts []struct{ start, end sim.Time }
+	idx    int
+}
+
+// rate is the instantaneous rate at a time no earlier than the previous
+// query's.
+func (w *burstWindows) rate(at sim.Time) float64 {
+	for w.idx < len(w.bursts) && at >= w.bursts[w.idx].end {
+		w.idx++
+	}
+	if w.idx < len(w.bursts) && at >= w.bursts[w.idx].start {
+		return w.b.BaseRPS * w.b.Scale
+	}
+	return w.b.BaseRPS
+}
+
+// Stream implements Arrivals: it draws the burst windows over the whole
+// horizon first, then thins against them.
+func (b Bursty) Stream(rng *sim.RNG, dur sim.Duration) sim.Cursor {
 	burstDur := b.BurstDur
 	if burstDur <= 0 {
 		burstDur = 20 * sim.Second
@@ -160,34 +233,22 @@ func (b Bursty) rateFunc(rng *sim.RNG, dur sim.Duration) RateFunc {
 	if quiet <= 0 {
 		quiet = 60 * sim.Second
 	}
-	// Precompute burst windows.
-	type window struct{ start, end sim.Time }
-	var bursts []window
+	w := &burstWindows{b: b}
 	t := sim.Time(float64(quiet) * (0.5 + rng.Float64()))
 	for t < dur {
-		bursts = append(bursts, window{t, t + burstDur})
+		w.bursts = append(w.bursts, struct{ start, end sim.Time }{t, t + burstDur})
 		t += burstDur + sim.Time(float64(quiet)*(0.5+rng.Float64()))
 	}
-	idx := 0
-	return RateFunc{
-		Label: "bursty",
-		RPS: func(at sim.Time) float64 {
-			for idx < len(bursts) && at >= bursts[idx].end {
-				idx++
-			}
-			if idx < len(bursts) && at >= bursts[idx].start {
-				return b.BaseRPS * b.Scale
-			}
-			return b.BaseRPS
-		},
-		Peak:  b.BaseRPS * b.Scale,
-		Reset: func() { idx = 0 },
+	peak := b.BaseRPS * b.Scale
+	if peak <= 0 {
+		return exhausted{}
 	}
+	return &thinning{rng: rng, rate: w.rate, peak: peak, dur: dur}
 }
 
 // Generate implements Arrivals.
 func (b Bursty) Generate(rng *sim.RNG, dur sim.Duration) []sim.Time {
-	return b.rateFunc(rng, dur).Generate(rng, dur)
+	return drain(b.Stream(rng, dur))
 }
 
 // Periodic synthesizes the Azure "Periodic" trace class: a smooth
@@ -201,8 +262,8 @@ type Periodic struct {
 // Name implements Arrivals.
 func (p Periodic) Name() string { return "periodic" }
 
-// Generate implements Arrivals.
-func (p Periodic) Generate(rng *sim.RNG, dur sim.Duration) []sim.Time {
+// Stream implements Arrivals.
+func (p Periodic) Stream(rng *sim.RNG, dur sim.Duration) sim.Cursor {
 	period := p.Period
 	if period <= 0 {
 		period = 120 * sim.Second
@@ -219,7 +280,12 @@ func (p Periodic) Generate(rng *sim.RNG, dur sim.Duration) []sim.Time {
 		}
 		return r
 	}
-	return RateFunc{Label: "periodic", RPS: rate, Peak: p.BaseRPS * (1 + amp)}.Generate(rng, dur)
+	return RateFunc{Label: "periodic", RPS: rate, Peak: p.BaseRPS * (1 + amp)}.Stream(rng, dur)
+}
+
+// Generate implements Arrivals.
+func (p Periodic) Generate(rng *sim.RNG, dur sim.Duration) []sim.Time {
+	return drain(p.Stream(rng, dur))
 }
 
 // Sporadic synthesizes the Azure "Sporadic" trace class: long idle
@@ -227,7 +293,7 @@ func (p Periodic) Generate(rng *sim.RNG, dur sim.Duration) []sim.Time {
 // waste driver of Observation-3 (fewer than 85% of functions invoked per
 // minute; a keep-alive instance may see 3-4 requests in ~50 s).
 type Sporadic struct {
-	ClusterRPS float64      // rate inside a cluster
+	ClusterRPS float64      // rate inside a cluster; no arrivals when ≤ 0
 	ClusterDur sim.Duration // cluster length
 	IdleMean   sim.Duration // mean idle gap between clusters
 }
@@ -235,8 +301,11 @@ type Sporadic struct {
 // Name implements Arrivals.
 func (s Sporadic) Name() string { return "sporadic" }
 
-// Generate implements Arrivals.
-func (s Sporadic) Generate(rng *sim.RNG, dur sim.Duration) []sim.Time {
+// Stream implements Arrivals.
+func (s Sporadic) Stream(rng *sim.RNG, dur sim.Duration) sim.Cursor {
+	if s.ClusterRPS <= 0 {
+		return exhausted{}
+	}
 	clusterDur := s.ClusterDur
 	if clusterDur <= 0 {
 		clusterDur = 10 * sim.Second
@@ -245,19 +314,42 @@ func (s Sporadic) Generate(rng *sim.RNG, dur sim.Duration) []sim.Time {
 	if idle <= 0 {
 		idle = 90 * sim.Second
 	}
-	var out []sim.Time
-	t := sim.FromSeconds(rng.Exp(1 / idle.Seconds()))
-	for t < dur {
-		end := t + clusterDur
-		for t < end && t < dur {
-			t += sim.FromSeconds(rng.Exp(s.ClusterRPS))
-			if t < end && t < dur {
-				out = append(out, t)
-			}
+	c := &sporadic{rng: rng, rate: s.ClusterRPS, clusterDur: clusterDur, idleRate: 1 / idle.Seconds(), dur: dur}
+	c.t = sim.FromSeconds(rng.Exp(c.idleRate))
+	c.end = c.t + clusterDur
+	return c
+}
+
+// Generate implements Arrivals.
+func (s Sporadic) Generate(rng *sim.RNG, dur sim.Duration) []sim.Time {
+	return drain(s.Stream(rng, dur))
+}
+
+// sporadic is Sporadic's cursor: Poisson arrivals at rate until the
+// current cluster's end, then an exponential idle gap to the next
+// cluster's start.
+type sporadic struct {
+	rng            *sim.RNG
+	rate, idleRate float64
+	clusterDur     sim.Duration
+	t, end         sim.Time
+	dur            sim.Duration
+}
+
+// Next implements sim.Cursor.
+func (c *sporadic) Next() (sim.Time, bool) {
+	for c.t < c.dur {
+		if c.t >= c.end {
+			c.t = c.end + sim.FromSeconds(c.rng.Exp(c.idleRate))
+			c.end = c.t + c.clusterDur
+			continue
 		}
-		t = end + sim.FromSeconds(rng.Exp(1/idle.Seconds()))
+		c.t += sim.FromSeconds(c.rng.Exp(c.rate))
+		if c.t < c.end && c.t < c.dur {
+			return c.t, true
+		}
 	}
-	return out
+	return 0, false
 }
 
 // OfferedRPS buckets an arrival sequence into per-window request rates —
@@ -296,10 +388,50 @@ func MeanRPS(arrivals []sim.Time, dur sim.Duration) float64 {
 // Merge combines multiple sorted arrival sequences into one sorted
 // sequence (for aggregate offered-load views).
 func Merge(seqs ...[]sim.Time) []sim.Time {
-	var out []sim.Time
-	for _, s := range seqs {
-		out = append(out, s...)
+	srcs := make([]sim.Cursor, len(seqs))
+	for i, seq := range seqs {
+		srcs[i] = sim.NewSliceCursor(seq)
 	}
-	slices.Sort(out)
-	return out
+	return drain(merge(srcs))
+}
+
+// merged is a k-way merge of cursors, each with its pulled head.
+type merged struct {
+	srcs  []sim.Cursor
+	heads []sim.Time
+}
+
+// merge returns the cursor over the sorted union of srcs, pulling each
+// source's first entry now.
+func merge(srcs []sim.Cursor) *merged {
+	c := &merged{}
+	for _, src := range srcs {
+		if t, ok := src.Next(); ok {
+			c.srcs = append(c.srcs, src)
+			c.heads = append(c.heads, t)
+		}
+	}
+	return c
+}
+
+// Next implements sim.Cursor.
+func (c *merged) Next() (sim.Time, bool) {
+	if len(c.srcs) == 0 {
+		return 0, false
+	}
+	i := 0
+	for j := 1; j < len(c.heads); j++ {
+		if c.heads[j] < c.heads[i] {
+			i = j
+		}
+	}
+	t := c.heads[i]
+	if next, ok := c.srcs[i].Next(); ok {
+		c.heads[i] = next
+	} else {
+		last := len(c.srcs) - 1
+		c.srcs[i], c.heads[i] = c.srcs[last], c.heads[last]
+		c.srcs, c.heads = c.srcs[:last], c.heads[:last]
+	}
+	return t, true
 }
