@@ -14,6 +14,20 @@
 // saturates early. The inverse gives the SM occupancy actually consumed
 // to sustain a given execution rate, which is what makes idle SMs of a
 // saturated instance genuinely reusable by collocated instances.
+//
+// Contention (Device.ExecuteTick): when the residents' summed occupancy
+// exceeds the device, all of them are scaled by one common λ, the largest
+// multiple of 2^-30 below 1 whose summed occupancy fits — the value a
+// 30-step bisection on [0, 1] returns. The tick finds it with a few
+// Newton steps on grid points, which narrow the bisection's bracket, and
+// then walks the bisection's own midpoints, evaluating only those inside
+// that bracket. Because occupancy is nondecreasing in λ, every skipped
+// midpoint would have compared the same way, so the result is the
+// bisection's to the bit, in about six evaluations instead of 30. Each
+// resident caches its curve's K-dependent constants when K is set and
+// its last eff and inverse evaluation, which the tick reuses while the
+// grant or demand repeats, as they mostly do from one 5 ms tick to the
+// next.
 package gpu
 
 import "math"
@@ -30,51 +44,93 @@ const LinearK = 1e5
 // float64.
 const maxSteepness = 40.0
 
-// Eff returns the throughput fraction achieved with SM share s under
-// saturation constant K. s is clamped to [0,1].
-func Eff(k, s float64) float64 {
+// curve is eff_K with its K-dependent constants evaluated once: the
+// regime K falls into and, on the sigmoid, a = min(1/K, maxSteepness)
+// and tanh(a). Eff, EffInv and the device's per-tick evaluation all go
+// through it, so the clamps below exist once and a resident pays the
+// tanh(a) only when its K changes.
+type curve struct {
+	kind  curveKind
+	a, ta float64 // steepness and tanh(a); sigmoid only
+}
+
+type curveKind uint8
+
+const (
+	sigmoid   curveKind = iota
+	saturated           // K ≤ 0: full throughput at any share
+	linear              // K ≥ LinearK: eff(s) = s
+)
+
+func newCurve(k float64) curve {
+	if k <= 0 {
+		return curve{kind: saturated}
+	}
+	if k >= LinearK {
+		return curve{kind: linear}
+	}
+	a := 1 / k
+	if a > maxSteepness {
+		a = maxSteepness
+	}
+	return curve{a: a, ta: math.Tanh(a)}
+}
+
+// eff returns the throughput fraction at SM share s, clamped to [0,1].
+func (c curve) eff(s float64) float64 {
 	if s <= 0 {
 		return 0
 	}
 	if s >= 1 {
 		return 1
 	}
-	if k <= 0 {
-		return 1 // degenerate: fully saturated at any share
-	}
-	if k >= LinearK {
+	switch c.kind {
+	case saturated:
+		return 1
+	case linear:
 		return s
 	}
-	a := 1 / k
-	if a > maxSteepness {
-		a = maxSteepness
-	}
-	return math.Tanh(a*math.Pow(s, PartitionExp)) / math.Tanh(a)
+	return math.Tanh(c.a*math.Pow(s, PartitionExp)) / c.ta
 }
+
+// inv returns the SM share that sustains throughput fraction y (the
+// inverse of eff), together with its elasticity y·ds/dy — the
+// derivative the device's contention solve needs, at the cost of a few
+// flops on top of the atanh and pow the share itself takes. Where the
+// share is clamped or constant the elasticity is 0; where it is not
+// finite the solve falls back to bisecting.
+func (c curve) inv(y float64) (s, elast float64) {
+	if y <= 0 {
+		return 0, 0
+	}
+	if y >= 1 {
+		return 1, 0
+	}
+	switch c.kind {
+	case saturated:
+		return 0, 0
+	case linear:
+		return y, y
+	}
+	u := y * c.ta
+	z := math.Atanh(u)
+	s = math.Pow(z/c.a, 1/PartitionExp)
+	if s > 1 {
+		return 1, 0
+	}
+	// s = (atanh(u)/a)^(1/β) with u ∝ y, so
+	// y·ds/dy = (1/β)·s·u / ((1−u²)·atanh(u)).
+	return s, s * u / (PartitionExp * (1 - u*u) * z)
+}
+
+// Eff returns the throughput fraction achieved with SM share s under
+// saturation constant K. s is clamped to [0,1].
+func Eff(k, s float64) float64 { return newCurve(k).eff(s) }
 
 // EffInv returns the SM share required to achieve throughput fraction y
 // under saturation constant K; the inverse of Eff. y is clamped to [0,1].
 func EffInv(k, y float64) float64 {
-	if y <= 0 {
-		return 0
-	}
-	if y >= 1 {
-		return 1
-	}
-	if k <= 0 {
-		return 0
-	}
-	if k >= LinearK {
-		return y
-	}
-	a := 1 / k
-	if a > maxSteepness {
-		a = maxSteepness
-	}
-	s := math.Pow(math.Atanh(y*math.Tanh(a))/a, 1/PartitionExp)
-	if s > 1 {
-		return 1
-	}
+	s, _ := newCurve(k).inv(y)
 	return s
 }
 

@@ -2,6 +2,7 @@ package gpu
 
 import (
 	"fmt"
+	"math"
 )
 
 // DefaultCapacityPerTick is the number of kernel-block units an A100-class
@@ -23,9 +24,17 @@ type Device struct {
 
 	residents []*Resident
 	usedMem   float64
-	// want is ExecuteTick's per-resident scratch, reused across ticks so
+	// tick is ExecuteTick's per-resident scratch, reused across ticks so
 	// the 5 ms execution loop does not allocate.
-	want []float64
+	tick []tickScratch
+	// solved holds the previous tick's contention scale and the
+	// occupancy it leaves while that tick's inputs — the residents, their
+	// curves, Capacity and every want in tick — are unchanged: a repeat
+	// tick reuses them instead of solving. SetSatK (which Attach calls)
+	// and Detach invalidate it.
+	solved                 bool
+	solvedScale, solvedOcc float64
+	solvedCap              float64
 
 	// slow is the gray-failure straggler factor: when > 1 every usable
 	// rate is divided by it, so the device does one tick's work in slow
@@ -54,8 +63,16 @@ func NewDevice(id string) *Device {
 type Resident struct {
 	dev   *Device
 	ID    string
-	SatK  float64 // saturation constant for the current kernel mix
 	MemMB float64
+
+	satK float64 // saturation constant for the current kernel mix
+	cv   curve   // eff_K for satK, constants cached by SetSatK
+	// The last eff and inv evaluation of cv, for the tick to reuse:
+	// grants and demand are mostly unchanged from one tick to the next.
+	// Zero inputs map to zero outputs on every curve, so the zero value
+	// is a valid entry.
+	effS, effV             float64
+	invY, invOcc, invElast float64
 
 	pending float64 // block demand not yet executed
 	granted float64 // token grant for the current tick, in blocks
@@ -77,7 +94,8 @@ func (d *Device) Attach(id string, memMB float64) (*Resident, error) {
 		return nil, fmt.Errorf("gpu %s: out of memory: used %.0f + %.0f > %.0f MB",
 			d.ID, d.usedMem, memMB, d.MemoryMB)
 	}
-	r := &Resident{dev: d, ID: id, MemMB: memMB, SatK: 1}
+	r := &Resident{dev: d, ID: id, MemMB: memMB}
+	r.SetSatK(1)
 	d.usedMem += memMB
 	d.residents = append(d.residents, r)
 	return r, nil
@@ -89,6 +107,7 @@ func (d *Device) Detach(r *Resident) {
 		return
 	}
 	r.detached = true
+	d.solved = false
 	d.usedMem -= r.MemMB
 	for i, res := range d.residents {
 		if res == r {
@@ -174,6 +193,37 @@ func (d *Device) MeanOccupancy() float64 {
 	return d.occupancySum / float64(d.ticks)
 }
 
+// SetSatK sets the saturation constant K of the resident's current
+// kernel mix (see Eff). The curve constants are derived here, once per
+// change, not in every tick.
+func (r *Resident) SetSatK(k float64) {
+	r.satK = k
+	r.cv = newCurve(k)
+	r.dev.solved = false
+	r.effS, r.effV = 0, 0
+	r.invY, r.invOcc, r.invElast = 0, 0, 0
+}
+
+// eff is cv.eff(s), reused when s repeats the previous call's share.
+func (r *Resident) eff(s float64) float64 {
+	if s != r.effS {
+		r.effS, r.effV = s, r.cv.eff(s)
+	}
+	return r.effV
+}
+
+// inv is cv.inv(y), reused when y repeats the previous call's demand.
+func (r *Resident) inv(y float64) (occ, elast float64) {
+	if y != r.invY {
+		r.invY = y
+		r.invOcc, r.invElast = r.cv.inv(y)
+	}
+	return r.invOcc, r.invElast
+}
+
+// SatK returns the saturation constant set by SetSatK (1 at Attach).
+func (r *Resident) SatK() float64 { return r.satK }
+
 // AddWork enqueues block demand for the resident.
 func (r *Resident) AddWork(blocks float64) {
 	if blocks > 0 {
@@ -232,23 +282,32 @@ func (r *Resident) TotalLaunched() float64 { return r.totalLaunched }
 // Device returns the device the resident is attached to.
 func (r *Resident) Device() *Device { return r.dev }
 
+// tickScratch is one resident's ExecuteTick state between its passes.
+type tickScratch struct {
+	want float64 // blocks the resident can execute absent contention
+	full float64 // Capacity·eff(grant/Capacity), before any straggler factor
+}
+
 // ExecuteTick runs one 5 ms execution round. For each resident the usable
 // rate is Capacity·eff(K, grant/Capacity), bounded by pending demand.
 // When the summed SM occupancy implied by those rates exceeds the device,
-// all residents are scaled back by a common factor (binary-searched
+// all residents are scaled back by a common factor λ (proportional
 // waterfill), which is precisely the contention that inflates kernel
-// launch cycles in the paper's §3.4.1 observation.
+// launch cycles in the paper's §3.4.1 observation. λ is the largest
+// multiple of 2^-30 below 1 whose summed occupancy stays ≤ 1 — the
+// answer of a 30-step bisection on [0, 1] — found by contendedScale.
 func (d *Device) ExecuteTick() {
-	if cap(d.want) < len(d.residents) {
-		d.want = make([]float64, len(d.residents))
+	if cap(d.tick) < len(d.residents) {
+		d.tick = make([]tickScratch, len(d.residents))
 	}
-	want := d.want[:len(d.residents)]
-	var totalOcc float64
+	tick := d.tick[:len(d.residents)]
+	var totalOcc, totalElast float64
+	repeat := d.solved && d.Capacity == d.solvedCap
 	for i, r := range d.residents {
 		r.demandLast = r.pending
 		r.grantedLast = r.granted
-		s := r.granted / d.Capacity
-		usable := d.Capacity * Eff(r.SatK, s)
+		full := d.Capacity * r.eff(r.granted/d.Capacity)
+		usable := full
 		if d.slow > 1 { // straggler: stretch execution, keep nominal capacity
 			usable /= d.slow
 		}
@@ -256,49 +315,114 @@ func (d *Device) ExecuteTick() {
 		if w > usable {
 			w = usable
 		}
-		want[i] = w
-		totalOcc += EffInv(r.SatK, w/d.Capacity)
+		repeat = repeat && w == tick[i].want
+		tick[i] = tickScratch{want: w, full: full}
+		occ, elast := r.inv(w / d.Capacity)
+		totalOcc += occ
+		totalElast += elast
 	}
 
-	scale := 1.0
-	if totalOcc > 1 {
-		// Find the largest common scale λ with Σ occ(λ·want) ≤ 1.
-		lo, hi := 0.0, 1.0
-		for iter := 0; iter < 30; iter++ {
-			mid := (lo + hi) / 2
-			var occ float64
-			for i, r := range d.residents {
-				occ += EffInv(r.SatK, mid*want[i]/d.Capacity)
-			}
-			if occ > 1 {
-				hi = mid
-			} else {
-				lo = mid
-			}
+	// Uncontended, every resident executes exactly its want, whose
+	// occupancies were just summed.
+	contended := totalOcc > 1
+	scale, occTotal := 1.0, totalOcc
+	if contended {
+		if !repeat {
+			d.solvedScale, d.solvedOcc = d.contendedScale(tick, totalOcc, totalElast)
+			d.solvedCap = d.Capacity
 		}
-		scale = lo
+		scale, occTotal = d.solvedScale, d.solvedOcc
 	}
+	d.solved = contended
 
-	var executedTotal, occTotal float64
+	var executedTotal float64
 	for i, r := range d.residents {
-		s := r.granted / d.Capacity
-		r.usableLast = d.Capacity * Eff(r.SatK, s) * scale
+		r.usableLast = tick[i].full * scale
 		if d.slow > 1 {
 			r.usableLast /= d.slow
 		}
-		x := want[i] * scale
-		if x > r.pending {
-			x = r.pending
-		}
+		x := tick[i].want * scale // ≤ want ≤ pending
 		r.pending -= x
 		r.executedLast = x
 		r.totalLaunched += x
 		executedTotal += x
-		occTotal += EffInv(r.SatK, x/d.Capacity)
 	}
 	d.lastExecuted = executedTotal
 	d.totalExecuted += executedTotal
 	d.lastOccupancy = occTotal
 	d.occupancySum += occTotal
 	d.ticks++
+}
+
+// scaleGrid is the resolution of the contention scale λ: 2^30, the grid
+// a 30-step bisection on [0, 1] walks.
+const scaleGrid = 1 << 30
+
+// maxNewton bounds contendedScale's root-finding steps; whatever bracket
+// they leave is finished by bisection.
+const maxNewton = 12
+
+// contendedScale returns the largest λ = k/2^30 < 1 with Σ occ(λ) ≤ 1,
+// and that Σ occ(λ), where occ(λ) sums EffInv(K_i, λ·want_i/Capacity)
+// in resident order, given occ(1) = occ > 1 and its elasticity
+// Σ λ·∂occ_i/∂λ at λ = 1.
+//
+// occ is nondecreasing in λ, so the answer is fixed by a bracket of grid
+// indices lo < hi with occ(lo) ≤ 1 < occ(hi), starting at [0, 2^30].
+// Newton steps on ln occ against ln λ — convex, since every resident's
+// term is 0, linear or log-convex in λ — shrink the bracket: each lands
+// on a grid point strictly inside it, falling back to its midpoint when
+// the step leaves it. The rest is the 30-step bisection itself, walking
+// the same midpoints, but evaluating only those strictly inside the
+// bracket: every other comparison is already decided by lo or hi. So the
+// result is bit-for-bit what the full bisection returns, in about 6
+// evaluations of occ instead of 30.
+func (d *Device) contendedScale(tick []tickScratch, occ, elast float64) (scale, occScale float64) {
+	lo, hi := int64(0), int64(scaleGrid) // occ(0) = 0 ≤ 1 < occ(1)
+	occLo, lam := 0.0, 1.0
+	for it := 0; it < maxNewton && hi-lo > 1; it++ {
+		k := lo + (hi-lo)/2
+		// ln occ(λ·e^δ) ≈ ln occ + δ·elast/occ = 0
+		if t := lam * math.Exp(-occ*math.Log(occ)/elast) * scaleGrid; t > float64(lo) && t < float64(hi) {
+			if k = int64(t); k == lo {
+				k++
+			}
+		}
+		lam = float64(k) / scaleGrid
+		if occ, elast = d.occupancyAt(tick, lam); occ > 1 {
+			hi = k
+		} else {
+			lo, occLo = k, occ
+		}
+	}
+	b := int64(0)
+	for step := int64(scaleGrid / 2); step > 0; step /= 2 {
+		m := b + step
+		if m >= hi {
+			continue
+		}
+		if m > lo {
+			o, _ := d.occupancyAt(tick, float64(m)/scaleGrid)
+			if o > 1 {
+				hi = m
+				continue
+			}
+			lo, occLo = m, o
+		}
+		b = m
+	}
+	// The walk ends on b = lo: b never passes lo, and it stops below a
+	// point decided > 1, which is at or past hi = lo + 1.
+	return float64(b) / scaleGrid, occLo
+}
+
+// occupancyAt returns Σ EffInv(K_i, λ·want_i/Capacity) over the residents
+// and the sum of the terms' elasticities in λ.
+func (d *Device) occupancyAt(tick []tickScratch, lam float64) (occ, elast float64) {
+	for i, r := range d.residents {
+		o, e := r.cv.inv(lam * tick[i].want / d.Capacity)
+		occ += o
+		elast += e
+	}
+	return occ, elast
 }

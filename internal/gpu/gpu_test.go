@@ -143,7 +143,7 @@ func TestDeviceDetachIdempotent(t *testing.T) {
 func TestSoloExecutionFullGrant(t *testing.T) {
 	d := NewDevice("g0")
 	r, _ := d.Attach("a", 100)
-	r.SatK = 10 // nearly linear
+	r.SetSatK(10) // nearly linear
 	r.AddWork(3 * d.Capacity)
 	r.SetGrant(d.Capacity)
 	d.ExecuteTick()
@@ -163,7 +163,7 @@ func TestSoloExecutionFullGrant(t *testing.T) {
 func TestExecutionLimitedByGrant(t *testing.T) {
 	d := NewDevice("g0")
 	r, _ := d.Attach("a", 100)
-	r.SatK = 1e6 // linear
+	r.SetSatK(1e6) // linear
 	r.AddWork(d.Capacity)
 	r.SetGrant(0.3 * d.Capacity)
 	d.ExecuteTick()
@@ -177,9 +177,9 @@ func TestSaturatedInstanceLeavesRoom(t *testing.T) {
 	// leaving SMs for a collocated one — the basis of profitable collocation.
 	d := NewDevice("g0")
 	a, _ := d.Attach("a", 100)
-	a.SatK = KneeForEff(0.2, 0.95) // saturates at 20% SMs
+	a.SetSatK(KneeForEff(0.2, 0.95)) // saturates at 20% SMs
 	b, _ := d.Attach("b", 100)
-	b.SatK = KneeForEff(0.2, 0.95)
+	b.SetSatK(KneeForEff(0.2, 0.95))
 	a.AddWork(10 * d.Capacity)
 	b.AddWork(10 * d.Capacity)
 	a.SetGrant(d.Capacity)
@@ -196,9 +196,9 @@ func TestContentionScalesDown(t *testing.T) {
 	// share: each gets ~half, and total occupancy caps at 1.
 	d := NewDevice("g0")
 	a, _ := d.Attach("a", 100)
-	a.SatK = 1e6
+	a.SetSatK(1e6)
 	b, _ := d.Attach("b", 100)
-	b.SatK = 1e6
+	b.SetSatK(1e6)
 	a.AddWork(10 * d.Capacity)
 	b.AddWork(10 * d.Capacity)
 	a.SetGrant(d.Capacity)
@@ -215,7 +215,7 @@ func TestContentionScalesDown(t *testing.T) {
 func TestExecutionBoundedByPending(t *testing.T) {
 	d := NewDevice("g0")
 	r, _ := d.Attach("a", 100)
-	r.SatK = 1e6
+	r.SetSatK(1e6)
 	r.AddWork(100)
 	r.SetGrant(d.Capacity)
 	d.ExecuteTick()
@@ -227,7 +227,7 @@ func TestExecutionBoundedByPending(t *testing.T) {
 func TestTotalsAccumulate(t *testing.T) {
 	d := NewDevice("g0")
 	r, _ := d.Attach("a", 100)
-	r.SatK = 1e6
+	r.SetSatK(1e6)
 	for i := 0; i < 5; i++ {
 		r.AddWork(100)
 		r.SetGrant(d.Capacity)
@@ -264,7 +264,7 @@ func TestDeviceCapacityInvariant(t *testing.T) {
 				return true
 			}
 			knee := 0.05 + float64(c.Knee%90)/100.0
-			r.SatK = KneeForEff(knee, 0.95)
+			r.SetSatK(KneeForEff(knee, 0.95))
 			r.AddWork(float64(c.Work))
 			r.SetGrant(float64(c.Grant))
 		}
@@ -281,7 +281,7 @@ func TestWorkConservationProperty(t *testing.T) {
 	f := func(work, grant uint16) bool {
 		d := NewDevice("g")
 		r, _ := d.Attach("a", 1)
-		r.SatK = 0.5
+		r.SetSatK(0.5)
 		r.AddWork(float64(work))
 		r.SetGrant(float64(grant))
 		d.ExecuteTick()

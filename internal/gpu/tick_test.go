@@ -1,0 +1,173 @@
+package gpu
+
+import (
+	"math"
+	"testing"
+)
+
+// tickMix attaches one resident per K, each with unbounded demand and a
+// grant of the given share of Capacity, and returns the device.
+func tickMix(slow, grant float64, ks ...float64) *Device {
+	d := NewDevice("g")
+	d.SetSlowdown(slow)
+	for _, k := range ks {
+		r, _ := d.Attach("r", 1)
+		r.SetSatK(k)
+		r.AddWork(1e18)
+		r.SetGrant(grant * d.Capacity)
+	}
+	return d
+}
+
+// SetSatK between two ticks must change the next tick's execution to
+// exactly what a resident that always had the new K executes: a curve
+// cached from the old K would not.
+func TestSetSatKTakesEffectNextTick(t *testing.T) {
+	const k1, k2 = 0.08, 2.0
+	d := NewDevice("g")
+	r, _ := d.Attach("a", 1)
+	r.SetSatK(k1)
+	r.AddWork(1e9)
+	r.SetGrant(0.4 * d.Capacity)
+	d.ExecuteTick()
+	before := r.ExecutedLast()
+
+	r.SetSatK(k2)
+	if r.SatK() != k2 {
+		t.Fatalf("SatK() = %v after SetSatK(%v)", r.SatK(), k2)
+	}
+	d.ExecuteTick()
+
+	fresh := NewDevice("g")
+	f, _ := fresh.Attach("a", 1)
+	f.SetSatK(k2)
+	f.AddWork(1e9)
+	f.SetGrant(0.4 * fresh.Capacity)
+	fresh.ExecuteTick()
+
+	if r.ExecutedLast() == before {
+		t.Fatalf("executed %v blocks under K=%v and K=%v alike", before, k1, k2)
+	}
+	if math.Float64bits(r.ExecutedLast()) != math.Float64bits(f.ExecutedLast()) {
+		t.Fatalf("after SetSatK(%v): executed %v, want %v", k2, r.ExecutedLast(), f.ExecutedLast())
+	}
+}
+
+// A contended tick reuses the previous tick's scale only while its
+// inputs repeat. One device goes through a repeat and then each kind of
+// input change; after every step all outputs must equal the reference
+// tick's (runRefTick) for the device's state at that step.
+func TestContendedTickFollowsInputs(t *testing.T) {
+	const work = 0.8 * DefaultCapacityPerTick // demand-bound, so wants repeat
+	// The last resident has Attach's default K = 1, so the one that
+	// replaces it below is indistinguishable from it.
+	d := tickMix(0, 1, KneeForEff(0.6, 0.95), KneeForEff(0.8, 0.95), 1)
+	refill := func(d *Device) {
+		for _, r := range d.Residents() {
+			r.ClearWork()
+			r.AddWork(work)
+		}
+	}
+	steps := []struct {
+		name   string
+		change func(d *Device)
+	}{
+		{"first", refill},
+		{"repeat", refill},
+		{"SetSatK", func(d *Device) { refill(d); d.Residents()[1].SetSatK(5) }},
+		{"Detach", func(d *Device) { refill(d); d.Detach(d.Residents()[2]) }},
+		{"Attach", func(d *Device) {
+			refill(d)
+			r, _ := d.Attach("new", 1)
+			r.AddWork(work)
+			r.SetGrant(d.Capacity)
+		}},
+		{"Capacity", func(d *Device) { refill(d); d.Capacity *= 1.25 }},
+		{"demand", func(d *Device) {
+			refill(d)
+			d.Residents()[0].ClearWork()
+			d.Residents()[0].AddWork(0.7 * work)
+		}},
+	}
+	for _, st := range steps {
+		st.change(d)
+		var ks, pending, grants []float64
+		for _, r := range d.Residents() {
+			ks = append(ks, r.SatK())
+			pending = append(pending, r.Pending())
+			grants = append(grants, r.Grant())
+		}
+		ref := runRefTick(d.Capacity, d.slow, ks, pending, grants)
+		if ref.occ1 <= 1 {
+			t.Fatalf("%s: not contended", st.name)
+		}
+		d.ExecuteTick()
+		for i, r := range d.Residents() {
+			if math.Float64bits(r.ExecutedLast()) != math.Float64bits(ref.executed[i]) {
+				t.Fatalf("%s: resident %d executed %v, reference %v", st.name, i, r.ExecutedLast(), ref.executed[i])
+			}
+		}
+		if math.Float64bits(d.LastOccupancy()) != math.Float64bits(ref.occ) {
+			t.Fatalf("%s: occupancy %v, reference %v", st.name, d.LastOccupancy(), ref.occ)
+		}
+	}
+}
+
+// A contended tick runs on the device's reused scratch: no allocation.
+// The first resident's grant alternates, so every tick solves afresh.
+func TestExecuteTickAllocatesNothing(t *testing.T) {
+	d := tickMix(0, 1, KneeForEff(0.6, 0.95), KneeForEff(0.8, 0.95), LinearK)
+	r0 := d.Residents()[0]
+	grants := [2]float64{d.Capacity, 0.9 * d.Capacity}
+	i := 0
+	tick := func() {
+		r0.SetGrant(grants[i&1])
+		i++
+		d.ExecuteTick()
+	}
+	for range grants {
+		if tick(); d.LastOccupancy() < 0.99 {
+			t.Fatalf("grant %v: not contended, occupancy %v", r0.Grant(), d.LastOccupancy())
+		}
+	}
+	if n := testing.AllocsPerRun(100, tick); n != 0 {
+		t.Fatalf("contended ExecuteTick allocates %v times", n)
+	}
+}
+
+// BenchmarkExecuteTick times one execution round: a lone resident, two
+// and four contending ones, and a contended straggler. The first
+// resident's grant alternates between two values, so every tick
+// evaluates its curve and solves the contention afresh; the others
+// repeat, as most residents do from one tick to the next.
+func BenchmarkExecuteTick(b *testing.B) {
+	cases := []struct {
+		name string
+		d    *Device
+	}{
+		{"solo", tickMix(0, 0.6, KneeForEff(0.5, 0.95))},
+		{"contended2", tickMix(0, 1, KneeForEff(0.6, 0.95), KneeForEff(0.8, 0.95))},
+		{"contended4", tickMix(0, 1, KneeForEff(0.3, 0.95), KneeForEff(0.5, 0.95), KneeForEff(0.7, 0.95), LinearK)},
+		{"straggler", tickMix(1.25, 1, KneeForEff(0.6, 0.95), KneeForEff(0.8, 0.95), LinearK)},
+	}
+	for _, c := range cases {
+		b.Run(c.name, func(b *testing.B) {
+			c.d.ExecuteTick()
+			// Uncontended, every resident runs its full grant.
+			var full float64
+			for _, r := range c.d.Residents() {
+				full += c.d.Capacity * Eff(r.SatK(), r.Grant()/c.d.Capacity) / c.d.Slowdown()
+			}
+			if contended := c.d.LastExecuted() < full; contended != (c.name != "solo") {
+				b.Fatalf("executed %v of %v: contention is not what the case name says", c.d.LastExecuted(), full)
+			}
+			r0 := c.d.Residents()[0]
+			grants := [2]float64{r0.Grant(), 0.9 * r0.Grant()}
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				r0.SetGrant(grants[i&1])
+				c.d.ExecuteTick()
+			}
+		})
+	}
+}

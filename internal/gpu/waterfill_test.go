@@ -12,7 +12,8 @@ func TestWaterfillProportionalFairness(t *testing.T) {
 	d := NewDevice("g")
 	a, _ := d.Attach("a", 1)
 	b, _ := d.Attach("b", 1)
-	a.SatK, b.SatK = LinearK, LinearK
+	a.SetSatK(LinearK)
+	b.SetSatK(LinearK)
 	a.AddWork(10 * d.Capacity)
 	b.AddWork(10 * d.Capacity)
 	a.SetGrant(0.8 * d.Capacity)
@@ -34,7 +35,8 @@ func TestWaterfillSparesUncontendedTick(t *testing.T) {
 	d := NewDevice("g")
 	a, _ := d.Attach("a", 1)
 	b, _ := d.Attach("b", 1)
-	a.SatK, b.SatK = LinearK, LinearK
+	a.SetSatK(LinearK)
+	b.SetSatK(LinearK)
 	a.AddWork(0.3 * d.Capacity)
 	b.AddWork(0.3 * d.Capacity)
 	a.SetGrant(0.5 * d.Capacity)
@@ -50,7 +52,7 @@ func TestWaterfillSparesUncontendedTick(t *testing.T) {
 func TestCompletionFractionBounds(t *testing.T) {
 	d := NewDevice("g")
 	r, _ := d.Attach("a", 1)
-	r.SatK = LinearK
+	r.SetSatK(LinearK)
 	r.AddWork(0.25 * d.Capacity)
 	r.SetGrant(d.Capacity)
 	d.ExecuteTick()
@@ -76,7 +78,7 @@ func TestExecutedMonotoneInGrantProperty(t *testing.T) {
 		run := func(grant float64) float64 {
 			d := NewDevice("g")
 			r, _ := d.Attach("a", 1)
-			r.SatK = KneeForEff(0.05+float64(knee%90)/100, 0.95)
+			r.SetSatK(KneeForEff(0.05+float64(knee%90)/100, 0.95))
 			r.AddWork(1e9)
 			r.SetGrant(grant)
 			d.ExecuteTick()
@@ -97,7 +99,8 @@ func TestContentionSymmetryProperty(t *testing.T) {
 		a, _ := d.Attach("a", 1)
 		b, _ := d.Attach("b", 1)
 		k := KneeForEff(0.1+float64(knee%80)/100, 0.95)
-		a.SatK, b.SatK = k, k
+		a.SetSatK(k)
+		b.SetSatK(k)
 		a.AddWork(1e9)
 		b.AddWork(1e9)
 		a.SetGrant(d.Capacity)

@@ -104,10 +104,12 @@ type Config struct {
 	Suite string
 	// Parallel is the worker count; <= 0 means GOMAXPROCS.
 	Parallel int
-	// Timeout bounds each job's wall time; 0 disables. A timed-out job's
-	// goroutine cannot be killed (drivers are not cancellable) — it is
-	// abandoned and its eventual result discarded, so a pathological
-	// hang costs one oversubscribed slot, not the suite.
+	// Timeout bounds each job's wall time; 0 disables. A timed-out job is
+	// recorded at once and its meter stopped, so every engine the job
+	// runs returns at its next tick boundary and the job's goroutine
+	// winds down on its own; its eventual result is discarded. Work
+	// outside an engine's Run (setup, summaries, engine-free replays)
+	// is not interrupted.
 	Timeout time.Duration
 	// FailFast stops dispatching new jobs after the first failure or
 	// timeout; undispatched jobs are recorded as skipped.
@@ -253,6 +255,7 @@ func runOne(job Job, timeout time.Duration) Result {
 		select {
 		case p = <-ch:
 		case <-time.After(timeout):
+			meter.Stop()
 			// Keep the error wall-clock-free: it lands in the manifest's
 			// Error field, whose bytes must be reproducible.
 			return Result{

@@ -1,7 +1,9 @@
 package harness
 
 import (
+	"encoding/json"
 	"fmt"
+	"runtime"
 	"sync"
 	"testing"
 	"time"
@@ -112,6 +114,69 @@ func TestTimeoutMarksRunAndSuiteContinues(t *testing.T) {
 	}
 	if out.Manifest.Totals.Timeout != 1 || out.Manifest.Totals.OK != 1 {
 		t.Fatalf("totals %+v", out.Manifest.Totals)
+	}
+}
+
+// engineJob runs one engine on the job's meter to the horizon, with a
+// ticker counting the ticks it fires.
+func engineJob(id string, horizon sim.Time) Job {
+	return Job{
+		Driver: id, Paper: "fake", Tier: experiments.TierQuick, Seed: 1, Scale: 1,
+		Run: func(m *sim.Meter) *report.Report {
+			eng := sim.NewEngine()
+			eng.SetMeter(m)
+			ticks := 0
+			eng.AddTicker(sim.TickerFunc(func(sim.Time) { ticks++ }))
+			eng.Run(horizon)
+			rep := report.New(id, "engine "+id)
+			rep.AddTable(report.NewTable("t", "ticks")).AddRow(fmt.Sprint(ticks))
+			return rep
+		},
+	}
+}
+
+// A timed-out job's engine stops at its next tick boundary, so the job's
+// goroutine exits instead of simulating on unobserved, and the other
+// jobs' records are what they are without it.
+func TestTimeoutStopsEngines(t *testing.T) {
+	before := runtime.NumGoroutine()
+	short := []Job{engineJob("a", 10*sim.Second), engineJob("c", 20*sim.Second)}
+	// Ten thousand simulated hours: minutes of host time if not stopped.
+	long := engineJob("long", 10_000*sim.Hour)
+	returned := make(chan struct{})
+	run := long.Run
+	long.Run = func(m *sim.Meter) *report.Report {
+		defer close(returned)
+		return run(m)
+	}
+	jobs := []Job{short[0], long, short[1]}
+	out := Run(Config{Suite: "s", Parallel: 1, Timeout: 50 * time.Millisecond}, jobs)
+	if got := out.Results[1].Status; got != report.RunTimeout {
+		t.Fatalf("long job status = %s, want timeout", got)
+	}
+
+	const grace = 5 * time.Second
+	select {
+	case <-returned:
+	case <-time.After(grace):
+		t.Fatalf("the timed-out job still runs %v after the suite", grace)
+	}
+	deadline := time.Now().Add(grace)
+	for runtime.NumGoroutine() > before {
+		if time.Now().After(deadline) {
+			t.Fatalf("%d goroutines %v after the job returned, %d before the suite",
+				runtime.NumGoroutine(), grace, before)
+		}
+		time.Sleep(5 * time.Millisecond)
+	}
+
+	alone := Run(Config{Suite: "s", Parallel: 1}, short)
+	for _, j := range short {
+		want, _ := json.Marshal(alone.Manifest.Find(j.Key()))
+		got, _ := json.Marshal(out.Manifest.Find(j.Key()))
+		if string(got) != string(want) {
+			t.Fatalf("%s record beside the timed-out job:\n%s\nalone:\n%s", j.Driver, got, want)
+		}
 	}
 }
 

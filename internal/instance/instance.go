@@ -144,6 +144,32 @@ type Inference struct {
 	// default) records everything, byte-identically to the pre-hook
 	// path.
 	onComplete func(req Request, done sim.Time) bool
+
+	satK satKMemo
+}
+
+// satKMemo caches Spec.InferSatK per batch size for one instance, filled
+// on each size's first use, so batch formation does not re-run
+// KneeForEff's bisection. Sizes past the table (batches grow to
+// 2·MaxIBS at most) fall back to a direct call.
+type satKMemo struct {
+	k   [2 * model.MaxIBS]float64 // k[n-1] = InferSatK(n)
+	set uint64                    // bit n-1: k[n-1] is filled
+}
+
+// get returns spec.InferSatK(n), which treats n < 1 as 1.
+func (m *satKMemo) get(spec *model.Spec, n int) float64 {
+	if n < 1 {
+		n = 1
+	}
+	if n > len(m.k) {
+		return spec.InferSatK(n)
+	}
+	if bit := uint64(1) << (n - 1); m.set&bit == 0 {
+		m.k[n-1] = spec.InferSatK(n)
+		m.set |= bit
+	}
+	return m.k[n-1]
 }
 
 // NewInference builds an inference instance. Stages must be non-empty;
@@ -222,9 +248,9 @@ func (in *Inference) Load() int { return len(in.queue) + len(in.batch) }
 func (in *Inference) Served() int64 { return in.served }
 
 func (in *Inference) applySaturation(ibs int) {
-	k := in.Spec.InferSatK(ibs)
+	k := in.satK.get(in.Spec, ibs)
 	for _, st := range in.Stages {
-		st.Res.SatK = k
+		st.Res.SetSatK(k)
 	}
 }
 
@@ -457,7 +483,7 @@ func NewTraining(id, fn string, spec *model.Spec, workers []Stage) *Training {
 		Pipeline: spec.TrainStages > 1}
 	k := spec.TrainSatK()
 	for _, w := range workers {
-		w.Res.SatK = k
+		w.Res.SetSatK(k)
 	}
 	return tr
 }
@@ -586,7 +612,7 @@ func (tr *Training) Preempt(workers []Stage) {
 	}
 	k := tr.Spec.TrainSatK()
 	for _, w := range workers {
-		w.Res.SatK = k
+		w.Res.SetSatK(k)
 	}
 	tr.Workers = workers
 	tr.phase = TrainCompute
@@ -607,7 +633,7 @@ func (tr *Training) TryAddWorker(st Stage) bool {
 	if tr.finished || !tr.AtBoundary() {
 		return false
 	}
-	st.Res.SatK = tr.Spec.TrainSatK()
+	st.Res.SetSatK(tr.Spec.TrainSatK())
 	tr.Workers = append(tr.Workers, st)
 	return true
 }

@@ -73,6 +73,8 @@ type LLM struct {
 	// onPreempt hands a cache-full-preempted sequence's request back to
 	// the serving plane for redispatch, original Arrive stamp intact.
 	onPreempt func(req Request)
+
+	satK satKMemo
 }
 
 // NewLLM builds a token-level serving instance. Stages must be
@@ -170,9 +172,9 @@ func (in *LLM) applySaturation(n int) {
 	if n > model.MaxIBS {
 		n = model.MaxIBS
 	}
-	k := in.Spec.InferSatK(n)
+	k := in.satK.get(in.Spec, n)
 	for _, st := range in.Stages {
-		st.Res.SatK = k
+		st.Res.SetSatK(k)
 	}
 }
 

@@ -41,11 +41,11 @@ func TestNoPressureHoldAblation(t *testing.T) {
 	cfg.NoPressureHold = true
 	m := NewManager(dev, Dilu{}, cfg)
 	res, _ := dev.Attach("inf", 10)
-	res.SatK = 1e6
+	res.SetSatK(1e6)
 	c := &Client{ID: "inf", Res: res, SLOSensitive: true, Request: 0.3, Limit: 0.6}
 	m.Register(c)
 	tr, _ := dev.Attach("t", 10)
-	tr.SatK = 1e6
+	tr.SetSatK(1e6)
 	ct := &Client{ID: "t", Res: tr, Request: 0.4, Limit: 0.8}
 	m.Register(ct)
 	res.AddWork(1e9)
@@ -65,11 +65,11 @@ func TestNoAntiWindupAblationFreezesRLast(t *testing.T) {
 	cfg.NoHysteresis = true
 	m := NewManager(dev, Dilu{}, cfg)
 	res, _ := dev.Attach("inf", 10)
-	res.SatK = 1e6
+	res.SetSatK(1e6)
 	inf := &Client{ID: "inf", Res: res, SLOSensitive: true, Request: 0.3, Limit: 0.6}
 	m.Register(inf)
 	tr, _ := dev.Attach("t", 10)
-	tr.SatK = 1e6
+	tr.SetSatK(1e6)
 	train := &Client{ID: "t", Res: tr, Request: 0.4, Limit: 0.8}
 	m.Register(train)
 	res.AddWork(1e9)

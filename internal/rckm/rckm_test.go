@@ -21,7 +21,7 @@ func addClient(t *testing.T, dev *gpu.Device, m *Manager, id string, slo bool, r
 	if err != nil {
 		t.Fatal(err)
 	}
-	res.SatK = 1e6 // linear unless a test overrides
+	res.SetSatK(1e6) // linear unless a test overrides
 	c := &Client{ID: id, Res: res, SLOSensitive: slo, Request: req, Limit: lim}
 	m.Register(c)
 	return c
@@ -315,7 +315,8 @@ func TestDiluIssueBoundsProperty(t *testing.T) {
 		b := &Client{ID: "b", Request: 0.4, Limit: 0.8}
 		resA, _ := dev.Attach("a", 10)
 		resB, _ := dev.Attach("b", 10)
-		resA.SatK, resB.SatK = 1e6, 1e6
+		resA.SetSatK(1e6)
+		resB.SetSatK(1e6)
 		a.Res, b.Res = resA, resB
 		m.Register(a)
 		m.Register(b)

@@ -422,10 +422,12 @@ func (e *Engine) popDue(bound Time) (event, bool) {
 // with nothing to do are skipped wholesale (idle fast-forward): virtual
 // time jumps to the next event — or the horizon — and the tick phase is
 // realigned onto the same 5 ms lattice it would have reached by stepping.
+// Run returns early, at a tick boundary, once the engine's meter is
+// stopped (see Meter.Stop).
 func (e *Engine) Run(until Time) {
 	start := e.now
 	ticks := int64(0)
-	for e.now < until {
+	for e.now < until && !e.meter.Stopped() {
 		if e.activeTickers == 0 {
 			// No ticker can observe the skipped boundaries. Jump the
 			// tick lattice forward to the first boundary at or after the

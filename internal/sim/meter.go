@@ -10,12 +10,23 @@ import "sync/atomic"
 //
 // A Meter never influences simulation behaviour — it only observes — so
 // metered and unmetered runs of the same scenario produce identical
-// results.
+// results. The one exception is Stop, which abandons a run: once it is
+// called, attached engines' Run returns at the next tick boundary.
 type Meter struct {
 	virtual atomic.Int64 // virtual µs advanced by Engine.Run
 	engines atomic.Int64 // engines attached via SetMeter
 	ticks   atomic.Int64 // fixed ticks fired
+	stopped atomic.Bool
 }
+
+// Stop asks every engine attached to the meter to stop: Run returns at
+// its next tick boundary, and later calls return at once. The harness
+// calls it on a run that outlived its timeout, whose results are
+// discarded. Safe from any goroutine.
+func (m *Meter) Stop() { m.stopped.Store(true) }
+
+// Stopped reports whether Stop was called. Safe on a nil meter.
+func (m *Meter) Stopped() bool { return m != nil && m.stopped.Load() }
 
 // Virtual returns the total virtual time advanced by all attached engines.
 func (m *Meter) Virtual() Duration { return Duration(m.virtual.Load()) }
