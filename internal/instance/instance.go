@@ -1,8 +1,14 @@
 // Package instance implements the serving-plane runtimes of Dilu's DL
-// functions: batched inference servers (including generative LLM servers
-// with prefill/decode structure and pipeline sharding over GPU
-// fragments), and DDP / pipeline-parallel training jobs with their
-// gradient-sync idle phases.
+// functions. One serving core owns what every request-serving instance
+// shares: the local queue, the GPU step split evenly over its stages
+// (pipeline shards on GPU fragments), KLC reporting, the completion path
+// and the steal/abort/teardown plumbing of the Server interface. Two
+// runtimes embed it and differ only in batch formation: Inference runs
+// fixed batches (generative ones as a prefill step plus one step per
+// output token), LLM batches continuously at token level with
+// per-sequence KV-cache accounting. Training runs DDP and
+// pipeline-parallel jobs with their gradient-sync idle phases, on the
+// same stage-drain and completion-time rule.
 //
 // Instances interact with the substrate through two hooks called by the
 // simulation world every 5 ms tick, around the RCKM token cycle and GPU
@@ -87,89 +93,18 @@ type Ticker interface {
 	Busy() bool
 }
 
-// Server is the request-serving surface the dispatch plane programs
-// against: the fixed-batch Inference runtime and the token-level LLM
-// runtime both implement it, so placement, load balancing, resilience
-// steals, and teardown are runtime-agnostic.
-type Server interface {
-	Ticker
-	InstID() string
-	SetActive(active bool)
-	Active() bool
-	Enqueue(req Request)
-	QueueLen() int
-	InFlight() int
-	Load() int
-	Served() int64
-	SetOnComplete(fn func(req Request, done sim.Time) bool)
-	StealQueued(id int64) (Request, bool)
-	HasRequest(id int64) bool
-	DropQueue() []Request
-	Abort() []Request
-	Idle() bool
-}
-
 // ---------------------------------------------------------------------------
 // Inference.
 
 // Inference is a batched inference server for one function instance.
 type Inference struct {
-	ID   string
-	Func string
-	Spec *model.Spec
-	IBS  int
-
-	Stages []Stage
-	Rec    *metrics.LatencyRecorder
-
-	active bool
-	queue  []Request
+	server
+	IBS int
 
 	// In-flight batch.
 	batch      []Request
 	steps      int // remaining execution steps (1 for discriminative; 1+tokens for generative)
 	totalSteps int
-	stepWork   float64 // per-stage work of the current step
-	stepStart  sim.Time
-	batchStart sim.Time
-
-	served        int64
-	busySince     sim.Time
-	lastServedAt  sim.Time
-	stepsObserved int64
-
-	// onComplete, when set, intercepts each batch completion before the
-	// latency sample is recorded. Returning false discards the
-	// completion unrecorded — a hedge copy that lost its race. Nil (the
-	// default) records everything, byte-identically to the pre-hook
-	// path.
-	onComplete func(req Request, done sim.Time) bool
-
-	satK satKMemo
-}
-
-// satKMemo caches Spec.InferSatK per batch size for one instance, filled
-// on each size's first use, so batch formation does not re-run
-// KneeForEff's bisection. Sizes past the table (batches grow to
-// 2·MaxIBS at most) fall back to a direct call.
-type satKMemo struct {
-	k   [2 * model.MaxIBS]float64 // k[n-1] = InferSatK(n)
-	set uint64                    // bit n-1: k[n-1] is filled
-}
-
-// get returns spec.InferSatK(n), which treats n < 1 as 1.
-func (m *satKMemo) get(spec *model.Spec, n int) float64 {
-	if n < 1 {
-		n = 1
-	}
-	if n > len(m.k) {
-		return spec.InferSatK(n)
-	}
-	if bit := uint64(1) << (n - 1); m.set&bit == 0 {
-		m.k[n-1] = spec.InferSatK(n)
-		m.set |= bit
-	}
-	return m.k[n-1]
 }
 
 // NewInference builds an inference instance. Stages must be non-empty;
@@ -181,32 +116,9 @@ func NewInference(id, fn string, spec *model.Spec, ibs int, stages []Stage, rec 
 	if ibs < 1 {
 		ibs = 1
 	}
-	inst := &Inference{ID: id, Func: fn, Spec: spec, IBS: ibs, Stages: stages, Rec: rec}
+	inst := &Inference{server: server{ID: id, Func: fn, Spec: spec, Stages: stages, Rec: rec}, IBS: ibs}
 	inst.applySaturation(1)
 	return inst
-}
-
-// InstID returns the instance identifier (Server interface; ID stays a
-// field for struct-literal construction in tests).
-func (in *Inference) InstID() string { return in.ID }
-
-// SetOnComplete installs the resilience layer's completion hook. The
-// hook sees every finishing request; returning false suppresses the
-// latency sample and the served count for that copy.
-func (in *Inference) SetOnComplete(fn func(req Request, done sim.Time) bool) { in.onComplete = fn }
-
-// StealQueued removes and returns the queued (not yet executing) copy
-// of request id, if present. The resilience layer uses it to pull a
-// timed-out request off a straggling instance's queue for retry
-// elsewhere, and to cancel hedge losers that never started executing.
-func (in *Inference) StealQueued(id int64) (Request, bool) {
-	for i, req := range in.queue {
-		if req.ID == id {
-			in.queue = append(in.queue[:i], in.queue[i+1:]...)
-			return req, true
-		}
-	}
-	return Request{}, false
 }
 
 // HasRequest reports whether a copy of request id is held by this
@@ -217,25 +129,8 @@ func (in *Inference) HasRequest(id int64) bool {
 			return true
 		}
 	}
-	for _, req := range in.queue {
-		if req.ID == id {
-			return true
-		}
-	}
-	return false
+	return in.queued(id)
 }
-
-// SetActive marks the instance ready to serve (cold start complete).
-func (in *Inference) SetActive(active bool) { in.active = active }
-
-// Active reports whether the instance serves requests.
-func (in *Inference) Active() bool { return in.active }
-
-// Enqueue hands a request to the instance's local queue.
-func (in *Inference) Enqueue(req Request) { in.queue = append(in.queue, req) }
-
-// QueueLen returns queued (not yet executing) requests.
-func (in *Inference) QueueLen() int { return len(in.queue) }
 
 // InFlight returns the size of the executing batch.
 func (in *Inference) InFlight() int { return len(in.batch) }
@@ -244,16 +139,6 @@ func (in *Inference) InFlight() int { return len(in.batch) }
 // by the least-loaded balancer.
 func (in *Inference) Load() int { return len(in.queue) + len(in.batch) }
 
-// Served returns the number of completed requests.
-func (in *Inference) Served() int64 { return in.served }
-
-func (in *Inference) applySaturation(ibs int) {
-	k := in.satK.get(in.Spec, ibs)
-	for _, st := range in.Stages {
-		st.Res.SetSatK(k)
-	}
-}
-
 // PreTick forms a batch from the queue when the previous one finished.
 // Under queue pressure the batch grows past the profiled IBS (adaptive
 // batching à la BATCH/INFless) up to twice the profiled size — the burst
@@ -261,11 +146,7 @@ func (in *Inference) applySaturation(ibs int) {
 func (in *Inference) PreTick(now sim.Time) {
 	if !in.active || in.steps > 0 || len(in.queue) == 0 {
 		if len(in.queue) <= 2*in.IBS {
-			for _, st := range in.Stages {
-				if st.Client != nil {
-					st.Client.SetPressured(false)
-				}
-			}
+			in.setPressured(false)
 		}
 		return
 	}
@@ -277,23 +158,18 @@ func (in *Inference) PreTick(now sim.Time) {
 			maxBatch = model.MaxIBS
 		}
 	}
-	for _, st := range in.Stages {
-		if st.Client != nil {
-			st.Client.SetPressured(pressured)
-		}
-	}
+	in.setPressured(pressured)
 	n := len(in.queue)
 	if n > maxBatch {
 		n = maxBatch
 	}
 	in.batch = append(in.batch[:0], in.queue[:n]...)
 	in.queue = in.queue[n:]
-	in.batchStart = now
 	in.applySaturation(n)
 	if in.Spec.Generative {
 		in.totalSteps = 1 + in.Spec.AvgOutTokens
 		in.steps = in.totalSteps
-		in.startStep(now, in.prefillWork(n))
+		in.startStep(now, in.Spec.PrefillWork*(1+in.Spec.InferPerItem*float64(n-1)))
 	} else {
 		in.totalSteps = 1
 		in.steps = 1
@@ -301,102 +177,33 @@ func (in *Inference) PreTick(now sim.Time) {
 	}
 }
 
-func (in *Inference) prefillWork(ibs int) float64 {
-	return in.Spec.PrefillWork * (1 + in.Spec.InferPerItem*float64(ibs-1))
-}
-
-func (in *Inference) startStep(now sim.Time, work float64) {
-	in.stepStart = now
-	in.stepWork = work / float64(len(in.Stages))
-	for _, st := range in.Stages {
-		st.Res.AddWork(in.stepWork)
-	}
-}
-
-func (in *Inference) stepDone() bool {
-	for _, st := range in.Stages {
-		if st.Res.Pending() > 0 {
-			return false
-		}
-	}
-	return true
-}
-
-// completionTime interpolates when the slowest stage drained. A tick
-// labelled T covers the execution interval [T, T+period): work enqueued
-// in PreTick(T) runs during that interval, so a drain at fraction f is
-// stamped T + f·period (never earlier than the enqueue).
-func (in *Inference) completionTime(now sim.Time) sim.Time {
-	frac := 0.0
-	for _, st := range in.Stages {
-		if f := st.Res.CompletionFraction(); f > frac {
-			frac = f
-		}
-	}
-	return now + sim.Duration(frac*float64(sim.TickPeriod))
-}
-
 // PostTick advances steps and completes batches.
 func (in *Inference) PostTick(now sim.Time) {
-	if in.steps == 0 || !in.stepDone() {
+	if in.steps == 0 || !drained(in.Stages) {
 		return
 	}
-	done := in.completionTime(now)
-	klc := done - in.stepStart
-	// Prefill steps of generative batches are skipped for KLC tracking:
-	// the decode step is the TPOT-relevant iteration and mixing the two
-	// would poison the T_min floor.
-	prefill := in.Spec.Generative && in.steps == in.totalSteps && in.totalSteps > 1
-	if !prefill {
-		for _, st := range in.Stages {
-			if st.Client != nil {
-				st.Client.ObserveIteration(klc, in.stepWork)
-			}
-		}
-	}
-	in.stepsObserved++
+	// The first step of a multi-step generative batch is its prefill.
+	done := in.finishStep(now, in.Spec.Generative && in.steps == in.totalSteps && in.totalSteps > 1)
 	in.steps--
 	if in.steps > 0 {
 		in.startStep(now, in.Spec.DecodeStepWork(len(in.batch)))
 		return
 	}
-	// Batch complete: record latencies, attributing each sample's
-	// gateway wait (Dispatch − Arrive; positive only when the request
-	// queued for an instance) so SLO accounting can separate cold-start
-	// violations from execution-path ones.
-	for _, req := range in.batch {
-		if in.onComplete != nil && !in.onComplete(req, done) {
-			continue // duplicate copy: already served elsewhere
-		}
-		lat := done - req.Arrive
-		if in.Spec.Generative && in.Spec.AvgOutTokens > 0 {
-			lat = lat / sim.Duration(in.Spec.AvgOutTokens) // time per output token
-		}
-		if in.Rec != nil {
-			in.Rec.ObserveWaitStage(lat, req.Dispatch-req.Arrive, req.ColdStage)
-		}
-		in.served++
+	// Batch complete: generative latencies are per output token.
+	perTok := 1
+	if in.Spec.Generative && in.Spec.AvgOutTokens > 0 {
+		perTok = in.Spec.AvgOutTokens
 	}
-	in.lastServedAt = done
+	for _, req := range in.batch {
+		in.complete(req, done, perTok)
+	}
 	in.batch = in.batch[:0]
 	if len(in.queue) == 0 {
 		// The instance is about to leave the world's active set; perform
 		// the pressure-flag clearing its next (never-delivered) PreTick
 		// would have done, so RCKM never sees a stale backlog signal.
-		for _, st := range in.Stages {
-			if st.Client != nil {
-				st.Client.SetPressured(false)
-			}
-		}
+		in.setPressured(false)
 	}
-}
-
-// DropQueue fails queued requests back to the caller (instance teardown);
-// it returns them for re-dispatch.
-func (in *Inference) DropQueue() []Request {
-	q := in.queue
-	in.queue = nil
-	return q
 }
 
 // Abort cancels the in-flight batch and drops the queue — the forced
@@ -406,24 +213,12 @@ func (in *Inference) DropQueue() []Request {
 // its original Arrive stamp, so retried requests pay their lost work in
 // recorded latency. Execution state resets, leaving the instance idle.
 func (in *Inference) Abort() []Request {
-	reqs := make([]Request, 0, len(in.batch)+len(in.queue))
-	reqs = append(reqs, in.batch...)
-	reqs = append(reqs, in.queue...)
+	reqs := append(make([]Request, 0, in.Load()), in.batch...)
 	in.batch = in.batch[:0]
-	in.queue = nil
 	in.steps = 0
 	in.totalSteps = 0
-	in.stepWork = 0
-	for _, st := range in.Stages {
-		if st.Client != nil {
-			st.Client.SetPressured(false)
-		}
-	}
-	return reqs
+	return in.abort(reqs)
 }
-
-// Idle reports whether the instance has no queued or executing work.
-func (in *Inference) Idle() bool { return len(in.queue) == 0 && in.steps == 0 }
 
 // Busy implements Ticker: queued or in-flight work exists. Note this is
 // independent of Active — a descheduled instance still drains its
@@ -552,38 +347,18 @@ func (tr *Training) launchCompute(now sim.Time) {
 	}
 }
 
-func (tr *Training) computeDone() bool {
-	for _, w := range tr.Workers {
-		if w.Res.Pending() > 0 {
-			return false
-		}
-	}
-	return true
-}
-
 // PostTick detects compute completion (barrier across workers — the
 // barrel effect of Principle-1) and enters the sync phase.
 func (tr *Training) PostTick(now sim.Time) {
 	if !tr.active || tr.finished || tr.phase != TrainCompute || tr.iterStart == 0 {
 		return
 	}
-	if !tr.computeDone() {
+	if !drained(tr.Workers) {
 		return
 	}
-	// Tick T covers [T, T+period); see Inference.completionTime.
-	frac := 0.0
-	for _, w := range tr.Workers {
-		if f := w.Res.CompletionFraction(); f > frac {
-			frac = f
-		}
-	}
-	done := now + sim.Duration(frac*float64(sim.TickPeriod))
+	done := completionTime(tr.Workers, now)
 	klc := done - tr.iterStart
-	for _, w := range tr.Workers {
-		if w.Client != nil {
-			w.Client.ObserveIteration(klc, tr.Spec.TrainWork)
-		}
-	}
+	observe(tr.Workers, klc, tr.Spec.TrainWork)
 	tr.computeSum += klc
 	tr.iters++
 	if tr.Pipeline {

@@ -168,8 +168,10 @@ func TestGenerativeTPOT(t *testing.T) {
 	if got < want*0.8 || got > want*1.6 {
 		t.Fatalf("TPOT = %.1fms, want ~%.1fms", got, want)
 	}
-	if inf.stepsObserved != 33 { // 1 prefill + 32 decode steps
-		t.Fatalf("steps = %d, want 33", inf.stepsObserved)
+	// 1 prefill + 32 decode steps, and no more, executed on the stage.
+	steps := spec.PrefillWork + float64(spec.AvgOutTokens)*spec.DecodeStepWork(1)
+	if spec.AvgOutTokens != 32 || math.Abs(st.Res.TotalLaunched()-steps) > 1e-9*steps {
+		t.Fatalf("launched %v blocks, want prefill + 32 decode steps = %v", st.Res.TotalLaunched(), steps)
 	}
 }
 
@@ -329,18 +331,5 @@ func TestCollocatedTrainingUsesInferenceIdleSMs(t *testing.T) {
 	}
 	if inf.Served() != 5 {
 		t.Fatalf("inference served %d, want 5", inf.Served())
-	}
-}
-
-func TestDropQueue(t *testing.T) {
-	spec := model.ByName("BERT-base")
-	w := newWorld(rckm.Exclusive{})
-	st := w.addStage(t, "i0", true, spec.InferMemMB, 0.3, 0.6)
-	inf := NewInference("i0", "bert", spec, 4, []Stage{st}, nil)
-	inf.Enqueue(Request{ID: 1, Arrive: 0})
-	inf.Enqueue(Request{ID: 2, Arrive: 0})
-	dropped := inf.DropQueue()
-	if len(dropped) != 2 || inf.QueueLen() != 0 {
-		t.Fatalf("dropped %d, queue %d", len(dropped), inf.QueueLen())
 	}
 }

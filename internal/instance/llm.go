@@ -37,44 +37,29 @@ type llmSeq struct {
 	firstTok  sim.Time
 }
 
-// LLM is a token-level autoregressive serving instance. It implements
-// Server, so dispatch, resilience, and teardown treat it exactly like
-// the fixed-batch Inference runtime.
+// LLM is a token-level autoregressive serving instance. It embeds the
+// same serving core as the fixed-batch Inference runtime, so dispatch,
+// resilience, and teardown treat the two alike.
 type LLM struct {
-	ID   string
-	Func string
-	Spec *model.Spec
-	Cfg  LLMConfig
+	server
+	Cfg LLMConfig
+	Tok *metrics.TokenRecorder
 
-	Stages []Stage
-	Rec    *metrics.LatencyRecorder
-	Tok    *metrics.TokenRecorder
-
-	active bool
-	queue  []Request
 	seqs   []*llmSeq
-
-	inStep    bool
-	stepStart sim.Time
-	stepWork  float64 // per-stage work of the current step
+	inStep bool
 	// prefillStep marks the current step as carrying at least one
 	// prefill; its KLC is not a decode iteration and is skipped for
 	// RCKM's T_min floor, like Inference's prefill steps.
 	prefillStep bool
-
-	served int64
 
 	// lastRefusedID latches the queue head whose admission last failed
 	// on KV headroom, so a blocked head is counted once per request
 	// rather than once per 5 ms tick.
 	lastRefusedID int64
 
-	onComplete func(req Request, done sim.Time) bool
 	// onPreempt hands a cache-full-preempted sequence's request back to
 	// the serving plane for redispatch, original Arrive stamp intact.
 	onPreempt func(req Request)
-
-	satK satKMemo
 }
 
 // NewLLM builds a token-level serving instance. Stages must be
@@ -92,40 +77,19 @@ func NewLLM(id, fn string, spec *model.Spec, cfg LLMConfig, stages []Stage, rec 
 	if cfg.MaxBatch < 1 {
 		cfg.MaxBatch = 8
 	}
-	in := &LLM{ID: id, Func: fn, Spec: spec, Cfg: cfg, Stages: stages, Rec: rec, Tok: tok}
+	in := &LLM{server: server{ID: id, Func: fn, Spec: spec, Stages: stages, Rec: rec}, Cfg: cfg, Tok: tok}
 	in.applySaturation(1)
 	return in
 }
 
-// InstID returns the instance identifier (Server interface).
-func (in *LLM) InstID() string { return in.ID }
-
-// SetOnComplete installs the resilience layer's completion hook.
-func (in *LLM) SetOnComplete(fn func(req Request, done sim.Time) bool) { in.onComplete = fn }
-
 // SetOnPreempt installs the serving plane's cache-full preemption hook.
 func (in *LLM) SetOnPreempt(fn func(req Request)) { in.onPreempt = fn }
-
-// SetActive marks the instance ready to serve (cold start complete).
-func (in *LLM) SetActive(active bool) { in.active = active }
-
-// Active reports whether the instance serves requests.
-func (in *LLM) Active() bool { return in.active }
-
-// Enqueue hands a request to the instance's local queue.
-func (in *LLM) Enqueue(req Request) { in.queue = append(in.queue, req) }
-
-// QueueLen returns queued (not yet admitted) requests.
-func (in *LLM) QueueLen() int { return len(in.queue) }
 
 // InFlight returns the number of resident sequences.
 func (in *LLM) InFlight() int { return len(in.seqs) }
 
 // Load returns queued plus resident requests.
 func (in *LLM) Load() int { return len(in.queue) + len(in.seqs) }
-
-// Served returns the number of completed requests.
-func (in *LLM) Served() int64 { return in.served }
 
 // KVUsedMB returns the KV memory currently reserved across all resident
 // sequences (summed over stages) — the recount source for the
@@ -138,17 +102,6 @@ func (in *LLM) KVUsedMB() float64 {
 	return mb
 }
 
-// StealQueued removes and returns the queued copy of request id.
-func (in *LLM) StealQueued(id int64) (Request, bool) {
-	for i, req := range in.queue {
-		if req.ID == id {
-			in.queue = append(in.queue[:i], in.queue[i+1:]...)
-			return req, true
-		}
-	}
-	return Request{}, false
-}
-
 // HasRequest reports whether a copy of request id is held, queued or
 // resident.
 func (in *LLM) HasRequest(id int64) bool {
@@ -157,25 +110,7 @@ func (in *LLM) HasRequest(id int64) bool {
 			return true
 		}
 	}
-	for _, req := range in.queue {
-		if req.ID == id {
-			return true
-		}
-	}
-	return false
-}
-
-func (in *LLM) applySaturation(n int) {
-	if n < 1 {
-		n = 1
-	}
-	if n > model.MaxIBS {
-		n = model.MaxIBS
-	}
-	k := in.satK.get(in.Spec, n)
-	for _, st := range in.Stages {
-		st.Res.SetSatK(k)
-	}
+	return in.queued(id)
 }
 
 // reserveKV charges mb of KV memory, split evenly across stages. On any
@@ -203,30 +138,21 @@ func (in *LLM) releaseKV(mb float64) {
 	}
 }
 
-// dropSeq releases sequence i's KV and removes it from the batch.
-func (in *LLM) dropSeq(i int) *llmSeq {
-	s := in.seqs[i]
-	in.releaseKV(s.kvMB)
-	s.kvMB = 0
-	in.seqs = append(in.seqs[:i], in.seqs[i+1:]...)
-	return s
-}
-
 // preemptYoungest evicts the most recently admitted sequence to free KV
 // headroom. Its request is handed back for redispatch with the original
 // Arrive stamp, so the lost work shows up in recorded latency.
-func (in *LLM) preemptYoungest() bool {
-	if len(in.seqs) == 0 {
-		return false
-	}
-	s := in.dropSeq(len(in.seqs) - 1)
+func (in *LLM) preemptYoungest() {
+	last := len(in.seqs) - 1
+	s := in.seqs[last]
+	in.releaseKV(s.kvMB)
+	s.kvMB = 0
+	in.seqs = in.seqs[:last]
 	if in.Tok != nil {
 		in.Tok.NotePreemption()
 	}
 	if in.onPreempt != nil {
 		in.onPreempt(s.req)
 	}
-	return true
 }
 
 // admit moves queue heads into the batch while slots and KV headroom
@@ -271,27 +197,17 @@ func (in *LLM) growKV() {
 		}
 		grow := in.Cfg.Prof.KVForTokens(1)
 		for !in.reserveKV(grow) {
-			if i == len(in.seqs)-1 {
-				// This sequence is itself the youngest: evict it.
-				in.dropSeq(i)
-				if in.Tok != nil {
-					in.Tok.NotePreemption()
-				}
-				if in.onPreempt != nil {
-					in.onPreempt(s.req)
-				}
+			// Cache full: evict the youngest sequence and retry, unless
+			// the evicted one was this sequence itself.
+			self := i == len(in.seqs)-1
+			in.preemptYoungest()
+			if self {
 				i--
 				grow = 0
 				break
 			}
-			if !in.preemptYoungest() {
-				grow = 0
-				break
-			}
 		}
-		if grow > 0 {
-			s.kvMB += grow
-		}
+		s.kvMB += grow
 	}
 }
 
@@ -334,60 +250,18 @@ func (in *LLM) PreTick(now sim.Time) {
 		}
 	}
 	in.prefillStep = prefillTokens > 0
-	in.applySaturation(len(in.seqs))
-	work := in.Cfg.Prof.StepWork(decode, prefillTokens)
-	in.stepStart = now
-	in.stepWork = work / float64(len(in.Stages))
-	for _, st := range in.Stages {
-		st.Res.AddWork(in.stepWork)
-	}
+	in.applySaturation(min(len(in.seqs), model.MaxIBS))
+	in.startStep(now, in.Cfg.Prof.StepWork(decode, prefillTokens))
 	in.inStep = true
-}
-
-func (in *LLM) setPressured(p bool) {
-	for _, st := range in.Stages {
-		if st.Client != nil {
-			st.Client.SetPressured(p)
-		}
-	}
-}
-
-func (in *LLM) stepDone() bool {
-	for _, st := range in.Stages {
-		if st.Res.Pending() > 0 {
-			return false
-		}
-	}
-	return true
-}
-
-// completionTime interpolates when the slowest stage drained (see
-// Inference.completionTime for the tick-interval convention).
-func (in *LLM) completionTime(now sim.Time) sim.Time {
-	frac := 0.0
-	for _, st := range in.Stages {
-		if f := st.Res.CompletionFraction(); f > frac {
-			frac = f
-		}
-	}
-	return now + sim.Duration(frac*float64(sim.TickPeriod))
 }
 
 // PostTick advances every resident sequence by one token when the step
 // drains, completing sequences that reached their target.
 func (in *LLM) PostTick(now sim.Time) {
-	if !in.inStep || !in.stepDone() {
+	if !in.inStep || !drained(in.Stages) {
 		return
 	}
-	done := in.completionTime(now)
-	klc := done - in.stepStart
-	if !in.prefillStep {
-		for _, st := range in.Stages {
-			if st.Client != nil {
-				st.Client.ObserveIteration(klc, in.stepWork)
-			}
-		}
-	}
+	done := in.finishStep(now, in.prefillStep)
 	in.inStep = false
 	kept := in.seqs[:0]
 	for _, s := range in.seqs {
@@ -429,14 +303,8 @@ func (in *LLM) PostTick(now sim.Time) {
 func (in *LLM) completeSeq(s *llmSeq, done sim.Time) {
 	in.releaseKV(s.kvMB)
 	s.kvMB = 0
-	if in.onComplete != nil && !in.onComplete(s.req, done) {
-		return // duplicate copy: already served elsewhere
-	}
-	if in.Rec != nil {
-		// Per-token latency against the model's per-token SLO, matching
-		// the fixed-batch generative path's convention.
-		lat := (done - s.req.Arrive) / sim.Duration(s.generated)
-		in.Rec.ObserveWaitStage(lat, s.req.Dispatch-s.req.Arrive, s.req.ColdStage)
+	if !in.complete(s.req, done, s.generated) {
+		return
 	}
 	if in.Tok != nil {
 		if s.generated > 1 {
@@ -444,14 +312,6 @@ func (in *LLM) completeSeq(s *llmSeq, done sim.Time) {
 		}
 		in.Tok.NoteRequest()
 	}
-	in.served++
-}
-
-// DropQueue fails queued requests back to the caller for re-dispatch.
-func (in *LLM) DropQueue() []Request {
-	q := in.queue
-	in.queue = nil
-	return q
 }
 
 // Abort evicts every resident sequence and drops the queue (forced
@@ -459,24 +319,17 @@ func (in *LLM) DropQueue() []Request {
 // first, admission order, then the queue — are returned for gateway
 // re-dispatch with their original Arrive stamps.
 func (in *LLM) Abort() []Request {
-	reqs := make([]Request, 0, len(in.seqs)+len(in.queue))
+	reqs := make([]Request, 0, in.Load())
 	for _, s := range in.seqs {
 		in.releaseKV(s.kvMB)
 		s.kvMB = 0
 		reqs = append(reqs, s.req)
 	}
-	reqs = append(reqs, in.queue...)
 	in.seqs = nil
-	in.queue = nil
 	in.inStep = false
-	in.stepWork = 0
 	in.prefillStep = false
-	in.setPressured(false)
-	return reqs
+	return in.abort(reqs)
 }
-
-// Idle reports whether the instance has no queued or resident work.
-func (in *LLM) Idle() bool { return len(in.queue) == 0 && len(in.seqs) == 0 }
 
 // Busy implements Ticker.
 func (in *LLM) Busy() bool { return len(in.queue) > 0 || len(in.seqs) > 0 }

@@ -39,7 +39,7 @@ func TestApplySaturationAllocatesNothing(t *testing.T) {
 		stages = append(stages, Stage{Res: res})
 	}
 	inf := NewInference("i", "f", spec, 8, stages, nil)
-	llm := &LLM{Spec: spec, Stages: stages}
+	llm := &LLM{server: server{Spec: spec, Stages: stages}}
 	ibs := 0
 	allocs := testing.AllocsPerRun(200, func() {
 		ibs = ibs%(2*model.MaxIBS+2) + 1
