@@ -110,11 +110,17 @@ func (s *server) DropQueue() []Request {
 }
 
 // abort is the queue half of Abort: it appends the queue to the
-// runtime's in-flight requests, drops it and resets the step.
+// runtime's in-flight requests, drops it and resets the step. The
+// cancelled step's blocks leave the GPU too: an instance aborted by a
+// batch error stays placed, and blocks left behind would keep drawing
+// RCKM grants and hold up its next step's drain.
 func (s *server) abort(reqs []Request) []Request {
 	reqs = append(reqs, s.queue...)
 	s.queue = nil
 	s.stepWork = 0
+	for _, st := range s.Stages {
+		st.Res.ClearWork()
+	}
 	s.setPressured(false)
 	return reqs
 }
