@@ -53,8 +53,7 @@ type server struct {
 	satK satKMemo
 }
 
-// InstID returns the instance identifier (Server interface; ID stays a
-// field for construction in tests).
+// InstID returns the instance identifier (Server interface).
 func (s *server) InstID() string { return s.ID }
 
 // SetOnComplete installs the resilience layer's completion hook. The
