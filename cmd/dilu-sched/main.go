@@ -11,6 +11,7 @@ package main
 import (
 	"flag"
 	"fmt"
+	"io"
 	"os"
 	"time"
 
@@ -20,12 +21,23 @@ import (
 )
 
 func main() {
-	name := flag.String("scheduler", "Dilu", "Dilu, Exclusive, INFless+-l, INFless+-r, FaST-GS+")
-	instances := flag.Int("instances", 3200, "instances to place")
-	nodes := flag.Int("nodes", 1000, "cluster nodes (4 GPUs each)")
-	gamma := flag.Float64("gamma", 1.5, "oversubscription coefficient (Dilu only)")
-	seed := flag.Int64("seed", 1, "random seed")
-	flag.Parse()
+	os.Exit(run(os.Args[1:], os.Stdout, os.Stderr))
+}
+
+// run parses args, places the mix and prints the report to stdout. It
+// returns the process exit code: 0 on success, 2 on bad flags or an
+// unknown scheduler name.
+func run(args []string, stdout, stderr io.Writer) int {
+	fs := flag.NewFlagSet("dilu-sched", flag.ContinueOnError)
+	fs.SetOutput(stderr)
+	name := fs.String("scheduler", "Dilu", "Dilu, Exclusive, INFless+-l, INFless+-r, FaST-GS+")
+	instances := fs.Int("instances", 3200, "instances to place")
+	nodes := fs.Int("nodes", 1000, "cluster nodes (4 GPUs each)")
+	gamma := fs.Float64("gamma", 1.5, "oversubscription coefficient (Dilu only)")
+	seed := fs.Int64("seed", 1, "random seed")
+	if err := fs.Parse(args); err != nil {
+		return 2
+	}
 
 	clu := cluster.New(cluster.Config{Nodes: *nodes, GPUsPerNode: 4})
 	var s sched.Scheduler
@@ -41,8 +53,8 @@ func main() {
 	case "FaST-GS+":
 		s = sched.NewFaSTGS(clu)
 	default:
-		fmt.Fprintf(os.Stderr, "unknown scheduler %q\n", *name)
-		os.Exit(2)
+		fmt.Fprintf(stderr, "unknown scheduler %q\n", *name)
+		return 2
 	}
 
 	start := time.Now()
@@ -50,20 +62,14 @@ func main() {
 	elapsed := time.Since(start)
 
 	st := clu.Snapshot()
-	fmt.Printf("scheduler        %s\n", s.Name())
-	fmt.Printf("placed           %d / %d instances in %.2fs (%.2f ms/decision)\n",
+	fmt.Fprintf(stdout, "scheduler        %s\n", s.Name())
+	fmt.Fprintf(stdout, "placed           %d / %d instances in %.2fs (%.4f ms/decision)\n",
 		placed, *instances, elapsed.Seconds(),
-		float64(elapsed.Milliseconds())/float64(max(placed, 1)))
-	fmt.Printf("occupied GPUs    %d / %d\n", st.OccupiedGPUs, st.TotalGPUs)
-	fmt.Printf("SM fragmentation %.1f%%   memory fragmentation %.1f%%\n",
+		elapsed.Seconds()*1e3/float64(max(placed, 1)))
+	fmt.Fprintf(stdout, "occupied GPUs    %d / %d\n", st.OccupiedGPUs, st.TotalGPUs)
+	fmt.Fprintf(stdout, "SM fragmentation %.1f%%   memory fragmentation %.1f%%\n",
 		st.SMFrag*100, st.MemFrag*100)
-	fmt.Printf("mean density     %.2f request quota, %.1f%% memory per active GPU\n",
+	fmt.Fprintf(stdout, "mean density     %.2f request quota, %.1f%% memory per active GPU\n",
 		st.MeanReq, st.MeanMem*100)
-}
-
-func max(a, b int) int {
-	if a > b {
-		return a
-	}
-	return b
+	return 0
 }

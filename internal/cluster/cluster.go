@@ -14,9 +14,12 @@
 // membership is counted instead of rescanned. Two further indexes make
 // placement sub-linear in cluster size: a function→hosting-GPUs posting
 // index (FuncGPUs, kept in inventory order) lets workload-affinity
-// lookups enumerate only the GPUs that actually host a function, and an
-// occupancy index (OccupancyBucket) buckets active GPUs by ΣReq with
-// lazy compaction so best-fit scans touch only feasible occupancy bands.
+// lookups enumerate only the GPUs that actually host a function, and a
+// placement grid (Cell) files every active GPU under its normalized ΣReq
+// band and its memory-use band, so Algorithm 1's score bound and the
+// memory worst-fit touch only the cells that could still win. The grid
+// is maintained eagerly (swap-remove) on every ΣReq or memory change,
+// KV-cache growth included.
 package cluster
 
 import (
@@ -125,13 +128,9 @@ type GPU struct {
 	pos int
 	// funcCounts counts placements per function, making HostsFunc O(1).
 	funcCounts map[string]int
-	// occIdx is the occupancy bucket of the GPU's most recent ΣReq
-	// recording; occMask has bit b set iff an entry for this GPU
-	// currently sits in occupancy bucket b (stale entries stay until
-	// lazily compacted, and the mask keeps a GPU cycling through buckets
-	// from accumulating duplicates).
-	occIdx  int
-	occMask uint64
+	// cell is the placement-grid cell the GPU is filed in (-1 while
+	// inactive) and slot its index there, so a move is a swap-remove.
+	cell, slot int
 }
 
 // Active reports whether any instance is placed on the GPU.
@@ -186,7 +185,7 @@ func (g *GPU) Place(p *Placement) error {
 		if g.funcCounts[p.Func] == 1 {
 			g.clu.notePostingAdd(p.Func, g)
 		}
-		g.clu.noteOccupancy(g)
+		g.clu.noteCell(g)
 	}
 	return nil
 }
@@ -212,13 +211,9 @@ func (g *GPU) Remove(p *Placement) {
 			}
 			if g.clu != nil {
 				if len(g.Placements) == 0 {
-					// The occupancy entry goes stale with the GPU; it is
-					// compacted away (or revalidated by a reactivation)
-					// lazily, like the free-heap entries.
 					g.clu.noteDeactivated(g)
-				} else {
-					g.clu.noteOccupancy(g)
 				}
+				g.clu.noteCell(g)
 			}
 			return
 		}
@@ -230,7 +225,9 @@ func (g *GPU) Remove(p *Placement) {
 // that forces token-level serving to preempt or shed. On success the
 // charge lands in p.MemMB, g.MemUsedMB, and g.KVUsedMB together, so the
 // quota-conservation view (Σ placement MemMB == MemUsedMB) is preserved.
-// The occupancy index is untouched: it buckets by ΣReq only.
+// The growth can move the GPU to another memory column of the placement
+// grid (ΣReq is unchanged), so the grid is re-filed here, as in
+// ReleaseKV.
 func (g *GPU) ReserveKV(p *Placement, mb float64) bool {
 	if mb <= 0 {
 		return true
@@ -242,6 +239,9 @@ func (g *GPU) ReserveKV(p *Placement, mb float64) bool {
 	p.KVMB += mb
 	g.MemUsedMB += mb
 	g.KVUsedMB += mb
+	if g.clu != nil {
+		g.clu.noteMem(g)
+	}
 	return true
 }
 
@@ -261,6 +261,9 @@ func (g *GPU) ReleaseKV(p *Placement, mb float64) {
 	p.KVMB -= mb
 	g.MemUsedMB -= mb
 	g.KVUsedMB -= mb
+	if g.clu != nil {
+		g.clu.noteMem(g)
+	}
 }
 
 // HostsFunc reports whether any placement belongs to the function.
@@ -315,7 +318,7 @@ type Cluster struct {
 	// activations never accumulates duplicates.
 	inactive []int
 	inHeap   []bool
-	// takenScratch backs AppendInactive's pop-and-restore, reused across
+	// takenScratch backs AppendInactiveFit's pop-and-restore, reused across
 	// calls (the cluster's mutating lookups are single-threaded).
 	takenScratch []int
 
@@ -326,29 +329,26 @@ type Cluster struct {
 	// transitions, and a function's key is deleted when its last
 	// placement leaves so the map tracks live functions only.
 	posting map[string][]*GPU
-	// occs buckets active GPUs by normalized utilization ΣReq/Capacity
-	// (bucket b holds utilization in [b/64, (b+1)/64), clamped into the
-	// top bucket): the occupancy index best-fit scans walk from the
-	// most-occupied feasible bucket downward instead of over all active
-	// GPUs. Entries are appended on ΣReq changes and compacted lazily on
-	// read; GPU.occIdx/occMask identify the live entry. On a homogeneous
-	// (capacity 1.0) fleet, utilization equals ΣReq bit-for-bit.
-	occs [OccupancyBuckets][]*GPU
+	// cells is the placement grid: cells[r][m] holds the active GPUs
+	// whose normalized utilization ΣReq/Capacity falls in occupancy row r
+	// and whose memory-use share falls in column m (see Cell). Each
+	// active GPU sits in exactly one cell; order within a cell is not
+	// specified. On a homogeneous (capacity 1.0) fleet, utilization
+	// equals ΣReq bit-for-bit. A row is allocated when its first GPU is
+	// filed, so a small cluster does not pay for the whole grid.
+	// cellMask[r] has bit m set iff cell (r, m) is non-empty, so walks
+	// skip empty cells without touching them.
+	cells    [OccupancyBuckets]*[MemBuckets][]*GPU
+	cellMask [OccupancyBuckets]uint32
 
 	// classes records the fleet's device generations (one synthetic
-	// entry for homogeneous clusters); hetero is true when classes
-	// differ in capacity or memory. min/maxCap bound GPU capacities and
-	// back the schedulers' bucket-walk pruning bounds.
-	classes []GPUClass
-	hetero  bool
-	minCap  float64
-	maxCap  float64
+	// entry for homogeneous clusters). min/maxCap and min/maxMem bound
+	// GPU capacities and memory sizes and back the schedulers' grid-walk
+	// pruning bounds.
+	classes        []GPUClass
+	minCap, maxCap float64
+	minMem, maxMem float64
 
-	// retired counts GPUs out of service (draining or failed);
-	// retiredActive those of them still holding placements (only
-	// draining GPUs can). SchedulableInactive derives from both.
-	retired       int
-	retiredActive int
 	// occupiedCap sums the capacities of active GPUs (capacity-weighted
 	// occupancy, the cost measure on mixed fleets).
 	occupiedCap float64
@@ -433,16 +433,12 @@ func New(cfg Config) *Cluster {
 		classes: classes,
 	}
 	c.minCap, c.maxCap = classes[0].Capacity, classes[0].Capacity
+	c.minMem, c.maxMem = classes[0].MemCapMB, classes[0].MemCapMB
 	for _, cl := range classes {
-		if cl.Capacity < c.minCap {
-			c.minCap = cl.Capacity
-		}
-		if cl.Capacity > c.maxCap {
-			c.maxCap = cl.Capacity
-		}
-		if cl.Capacity != classes[0].Capacity || cl.MemCapMB != classes[0].MemCapMB {
-			c.hetero = true
-		}
+		c.minCap = min(c.minCap, cl.Capacity)
+		c.maxCap = max(c.maxCap, cl.Capacity)
+		c.minMem = min(c.minMem, cl.MemCapMB)
+		c.maxMem = max(c.maxMem, cl.MemCapMB)
 	}
 	assign := classAssign(classes, cfg.Nodes)
 	for n := 0; n < cfg.Nodes; n++ {
@@ -460,6 +456,7 @@ func New(cfg Config) *Cluster {
 				clu:      c,
 				pos:      len(c.gpus),
 				classIdx: ci,
+				cell:     -1,
 			}
 			if cfg.WithDevices {
 				g.Dev = gpu.NewDevice(g.ID)
@@ -504,9 +501,6 @@ func (c *Cluster) noteActivated(g *GPU) {
 	copy(c.active[lo+1:], c.active[lo:])
 	c.active[lo] = g
 	c.occupiedCap += g.Capacity
-	if !g.Schedulable() {
-		c.retiredActive++
-	}
 }
 
 // noteDeactivated removes g from the active list and returns its position
@@ -517,9 +511,6 @@ func (c *Cluster) noteDeactivated(g *GPU) {
 		c.active = append(c.active[:lo], c.active[lo+1:]...)
 	}
 	c.occupiedCap -= g.Capacity
-	if !g.Schedulable() {
-		c.retiredActive--
-	}
 	// A stale entry from before the GPU's last activation may still sit
 	// in the heap; it is valid again now, so don't add a duplicate.
 	if !c.inHeap[g.pos] {
@@ -590,17 +581,6 @@ func (c *Cluster) FirstInactive() *GPU {
 	return nil
 }
 
-// InactiveCount returns the number of GPUs with no placements, whatever
-// their health; SchedulableInactive is the scheduler-facing count.
-func (c *Cluster) InactiveCount() int { return len(c.gpus) - len(c.active) }
-
-// SchedulableInactive returns the number of healthy GPUs with no
-// placements — the fresh-GPU supply the schedulers can actually draw
-// from. On a churn-free cluster it equals InactiveCount.
-func (c *Cluster) SchedulableInactive() int {
-	return len(c.gpus) - len(c.active) - (c.retired - c.retiredActive)
-}
-
 // FirstInactiveFit returns the earliest schedulable inactive GPU whose
 // class fits the need — Capacity ≥ minCap (within quota epsilon) and
 // MemCapMB ≥ memMB — or nil. Too-small GPUs are skipped but stay in the
@@ -629,21 +609,25 @@ func (c *Cluster) FirstInactiveFit(minCap, memMB float64) *GPU {
 	return found
 }
 
-// AppendInactive appends up to k schedulable inactive GPUs in inventory
-// order to dst and returns the extended slice.
-func (c *Cluster) AppendInactive(dst []*GPU, k int) []*GPU {
-	if k <= 0 {
-		return dst
-	}
+// AppendInactiveFit appends to dst the first k schedulable inactive
+// GPUs, in inventory order, for which fit reports true, and returns the
+// extended slice. GPUs that fail fit are skipped but stay in the free
+// heap, as in FirstInactiveFit; on a homogeneous fleet fit either
+// accepts every idle GPU or none.
+func (c *Cluster) AppendInactiveFit(dst []*GPU, k int, fit func(*GPU) bool) []*GPU {
 	taken := c.takenScratch[:0]
-	for len(taken) < k && len(c.inactive) > 0 {
+	for found := 0; found < k && len(c.inactive) > 0; {
 		pos := c.popInactive()
-		if g := c.gpus[pos]; g.Active() || !g.Schedulable() {
+		g := c.gpus[pos]
+		if g.Active() || !g.Schedulable() {
 			c.inHeap[pos] = false // stale or retired entry
 			continue
 		}
 		taken = append(taken, pos)
-		dst = append(dst, c.gpus[pos])
+		if fit(g) {
+			dst = append(dst, g)
+			found++
+		}
 	}
 	for _, pos := range taken {
 		c.pushInactive(pos) // still inactive: return to the heap
@@ -662,24 +646,27 @@ func (c *Cluster) OccupiedCount() int { return len(c.active) }
 // homogeneous clusters.
 func (c *Cluster) OccupiedCapacity() float64 { return c.occupiedCap }
 
-// Heterogeneous reports whether the fleet mixes GPU classes differing in
-// capacity or memory.
-func (c *Cluster) Heterogeneous() bool { return c.hetero }
-
 // MinCapacity and MaxCapacity bound GPU compute capacities over the
-// inventory; the schedulers' bucket-walk pruning bounds use them. Both
+// inventory; the schedulers' grid-walk pruning bounds use them. Both
 // are 1.0 on homogeneous clusters.
 func (c *Cluster) MinCapacity() float64 { return c.minCap }
 
 // MaxCapacity returns the largest GPU capacity in the fleet.
 func (c *Cluster) MaxCapacity() float64 { return c.maxCap }
 
+// MinMemCapacity and MaxMemCapacity bound GPU memory sizes (MB) over the
+// inventory, for the grid walks' memory-term bounds.
+func (c *Cluster) MinMemCapacity() float64 { return c.minMem }
+
+// MaxMemCapacity returns the largest GPU memory size in the fleet (MB).
+func (c *Cluster) MaxMemCapacity() float64 { return c.maxMem }
+
 // ---------------------------------------------------------------------------
 // Node lifecycle: failures, drains, joins.
 
 // FailNode takes a node out of service abruptly: every placement on its
 // GPUs is evicted through the normal Remove path (so the active list,
-// free heap, posting index, and occupancy buckets stay consistent) and
+// free heap, posting index, and placement grid stay consistent) and
 // returned to the caller as rescheduling work. The GPUs stop being
 // offered by every index until JoinNode restores them.
 func (c *Cluster) FailNode(n *Node) []*Placement {
@@ -729,30 +716,18 @@ func (c *Cluster) ReadmitGPU(g *GPU) {
 	}
 }
 
-// setHealth transitions one GPU's lifecycle state, keeping the retired
-// counters and the free heap consistent. Placement eviction is the
-// caller's job (FailNode evicts before marking).
+// setHealth transitions one GPU's lifecycle state, keeping the free heap
+// consistent. Placement eviction is the caller's job (FailNode evicts
+// before marking).
 func (c *Cluster) setHealth(g *GPU, h Health) {
 	if g.health == h {
 		return
 	}
-	switch {
-	case g.health == Healthy: // leaving service
-		c.retired++
-		if g.Active() {
-			c.retiredActive++
-		}
-	case h == Healthy: // rejoining
-		c.retired--
-		if g.Active() {
-			c.retiredActive--
-		} else if !c.inHeap[g.pos] {
-			// The GPU's heap entry was discarded while it was retired;
-			// restore it so FirstInactive can offer the GPU again.
-			c.inHeap[g.pos] = true
-			c.pushInactive(g.pos)
-		}
-		// Draining↔Failed transitions change neither counter.
+	if h == Healthy && !g.Active() && !c.inHeap[g.pos] {
+		// The GPU's heap entry was discarded while it was retired;
+		// restore it so FirstInactive can offer the GPU again.
+		c.inHeap[g.pos] = true
+		c.pushInactive(g.pos)
 	}
 	g.health = h
 }
@@ -798,63 +773,93 @@ func (c *Cluster) notePostingRemove(fn string, g *GPU) {
 }
 
 // ---------------------------------------------------------------------------
-// Occupancy index.
+// Placement grid.
 
-// OccupancyBuckets is the resolution of the occupancy index: active
-// GPUs are bucketed by normalized utilization (ΣReq/Capacity) into
-// bands of width 1/OccupancyBuckets, with everything at or above 1.0
-// clamped into the top bucket.
+// OccupancyBuckets is the row resolution of the placement grid: active
+// GPUs are banded by normalized utilization (ΣReq/Capacity) into rows of
+// width 1/OccupancyBuckets, with everything at or above 1.0 clamped into
+// the top row.
 const OccupancyBuckets = 64
 
-// OccupancyBucketOf returns the bucket index a GPU with the given
-// normalized utilization belongs to. Negative inputs (float residue
-// after removals) clamp to bucket 0, values ≥ 1 to the top bucket.
+// MemBuckets is the column resolution of the placement grid: active
+// GPUs are banded by memory-use share MemUsedMB/MemCapMB into columns of
+// width 1/MemBuckets (a full GPU sits in the top column).
+const MemBuckets = 32
+
+// OccupancyBucketOf returns the row a GPU with the given normalized
+// utilization belongs to. Negative inputs (float residue after
+// removals) clamp to row 0, values ≥ 1 to the top row.
 func OccupancyBucketOf(util float64) int {
-	idx := int(util * OccupancyBuckets)
-	if idx < 0 {
-		return 0
-	}
-	if idx >= OccupancyBuckets {
-		return OccupancyBuckets - 1
-	}
-	return idx
+	return min(max(int(util*OccupancyBuckets), 0), OccupancyBuckets-1)
 }
 
-// noteOccupancy records g's current normalized utilization in the
-// occupancy index. The previous bucket's entry (if different) is left
-// stale and compacted lazily; occMask dedups re-insertions into a
-// bucket that still holds a stale entry, which then simply becomes
-// valid again.
-func (c *Cluster) noteOccupancy(g *GPU) {
-	idx := OccupancyBucketOf(g.Util())
-	g.occIdx = idx
-	if g.occMask&(1<<idx) == 0 {
-		g.occMask |= 1 << idx
-		c.occs[idx] = append(c.occs[idx], g)
-	}
+// MemBucketOf returns the column a GPU with the given memory-use share
+// belongs to, clamped like OccupancyBucketOf. Column m holds shares in
+// [m/MemBuckets, (m+1)/MemBuckets), plus exactly 1.0 in the top column.
+func MemBucketOf(share float64) int {
+	return min(max(int(share*MemBuckets), 0), MemBuckets-1)
 }
 
-// OccupancyBucket compacts bucket b and returns the active GPUs whose
-// current ΣReq falls in it. Order within a bucket is not specified —
-// consumers needing the tie order of an inventory scan must rank by
+// Cell returns the active GPUs filed in grid row `row` (occupancy band)
+// and column `col` (memory band). Order within a cell is not specified
+// — consumers needing the tie order of an inventory scan must rank by
 // (key, Pos()) lexicographically. The returned slice is the cluster's
 // live index: read-only, not to be held across placement changes.
-func (c *Cluster) OccupancyBucket(b int) []*GPU {
-	bucket := c.occs[b]
-	kept := bucket[:0]
-	for _, g := range bucket {
-		if g.Active() && g.occIdx == b {
-			kept = append(kept, g)
-		} else {
-			g.occMask &^= 1 << b // stale: deactivated or moved buckets
+func (c *Cluster) Cell(row, col int) []*GPU {
+	if r := c.cells[row]; r != nil {
+		return r[col]
+	}
+	return nil
+}
+
+// CellMask returns the non-empty columns of grid row `row` as a bitmask:
+// bit m is set iff Cell(row, m) holds at least one GPU.
+func (c *Cluster) CellMask(row int) uint32 { return c.cellMask[row] }
+
+// noteMem is noteCell after a change to memory alone (KV growth or
+// release), which runs on every token-level KV charge: ΣReq and so the
+// row are unchanged, and the common case of a GPU staying in its column
+// returns after one division.
+func (c *Cluster) noteMem(g *GPU) {
+	if g.cell >= 0 && MemBucketOf(g.MemUsedMB/g.MemCapMB) == g.cell%MemBuckets {
+		return
+	}
+	c.noteCell(g)
+}
+
+// noteCell files g in the grid cell of its current utilization and
+// memory share, or unfiles it when it has gone inactive. A move is a
+// swap-remove from the old cell and an append to the new one.
+func (c *Cluster) noteCell(g *GPU) {
+	cell := -1
+	if g.Active() {
+		cell = OccupancyBucketOf(g.Util())*MemBuckets + MemBucketOf(g.MemUsedMB/g.MemCapMB)
+	}
+	if cell == g.cell {
+		return
+	}
+	if old := g.cell; old >= 0 {
+		r, m := old/MemBuckets, old%MemBuckets
+		list := c.cells[r][m]
+		last := len(list) - 1
+		list[g.slot] = list[last]
+		list[g.slot].slot = g.slot
+		list[last] = nil // don't pin the moved-out GPU
+		c.cells[r][m] = list[:last]
+		if last == 0 {
+			c.cellMask[r] &^= 1 << m
 		}
 	}
-	// Zero the evicted tail so stale *GPU pointers don't pin memory.
-	for i := len(kept); i < len(bucket); i++ {
-		bucket[i] = nil
+	g.cell = cell
+	if cell >= 0 {
+		r, m := cell/MemBuckets, cell%MemBuckets
+		if c.cells[r] == nil {
+			c.cells[r] = new([MemBuckets][]*GPU)
+		}
+		g.slot = len(c.cells[r][m])
+		c.cells[r][m] = append(c.cells[r][m], g)
+		c.cellMask[r] |= 1 << m
 	}
-	c.occs[b] = kept
-	return kept
 }
 
 // Stats aggregates the fragmentation view of the cluster.

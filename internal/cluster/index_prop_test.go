@@ -7,18 +7,18 @@ import (
 	"testing"
 )
 
-// These property tests drive random Place/Remove/Drain interleavings —
-// and, since the lifecycle work, random FailNode/DrainNode/JoinNode
-// churn on heterogeneous fleets — and, after every operation, require
-// each incremental index — the function posting lists, the occupancy
-// buckets, the active list, the free heap, and the retired counters —
-// to agree exactly with a from-scratch recomputation over the
-// inventory. They run under -race via `make test-race-subsys`.
+// These property tests drive random Place/Remove/Drain interleavings
+// with KV-cache growth and release in between — and, since the
+// lifecycle work, random FailNode/DrainNode/JoinNode churn on
+// heterogeneous fleets — and, after every operation, require each
+// incremental index — the function posting lists, the placement grid,
+// the active list, and the free heap — to agree
+// exactly with a from-scratch recomputation over the inventory. They
+// run under -race via `make test-race-subsys`.
 
 // checkIndexesConsistent recomputes every index from the placements and
-// compares. The occupancy comparison goes through OccupancyBucket (the
-// read API), so lazy compaction is exercised, and duplicates inside a
-// bucket are a failure in their own right.
+// compares. The grid comparison goes through Cell (the read API), and
+// duplicates inside or across cells are a failure in their own right.
 func checkIndexesConsistent(t *testing.T, c *Cluster, step int) {
 	t.Helper()
 
@@ -55,47 +55,49 @@ func checkIndexesConsistent(t *testing.T, c *Cluster, step int) {
 		}
 	}
 
-	// Occupancy index: every active GPU appears in exactly the bucket
-	// its current normalized utilization maps to, exactly once, and in
-	// no other bucket.
-	seen := map[*GPU]int{}
-	for b := 0; b < OccupancyBuckets; b++ {
-		for _, g := range c.OccupancyBucket(b) {
-			if prev, dup := seen[g]; dup {
-				t.Fatalf("step %d: %s appears in buckets %d and %d", step, g.ID, prev, b)
+	// Placement grid: every active GPU sits exactly once, in the cell
+	// of its current normalized utilization and memory share, and no
+	// inactive GPU sits in any cell.
+	type rc struct{ r, m int }
+	seen := map[*GPU]rc{}
+	for r := 0; r < OccupancyBuckets; r++ {
+		for m := 0; m < MemBuckets; m++ {
+			for _, g := range c.Cell(r, m) {
+				if prev, dup := seen[g]; dup {
+					t.Fatalf("step %d: %s appears in cells %v and %v", step, g.ID, prev, rc{r, m})
+				}
+				seen[g] = rc{r, m}
+				want := rc{OccupancyBucketOf(g.Util()), MemBucketOf(g.MemUsedMB / g.MemCapMB)}
+				if want != (rc{r, m}) {
+					t.Fatalf("step %d: %s (util=%v mem=%v/%v) in cell %v, want %v",
+						step, g.ID, g.Util(), g.MemUsedMB, g.MemCapMB, rc{r, m}, want)
+				}
+				if !g.Active() {
+					t.Fatalf("step %d: inactive %s surfaced from cell %v", step, g.ID, rc{r, m})
+				}
 			}
-			seen[g] = b
-			if want := OccupancyBucketOf(g.Util()); want != b {
-				t.Fatalf("step %d: %s (util=%v) in bucket %d, want %d",
-					step, g.ID, g.Util(), b, want)
-			}
-			if !g.Active() {
-				t.Fatalf("step %d: inactive %s surfaced from bucket %d", step, g.ID, b)
+			if bit := c.CellMask(r)>>m&1 == 1; bit != (len(c.Cell(r, m)) > 0) {
+				t.Fatalf("step %d: CellMask bit %v for cell %v holding %d GPUs",
+					step, bit, rc{r, m}, len(c.Cell(r, m)))
 			}
 		}
 	}
 	if len(seen) != len(wantActive) {
-		t.Fatalf("step %d: occupancy index covers %d GPUs, want %d active",
+		t.Fatalf("step %d: placement grid covers %d GPUs, want %d active",
 			step, len(seen), len(wantActive))
 	}
 
 	// Free index: FirstInactive returns the earliest schedulable
 	// inactive GPU — retired (failed/draining) slots never surface.
 	var wantFirst *GPU
-	wantSchedInactive := 0
 	for _, g := range c.gpus {
 		if !g.Active() && g.Schedulable() {
-			if wantFirst == nil {
-				wantFirst = g
-			}
-			wantSchedInactive++
+			wantFirst = g
+			break
 		}
 	}
 	if got := c.FirstInactive(); got != wantFirst {
 		t.Fatalf("step %d: FirstInactive = %v, want %v", step, got, wantFirst)
-	}
-	if got := c.SchedulableInactive(); got != wantSchedInactive {
-		t.Fatalf("step %d: SchedulableInactive = %d, want %d", step, got, wantSchedInactive)
 	}
 
 	// Retired quiescence and capacity accounting.
@@ -112,19 +114,44 @@ func checkIndexesConsistent(t *testing.T, c *Cluster, step int) {
 		t.Fatalf("step %d: OccupiedCapacity = %v, want %v", step, c.OccupiedCapacity(), wantCap)
 	}
 
-	// AppendInactive agrees with a filtered inventory scan prefix.
-	got := c.AppendInactive(nil, 3)
-	var want []*GPU
-	for _, g := range c.gpus {
-		if len(want) == 3 {
-			break
+	// AppendInactiveFit agrees with a filtered inventory scan prefix,
+	// with a predicate that accepts every idle GPU and with one that
+	// skips some (odd positions), which must stay in the free heap.
+	for _, fit := range []func(*GPU) bool{
+		func(*GPU) bool { return true },
+		func(g *GPU) bool { return g.pos%2 == 0 },
+	} {
+		got := c.AppendInactiveFit(nil, 3, fit)
+		var want []*GPU
+		for _, g := range c.gpus {
+			if len(want) == 3 {
+				break
+			}
+			if !g.Active() && g.Schedulable() && fit(g) {
+				want = append(want, g)
+			}
 		}
-		if !g.Active() && g.Schedulable() {
-			want = append(want, g)
+		if !slices.Equal(got, want) {
+			t.Fatalf("step %d: AppendInactiveFit(3) diverged from scan", step)
 		}
 	}
-	if !slices.Equal(got, want) {
-		t.Fatalf("step %d: AppendInactive(3) diverged from scan", step)
+	if got := c.FirstInactive(); got != wantFirst {
+		t.Fatalf("step %d: AppendInactiveFit lost a heap entry: FirstInactive = %v, want %v",
+			step, got, wantFirst)
+	}
+}
+
+// kvStep grows or shrinks the KV charge of a random live placement —
+// the token-level path that moves a GPU between memory columns without
+// a Place or Remove. Growth sizes span several columns of a 1 TiB (or
+// 512 GiB) GPU, and ReserveKV may refuse when the GPU is full.
+func kvStep(rng *rand.Rand, live []*Placement, onGPU map[*Placement]*GPU) {
+	p := live[rng.Intn(len(live))]
+	g := onGPU[p]
+	if rng.Intn(2) == 0 {
+		g.ReserveKV(p, float64(rng.Intn(1<<16)))
+	} else {
+		g.ReleaseKV(p, p.KVMB*rng.Float64())
 	}
 }
 
@@ -146,7 +173,7 @@ func TestIndexConsistencyProperty(t *testing.T) {
 				steps = 120
 			}
 			for step := 0; step < steps; step++ {
-				switch op := rng.Intn(10); {
+				switch op := rng.Intn(12); {
 				case op < 5 || len(live) == 0: // place
 					g := c.gpus[rng.Intn(len(c.gpus))]
 					p := &Placement{
@@ -166,6 +193,8 @@ func TestIndexConsistencyProperty(t *testing.T) {
 					onGPU[p].Remove(p)
 					delete(onGPU, p)
 					live = slices.Delete(live, i, i+1)
+				case op < 10: // grow or shrink a KV cache
+					kvStep(rng, live, onGPU)
 				default: // drain a whole GPU
 					g := c.gpus[rng.Intn(len(c.gpus))]
 					for len(g.Placements) > 0 {
@@ -213,8 +242,8 @@ func TestLifecycleIndexConsistencyProperty(t *testing.T) {
 				steps = 150
 			}
 			for step := 0; step < steps; step++ {
-				switch op := rng.Intn(12); {
-				case op < 5 || (len(live) == 0 && op < 8): // place
+				switch op := rng.Intn(14); {
+				case op < 5 || (len(live) == 0 && op < 10): // place
 					g := c.gpus[rng.Intn(len(c.gpus))]
 					p := &Placement{
 						Instance: fmt.Sprintf("i%d", step),
@@ -237,7 +266,9 @@ func TestLifecycleIndexConsistencyProperty(t *testing.T) {
 					p := live[i]
 					onGPU[p].Remove(p)
 					forget(p)
-				case op < 9: // fail a node, evicting its placements
+				case op < 10: // grow or shrink a KV cache
+					kvStep(rng, live, onGPU)
+				case op < 11: // fail a node, evicting its placements
 					n := c.Nodes[rng.Intn(len(c.Nodes))]
 					evicted := c.FailNode(n)
 					for _, p := range evicted {
@@ -248,7 +279,7 @@ func TestLifecycleIndexConsistencyProperty(t *testing.T) {
 							t.Fatalf("step %d: %s not quiesced by FailNode", step, g.ID)
 						}
 					}
-				case op < 10: // drain a node, placements stay
+				case op < 12: // drain a node, placements stay
 					n := c.Nodes[rng.Intn(len(c.Nodes))]
 					before := 0
 					for _, g := range n.GPUs {
@@ -294,6 +325,25 @@ func TestOccupancyBucketBoundaries(t *testing.T) {
 	for _, tc := range cases {
 		if got := OccupancyBucketOf(tc.sum); got != tc.want {
 			t.Fatalf("OccupancyBucketOf(%v) = %d, want %d", tc.sum, got, tc.want)
+		}
+	}
+}
+
+// TestMemBucketBoundaries pins the memory-column clamping the grid
+// walks' bounds rely on: column m holds shares in [m/32, (m+1)/32), and
+// a full GPU (share exactly 1) sits in the top column.
+func TestMemBucketBoundaries(t *testing.T) {
+	cases := []struct {
+		share float64
+		want  int
+	}{
+		{-1e-15, 0}, {0, 0}, {1.0/MemBuckets - 1e-12, 0}, {1.0 / MemBuckets, 1},
+		{0.5, 16}, {0.9999, MemBuckets - 1},
+		{1.0, MemBuckets - 1}, {1.3, MemBuckets - 1},
+	}
+	for _, tc := range cases {
+		if got := MemBucketOf(tc.share); got != tc.want {
+			t.Fatalf("MemBucketOf(%v) = %d, want %d", tc.share, got, tc.want)
 		}
 	}
 }

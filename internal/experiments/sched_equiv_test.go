@@ -26,6 +26,12 @@ import (
 // the pre-capacity expressions when every Capacity is 1.0 — and the
 // replay runs in three fleets: the homogeneous original, a 70/30
 // big/small mix, and a homogeneous fleet under fail/drain/join churn.
+//
+// The placement grid files GPUs by memory share as well as ΣReq, so the
+// replays also run with KV-cache churn (token-level growth and release
+// on live placements, moving GPUs between memory columns with no Place
+// or Remove) and under non-default Dilu options: Ω > 1 (utilizations
+// in the grid's clamped top row), an SM-heavy score weighting, and −RC.
 
 // oldDilu replays Algorithm 1 with the pre-index full-scan logic.
 type oldDilu struct {
@@ -128,6 +134,9 @@ func moreFreeRef(ga *cluster.GPU, freeA float64, gb *cluster.GPU, freeB float64)
 
 func (s *oldDilu) placeMultiGPU(req sched.Request, stages int) (sched.Decision, error) {
 	p := shardProfileOld(req.Profile, stages)
+	if s.opts.DisableComplementary {
+		return s.placeExclusiveStages(req.Func, p, stages)
+	}
 	type cand struct {
 		g    *cluster.GPU
 		free float64
@@ -172,6 +181,30 @@ func (s *oldDilu) placeMultiGPU(req sched.Request, stages int) (sched.Decision, 
 			return sched.Decision{}, err
 		}
 		d.GPUs = append(d.GPUs, cands[i].g)
+		d.Placements = append(d.Placements, pl)
+	}
+	return d, nil
+}
+
+// placeExclusiveStages is the −RC multi-GPU path: a fresh GPU per stage.
+func (s *oldDilu) placeExclusiveStages(fn string, p profiler.Profile, stages int) (sched.Decision, error) {
+	id := s.nextID(fn)
+	d := sched.Decision{Instance: id, Func: fn}
+	for i := 0; i < stages; i++ {
+		g := s.freshGPU(p)
+		if g == nil {
+			d.Release()
+			return sched.Decision{}, sched.ErrNoCapacity
+		}
+		pl := &cluster.Placement{
+			Instance: fmt.Sprintf("%s/s%d", id, i), Func: fn,
+			Req: p.SMReq, Lim: p.SMLim, MemMB: p.MemMB,
+		}
+		if err := g.Place(pl); err != nil {
+			d.Release()
+			return sched.Decision{}, err
+		}
+		d.GPUs = append(d.GPUs, g)
 		d.Placements = append(d.Placements, pl)
 	}
 	return d, nil
@@ -409,19 +442,25 @@ func optsWithDefaults() sched.Options {
 // indexed scheduler and its full-scan reference on twin clusters,
 // requiring the same GPU choice (or the same failure) for every
 // decision. Departures release both sides, so the differential coverage
-// includes the lazily-compacted index states after removals.
+// includes the index states after removals.
 func replayMixEquiv(t *testing.T, sNew, sOld sched.Scheduler) {
 	t.Helper()
-	replayMixEquivChurn(t, sNew, sOld, false)
+	replayMixEquivChurn(t, sNew, sOld, false, false)
 }
 
-// replayMixEquivChurn is replayMixEquiv with an optional deterministic
-// fail/drain/join storm interleaved into the replay (identically on
-// both clusters): every 59th event either retires the next node
+// replayMixEquivChurn is replayMixEquiv with optional deterministic
+// churn interleaved into the replay (identically on both clusters).
+//
+// With churn, every 59th event either retires the next node
 // (alternating abrupt failure and drain) or rejoins the oldest retired
 // one, so the differential coverage includes evicted placements, free-
 // heap entries discarded for retired slots, and post-join re-offers.
-func replayMixEquivChurn(t *testing.T, sNew, sOld sched.Scheduler, churn bool) {
+//
+// With kv, every event first grows (two events in three) or halves
+// (the third) the KV charge of every stage of one live instance, so
+// GPUs change memory column between decisions without a Place or
+// Remove. Both sides must agree on every ReserveKV refusal.
+func replayMixEquivChurn(t *testing.T, sNew, sOld sched.Scheduler, churn, kv bool) {
 	t.Helper()
 	horizon := 3600 * sim.Second
 	mix := largeScaleMix(3200, horizon, sim.NewRNG(1))
@@ -467,10 +506,38 @@ func replayMixEquivChurn(t *testing.T, sNew, sOld sched.Scheduler, churn bool) {
 	})
 	placedNew := map[int][]sched.Decision{}
 	placedOld := map[int][]sched.Decision{}
+	var live []int // placed instances in arrival order, for a deterministic KV pick
+	kvRefusals := 0
+	applyKV := func(n int) {
+		idx := live[(n*7919)%len(live)]
+		dn, do := placedNew[idx], placedOld[idx]
+		for k := range dn {
+			for st, pn := range dn[k].Placements {
+				po := do[k].Placements[st]
+				gn, gOld := dn[k].GPUs[st], do[k].GPUs[st]
+				if n%3 == 0 {
+					gn.ReleaseKV(pn, pn.KVMB/2)
+					gOld.ReleaseKV(po, po.KVMB/2)
+					continue
+				}
+				mb := float64(1024 * (1 + n%16))
+				okN, okO := gn.ReserveKV(pn, mb), gOld.ReserveKV(po, mb)
+				if okN != okO {
+					t.Fatalf("event %d: ReserveKV(%v) on %s: new=%v old=%v", n, mb, gn.ID, okN, okO)
+				}
+				if !okN {
+					kvRefusals++
+				}
+			}
+		}
+	}
 	failures := 0
 	for n, ev := range events {
 		if churn && n%59 == 0 {
 			applyChurn()
+		}
+		if kv && len(live) > 0 {
+			applyKV(n)
 		}
 		inst := mix[ev.idx]
 		if ev.arrive {
@@ -497,6 +564,7 @@ func replayMixEquivChurn(t *testing.T, sNew, sOld sched.Scheduler, churn bool) {
 				}
 				placedNew[ev.idx] = dn
 				placedOld[ev.idx] = do
+				live = append(live, ev.idx)
 			} else {
 				failures++
 			}
@@ -509,12 +577,16 @@ func replayMixEquivChurn(t *testing.T, sNew, sOld sched.Scheduler, churn bool) {
 			}
 			delete(placedNew, ev.idx)
 			delete(placedOld, ev.idx)
+			if i := slices.Index(live, ev.idx); i >= 0 {
+				live = slices.Delete(live, i, i+1)
+			}
 		}
 	}
 	if len(placedNew) == 0 {
 		t.Fatal("degenerate replay: nothing stayed placed")
 	}
-	t.Logf("replayed %d events, %d capacity failures (matched on both sides)", len(events), failures)
+	t.Logf("replayed %d events, %d capacity failures, %d KV refusals (matched on both sides)",
+		len(events), failures, kvRefusals)
 }
 
 func TestDiluSchedulerIndexEquivalence(t *testing.T) {
@@ -586,7 +658,7 @@ func TestDiluChurnIndexEquivalence(t *testing.T) {
 	cluOld := cluster.New(cluster.Config{Nodes: 1000, GPUsPerNode: 4})
 	replayMixEquivChurn(t,
 		sched.NewDilu(cluNew, sched.Options{}),
-		&oldDilu{opts: optsWithDefaults(), clu: cluOld}, true)
+		&oldDilu{opts: optsWithDefaults(), clu: cluOld}, true, false)
 }
 
 func TestStaticChurnIndexEquivalence(t *testing.T) {
@@ -594,7 +666,7 @@ func TestStaticChurnIndexEquivalence(t *testing.T) {
 	cluOld := cluster.New(cluster.Config{Nodes: 1000, GPUsPerNode: 4})
 	replayMixEquivChurn(t,
 		sched.NewINFlessL(cluNew),
-		&oldStatic{useLimit: true, clu: cluOld}, true)
+		&oldStatic{useLimit: true, clu: cluOld}, true, false)
 }
 
 func TestDiluHeteroChurnIndexEquivalence(t *testing.T) {
@@ -602,5 +674,53 @@ func TestDiluHeteroChurnIndexEquivalence(t *testing.T) {
 	cluOld := cluster.New(heteroEquivConfig())
 	replayMixEquivChurn(t,
 		sched.NewDilu(cluNew, sched.Options{}),
-		&oldDilu{opts: optsWithDefaults(), clu: cluOld}, true)
+		&oldDilu{opts: optsWithDefaults(), clu: cluOld}, true, false)
+}
+
+func TestDiluKVChurnIndexEquivalence(t *testing.T) {
+	cluNew := cluster.New(cluster.Config{Nodes: 1000, GPUsPerNode: 4})
+	cluOld := cluster.New(cluster.Config{Nodes: 1000, GPUsPerNode: 4})
+	replayMixEquivChurn(t,
+		sched.NewDilu(cluNew, sched.Options{}),
+		&oldDilu{opts: optsWithDefaults(), clu: cluOld}, false, true)
+}
+
+func TestDiluHeteroKVChurnIndexEquivalence(t *testing.T) {
+	cluNew := cluster.New(heteroEquivConfig())
+	cluOld := cluster.New(heteroEquivConfig())
+	replayMixEquivChurn(t,
+		sched.NewDilu(cluNew, sched.Options{}),
+		&oldDilu{opts: optsWithDefaults(), clu: cluOld}, true, true)
+}
+
+func TestStaticKVChurnIndexEquivalence(t *testing.T) {
+	cluNew := cluster.New(cluster.Config{Nodes: 1000, GPUsPerNode: 4})
+	cluOld := cluster.New(cluster.Config{Nodes: 1000, GPUsPerNode: 4})
+	replayMixEquivChurn(t,
+		sched.NewINFlessL(cluNew),
+		&oldStatic{useLimit: true, clu: cluOld}, false, true)
+}
+
+// TestDiluOptionVariantsIndexEquivalence replays the mix, with KV churn,
+// under non-default Dilu options. The reference takes the options as
+// given (its own defaults never apply).
+func TestDiluOptionVariantsIndexEquivalence(t *testing.T) {
+	variants := []struct {
+		name string
+		opts sched.Options
+	}{
+		// Ω > 1: utilizations above 1 land in the grid's clamped top row.
+		{"oversubscribed", sched.Options{Omega: 1.2, Gamma: 2, Alpha: 0.5, Beta: 0.5}},
+		{"sm-heavy", sched.Options{Omega: 1, Gamma: 1.5, Alpha: 0.8, Beta: 0.2}},
+		{"no-complementary", sched.Options{Omega: 1, Gamma: 1.5, Alpha: 0.5, Beta: 0.5, DisableComplementary: true}},
+	}
+	for _, v := range variants {
+		t.Run(v.name, func(t *testing.T) {
+			cluNew := cluster.New(cluster.Config{Nodes: 1000, GPUsPerNode: 4})
+			cluOld := cluster.New(cluster.Config{Nodes: 1000, GPUsPerNode: 4})
+			replayMixEquivChurn(t,
+				sched.NewDilu(cluNew, v.opts),
+				&oldDilu{opts: v.opts, clu: cluOld}, false, true)
+		})
+	}
 }

@@ -12,6 +12,7 @@ package sched
 
 import (
 	"errors"
+	"math/bits"
 	"slices"
 	"strconv"
 
@@ -168,6 +169,7 @@ type Dilu struct {
 	affScratch   []*cluster.GPU
 	inactScratch []*cluster.GPU
 	candScratch  []multiCand
+	topScratch   []float64
 	partners     map[string]bool
 }
 
@@ -269,81 +271,112 @@ func moreFreeMem(a, b multiCand) bool {
 // instance profile is divided across stages: each fragment carries 1/n of
 // the quotas and memory.
 //
-// Candidates come from the cluster's incremental indexes rather than a
-// full inventory scan: every feasible active GPU, merged (in inventory
-// order) with the `stages` earliest inactive GPUs. Inactive GPUs are
-// interchangeable — identical free memory, the worst-fit maximum — and
-// the ranking loop breaks free-memory ties toward earlier list positions,
-// so capping them at `stages` provably selects the same GPUs a scan of
-// all of them would; the feasibility count still reflects every inactive
-// GPU.
+// The selection below is a swap-based selection of the `stages` GPUs
+// with the most normalized free memory over the feasible GPUs in
+// inventory order, ties toward earlier list positions. Candidates come
+// from the cluster's indexes rather than an inventory scan, and the
+// list keeps every GPU that selection could pick or let a swap move, so
+// it picks what the full list would:
+//   - Active GPUs come from the placement grid, walked column by column
+//     from the least-used memory band. A GPU in column m has free share
+//     at most 1 − m/MemBuckets, so once the `stages`-th largest free
+//     share collected beats the next column's ceiling, no later GPU can
+//     be picked. The walk takes one more column for rounding, as
+//     Static.pick does.
+//   - Idle GPUs all tie at a normalized free share of 1.0 (with zero
+//     use, free·capB == free'·capA exactly), so the tie goes to the
+//     earliest position and only the first `stages` feasible idle GPUs
+//     can be picked.
+//   - The selection swaps the GPU at the front position into the slot
+//     of the one it picks, which reorders later ties. Only the first
+//     `stages` entries of the full list ever sit at a front position,
+//     so those are kept too.
+//
+// Dropping a GPU that is never picked and never moved changes neither
+// the picks nor the relative order of the rest. The same argument
+// makes the survivor count reach `stages` exactly when the full
+// feasible count does.
 func (s *Dilu) placeMultiGPU(req Request, stages int) (Decision, error) {
-	p := shardProfile(req.Profile, stages)
 	if s.opts.DisableComplementary {
 		return s.placeExclusiveStages(req, stages)
 	}
+	p := shardProfile(req.Profile, stages)
 	feasible := func(g *cluster.GPU) bool {
 		return g.Schedulable() &&
 			g.SumReq+p.SMReq <= s.opts.Omega*g.Capacity+1e-9 &&
 			g.SumLim+p.SMLim <= s.opts.Gamma*g.Capacity+1e-9 &&
 			g.MemUsedMB+p.MemMB <= g.MemCapMB
 	}
+	// top holds the largest normalized free shares collected so far, in
+	// descending order, at most `stages` of them.
+	top := s.topScratch[:0]
+	note := func(g *cluster.GPU) {
+		f := (g.MemCapMB - g.MemUsedMB) / g.MemCapMB
+		if len(top) == stages {
+			if f <= top[stages-1] {
+				return
+			}
+			top = top[:stages-1]
+		}
+		i := len(top)
+		for i > 0 && top[i-1] < f {
+			i--
+		}
+		top = slices.Insert(top, i, f)
+	}
+	inactives := s.clu.AppendInactiveFit(s.inactScratch[:0], stages, feasible)
+	s.inactScratch = inactives
+	for _, g := range inactives {
+		note(g)
+	}
 	cands := s.candScratch[:0]
-	if s.clu.Heterogeneous() {
-		// Mixed fleets void the "inactive GPUs are interchangeable"
-		// argument below (classes differ in memory and capacity, so
-		// feasibility and worst-fit rank vary across idle GPUs): fall
-		// back to a full inventory scan. Multi-GPU (LLM) placements are
-		// the rare case, and heterogeneous drivers run at cluster sizes
-		// where an O(inventory) scan per LLM instance is acceptable.
-		for _, g := range s.clu.GPUs() {
-			if feasible(g) {
-				cands = append(cands, multiCand{g, g.MemCapMB - g.MemUsedMB})
+	rowTop, colTop := s.gridTop(p)
+	for m, last := 0, colTop; m <= last; m++ {
+		for r := 0; r <= rowTop; r++ {
+			if s.clu.CellMask(r)&(1<<m) == 0 {
+				continue
 			}
-		}
-		s.candScratch = cands
-		if len(cands) < stages {
-			return Decision{}, ErrNoCapacity
-		}
-	} else {
-		s.inactScratch = s.clu.AppendInactive(s.inactScratch[:0], stages)
-		inactives := s.inactScratch
-		feasibleCount := 0
-		// Merge actives and the capped inactives in inventory order so the
-		// candidate list is a (never-selected-elements-removed) copy of the
-		// full-scan list.
-		ii := 0
-		for _, g := range s.clu.ActiveGPUs() {
-			for ii < len(inactives) && inactives[ii].Pos() < g.Pos() {
-				if feasible(inactives[ii]) {
-					cands = append(cands, multiCand{inactives[ii], inactives[ii].MemCapMB - inactives[ii].MemUsedMB})
+			for _, g := range s.clu.Cell(r, m) {
+				if feasible(g) {
+					cands = append(cands, multiCand{g, g.MemCapMB - g.MemUsedMB})
+					note(g)
 				}
-				ii++
-			}
-			if feasible(g) {
-				cands = append(cands, multiCand{g, g.MemCapMB - g.MemUsedMB})
-				feasibleCount++
 			}
 		}
-		for ; ii < len(inactives); ii++ {
-			if feasible(inactives[ii]) {
-				cands = append(cands, multiCand{inactives[ii], inactives[ii].MemCapMB - inactives[ii].MemUsedMB})
-			}
-		}
-		s.candScratch = cands
-		// Feasibility counts every schedulable inactive GPU, not just the
-		// capped sample: on a single-class fleet they are interchangeable,
-		// so one check covers all of them.
-		if n := s.clu.SchedulableInactive(); n > 0 && len(inactives) > 0 && feasible(inactives[0]) {
-			feasibleCount += n
-		}
-		if feasibleCount < stages {
-			return Decision{}, ErrNoCapacity
+		if len(top) == stages && top[stages-1] > 1-float64(m+1)/cluster.MemBuckets {
+			last = min(last, m+1)
 		}
 	}
-	// Worst fit: stable selection of the GPUs with the largest
+	s.topScratch = top
+	// The first `stages` feasible GPUs in inventory order (idle ones
+	// counted in), which the selection's swaps may move.
+	front, ii := 0, 0
+	for _, g := range s.clu.ActiveGPUs() {
+		for ii < len(inactives) && inactives[ii].Pos() < g.Pos() && front < stages {
+			ii++
+			front++
+		}
+		if front == stages {
+			break
+		}
+		if feasible(g) {
+			cands = append(cands, multiCand{g, g.MemCapMB - g.MemUsedMB})
+			front++
+		}
+	}
+	for _, g := range inactives {
+		cands = append(cands, multiCand{g, g.MemCapMB - g.MemUsedMB})
+	}
+	slices.SortFunc(cands, func(a, b multiCand) int { return a.g.Pos() - b.g.Pos() })
+	cands = slices.CompactFunc(cands, func(a, b multiCand) bool { return a.g == b.g })
+	s.candScratch = cands
+	if len(cands) < stages {
+		return Decision{}, ErrNoCapacity
+	}
+	// Worst fit: swap-based selection of the GPUs with the largest
 	// normalized free-memory share (equal-capacity GPUs compare raw free
 	// MB, so homogeneous fleets rank exactly as before normalization).
+	// It is not a stable sort: see the doc comment for what that costs.
 	for i := 0; i < stages; i++ {
 		best := i
 		for j := i + 1; j < len(cands); j++ {
@@ -368,6 +401,19 @@ func (s *Dilu) placeMultiGPU(req Request, stages int) (Decision, error) {
 		d.Placements = append(d.Placements, pl)
 	}
 	return d, nil
+}
+
+// gridTop returns the highest placement-grid row and column that can
+// hold a GPU with room for profile p. A feasible GPU has utilization at
+// most Ω + 1e-9/Capacity − req/Capacity, which is at most the row
+// headroom below on every capacity class; its memory share is at most
+// 1 − mem/MemCapMB ≤ 1 − mem/MaxMemCapacity (plus rounding, which the
+// 1e-9 absorbs). Negative headrooms clamp to row or column 0, where
+// per-GPU feasibility decides.
+func (s *Dilu) gridTop(p profiler.Profile) (row, col int) {
+	row = cluster.OccupancyBucketOf(s.opts.Omega + 1e-9/s.clu.MinCapacity() - p.SMReq/s.clu.MaxCapacity())
+	col = cluster.MemBucketOf(1 + 1e-9 - p.MemMB/s.clu.MaxMemCapacity())
+	return row, col
 }
 
 // placeExclusiveStages is the -RC fallback: each stage takes a fresh GPU.
@@ -495,80 +541,107 @@ func (s *Dilu) cacheCold(g *cluster.GPU, fn string) int {
 	return 1
 }
 
+// boundSlack is subtracted from the grid walks' score lower bounds
+// before the strict > test, so float rounding in a score (a few ulps)
+// can never make a cell look prunable when a GPU in it could still win
+// or tie. It is far below the bound's resolution (α/64, β/32).
+const boundSlack = 1e-9
+
 // selectOptGPUActive is selectOptGPU over the whole active set, served
-// by the cluster's occupancy index instead of a slice scan. Buckets are
-// walked from most- to least-occupied; a bucket whose ΣReq upper bound
-// already lower-bounds every remaining score above the best found so
-// far ends the walk, so the scan touches only the occupancy bands that
-// could still win.
+// by the cluster's placement grid instead of a slice scan. Rows
+// (utilization bands) are walked from the highest feasible one down and,
+// within a row, columns (memory bands) from the most used down, so the
+// walk meets the lowest-scoring cells first.
 //
 // Equivalence with selectOptGPU(ActiveGPUs()): that scan takes the
 // first (inventory-order) candidate achieving the minimum score, i.e.
 // the lexicographic argmin of (score, cacheCold, Pos) — the cache-
 // coldness key degenerates to a constant unless kernel-cache affinity
-// is enabled. Bucket order is arbitrary, so the same argmin is computed
-// explicitly; and since the SM term alone satisfies score ≥ α·(1 −
-// (util + req/cap)) ≥ α·(1 − (ub + req/min-cap)) — the memory term and
-// the same-function penalty are non-negative — a bucket bound strictly
-// above bestScore proves no remaining candidate can beat *or tie* it
-// (the break fires only on strict >, so equal-score candidates that
-// could win the coldness/position tie-break are still scanned).
+// is enabled. Cell order is arbitrary, so the same argmin is computed
+// explicitly. A GPU in cell (r, m) below the clamped top row has
+// utilization under (r+1)/R and memory share under (m+1)/M (or exactly
+// 1 in the top column), so its score — the same-function penalty is
+// non-negative — is at least
+//
+//	α·(1 − ((r+1)/R + req/MinCapacity)) + β·(1 − ((m+1)/M + mem/MinMemCapacity))
+//
+// with β = 0 under −RC. The bound grows as r or m falls, so once it is
+// strictly above bestScore (less boundSlack) for a cell, no GPU in that
+// cell or in any lower column of the row can beat *or tie* the best,
+// and the column loop ends; if the row's highest column is already out,
+// so is every lower row and the walk ends. Equal-score candidates that
+// could win the coldness/position tie-break are still scanned. The
+// clamped top row holds utilizations ≥ 1 (Ω > 1 lands there), so it has
+// no bound and is never pruned.
 func (s *Dilu) selectOptGPUActive(p profiler.Profile, fn string) *cluster.GPU {
-	// Buckets whose normalized-utilization lower bound already breaks Ω
-	// for even the largest-capacity GPU hold no feasible candidate;
-	// start below them. (On a homogeneous fleet MaxCapacity is 1.0 and
-	// x/1.0 ≡ x, so the bound is bit-identical to the pre-capacity one.)
-	headroom := s.opts.Omega + 1e-9 - p.SMReq/s.clu.MaxCapacity()
-	if headroom < 0 {
-		return nil
+	rowTop, colTop := s.gridTop(p)
+	alpha, beta := s.opts.Alpha, s.opts.Beta
+	if s.opts.DisableComplementary {
+		beta = 0
 	}
-	start := cluster.OccupancyBucketOf(headroom)
+	reqTerm := p.SMReq / s.clu.MinCapacity()
+	memTerm := p.MemMB / s.clu.MinMemCapacity()
+	colBound := func(m int) float64 {
+		return beta*(1-(float64(m+1)/cluster.MemBuckets+memTerm)) - boundSlack
+	}
+	colMask := uint32(1)<<(colTop+1) - 1 // columns 0..colTop (all 32 wrap to ^0)
 	bestScore := 1e18
 	bestCold := 2
 	bestPos := -1
 	var best *cluster.GPU
+	// beats orders candidates by (score, cacheCold, Pos), lexicographically.
+	beats := func(score float64, cold, pos int) bool {
+		return score < bestScore || (score == bestScore &&
+			(cold < bestCold || (cold == bestCold && pos < bestPos)))
+	}
 	// The posting index answers "does any GPU host fn" once, up front:
 	// when it is empty (the common case for per-instance function names)
-	// both HostsFunc checks below are statically false, saving a string
-	// map lookup per candidate — the dominant cost of the 32k-instance
-	// hyperscale batch profile.
+	// the HostsFunc check below is statically false. Otherwise it runs
+	// only for GPUs that would win without it, saving most of the
+	// string-map lookups that dominated the 32k-instance hyperscale batch
+	// profile.
 	hostsAny := len(s.clu.FuncGPUs(fn)) > 0
-	for b := start; b >= 0; b-- {
-		// Everything in buckets ≤ b has utilization < (b+1)/Buckets (the
-		// top bucket is clamped, but the walk starts at most there and
-		// its bound is checked after scanning it). The score lower bound
-		// divides the request by the smallest capacity in the fleet —
-		// the largest possible normalized increment.
-		if best != nil {
-			ub := float64(b+1) / cluster.OccupancyBuckets
-			if s.opts.Alpha*(1-(ub+p.SMReq/s.clu.MinCapacity())) > bestScore {
+	for r := rowTop; r >= 0; r-- {
+		prunable := r < cluster.OccupancyBuckets-1
+		rowBound := alpha * (1 - (float64(r+1)/cluster.OccupancyBuckets + reqTerm))
+		if prunable && rowBound+colBound(colTop) > bestScore {
+			break
+		}
+		// Non-empty columns ≤ colTop, most used first.
+		for cols := s.clu.CellMask(r) & colMask; cols != 0; {
+			m := bits.Len32(cols) - 1
+			cols &^= 1 << m
+			if prunable && rowBound+colBound(m) > bestScore {
 				break
 			}
-		}
-		for _, g := range s.clu.OccupancyBucket(b) {
-			if !g.Schedulable() {
-				continue
-			}
-			newReq := g.SumReq + p.SMReq
-			newLim := g.SumLim + p.SMLim
-			newMem := g.MemUsedMB + p.MemMB
-			if newReq > s.opts.Omega*g.Capacity+1e-9 || newLim > s.opts.Gamma*g.Capacity+1e-9 || newMem > g.MemCapMB {
-				continue
-			}
-			hosts := hostsAny && g.HostsFunc(fn)
-			if hosts && p.Role == profiler.RoleTraining {
-				continue
-			}
-			score := s.opts.Alpha * (1 - newReq/g.Capacity)
-			if !s.opts.DisableComplementary {
-				score += s.opts.Beta * (1 - newMem/g.MemCapMB)
-			}
-			if hosts {
-				score += 0.5
-			}
-			cold := s.cacheCold(g, fn)
-			if score < bestScore || (score == bestScore &&
-				(cold < bestCold || (cold == bestCold && g.Pos() < bestPos))) {
+			for _, g := range s.clu.Cell(r, m) {
+				if !g.Schedulable() {
+					continue
+				}
+				newReq := g.SumReq + p.SMReq
+				newLim := g.SumLim + p.SMLim
+				newMem := g.MemUsedMB + p.MemMB
+				if newReq > s.opts.Omega*g.Capacity+1e-9 || newLim > s.opts.Gamma*g.Capacity+1e-9 || newMem > g.MemCapMB {
+					continue
+				}
+				score := s.opts.Alpha * (1 - newReq/g.Capacity)
+				if !s.opts.DisableComplementary {
+					score += s.opts.Beta * (1 - newMem/g.MemCapMB)
+				}
+				// The same-function terms only add to the score or exclude
+				// the GPU, so one that loses without them is done.
+				cold := s.cacheCold(g, fn)
+				if !beats(score, cold, g.Pos()) {
+					continue
+				}
+				if hostsAny && g.HostsFunc(fn) {
+					if p.Role == profiler.RoleTraining {
+						continue
+					}
+					if score += 0.5; !beats(score, cold, g.Pos()) {
+						continue
+					}
+				}
 				bestScore, bestCold, bestPos, best = score, cold, g.Pos(), g
 			}
 		}
@@ -750,10 +823,11 @@ func (s *Static) Schedule(req Request) ([]Decision, error) {
 }
 
 // pick is the Static best-fit: the feasible active GPU with the least
-// free SM share, ties toward inventory order. It walks the occupancy
-// index from the most-occupied bucket that still has Σreq ≤ 1−q
-// headroom downward; within a bucket (unordered) the inventory-scan tie
-// order is reproduced by taking the lexicographic argmin of (free, Pos).
+// free SM share, ties toward inventory order. It walks the placement
+// grid row by row (a row is one occupancy bucket: all of its memory
+// cells) from the most-occupied row that still has Σreq ≤ 1−q headroom
+// downward; within a row (unordered) the inventory-scan tie order is
+// reproduced by taking the lexicographic argmin of (free, Pos).
 //
 // Stopping rule: a lower bucket has strictly smaller ΣReq, so by
 // monotonicity of exact rounding its free share 1−ΣReq is ≥ the best's
@@ -783,16 +857,18 @@ func (s *Static) pick(q, memMB float64, wholeGPU bool) *cluster.GPU {
 			if best != nil && b < stopBelow {
 				break
 			}
-			for _, g := range s.clu.OccupancyBucket(b) {
-				if !g.Schedulable() {
-					continue
-				}
-				if g.SumReq+q > g.Capacity+1e-9 || g.MemUsedMB+memMB > g.MemCapMB {
-					continue
-				}
-				free := 1 - g.Util()
-				if free < bestFree || (free == bestFree && g.Pos() < bestPos) {
-					bestFree, bestPos, best = free, g.Pos(), g
+			for cols := s.clu.CellMask(b); cols != 0; cols &= cols - 1 {
+				for _, g := range s.clu.Cell(b, bits.TrailingZeros32(cols)) {
+					if !g.Schedulable() {
+						continue
+					}
+					if g.SumReq+q > g.Capacity+1e-9 || g.MemUsedMB+memMB > g.MemCapMB {
+						continue
+					}
+					free := 1 - g.Util()
+					if free < bestFree || (free == bestFree && g.Pos() < bestPos) {
+						bestFree, bestPos, best = free, g.Pos(), g
+					}
 				}
 			}
 			if best != nil && stopBelow == -1 {

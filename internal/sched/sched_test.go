@@ -180,6 +180,33 @@ func TestDiluMultiGPUWorstFit(t *testing.T) {
 	}
 }
 
+// TestDiluWorstFitKeepsSwapDisplacedFront pins the worst-fit selection
+// on a case where a GPU that is never picked still decides a tie. The
+// selection swaps the front GPU into the slot of the one it picks, so
+// with candidates [g0 g1 g2 g3] (free: little, tie, tie, most) the first
+// pick moves g0 behind g2 and g1 keeps the tie. Dropping g0 from the
+// list, as the column walk alone would (it sits in a far column), moves
+// g1 behind g2 instead and picks g2.
+func TestDiluWorstFitKeepsSwapDisplacedFront(t *testing.T) {
+	clu := cluster.New(cluster.Config{Nodes: 1, GPUsPerNode: 4, MemCapMB: 40960})
+	gs := clu.GPUs()
+	for i, mem := range []float64{30000, 10000, 10000, 1000} {
+		pl := &cluster.Placement{Instance: fmt.Sprint("fill-", i), Func: "fill", Req: 0.1, Lim: 0.1, MemMB: mem}
+		if err := gs[i].Place(pl); err != nil {
+			t.Fatal(err)
+		}
+	}
+	s := NewDilu(clu, Options{})
+	p := profiler.Profile{SMReq: 0.2, SMLim: 0.2, MemMB: 200}
+	d, err := s.Schedule(Request{Func: "llm", Profile: p, GPUsPerInstance: 2})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := d[0].GPUs; got[0] != gs[3] || got[1] != gs[1] {
+		t.Fatalf("stages on %s, %s; want %s, %s", got[0].ID, got[1].ID, gs[3].ID, gs[1].ID)
+	}
+}
+
 func TestDiluRCDisabledUsesFreshGPUs(t *testing.T) {
 	clu := cluster.New(cluster.Config{Nodes: 2, GPUsPerNode: 4})
 	s := NewDilu(clu, Options{DisableComplementary: true})
