@@ -10,6 +10,7 @@ package main
 import (
 	"flag"
 	"fmt"
+	"io"
 	"os"
 
 	"dilu/internal/core"
@@ -20,21 +21,32 @@ import (
 )
 
 func main() {
-	system := flag.String("system", "Dilu", "token policy: Dilu, MPS-l, MPS-r, Exclusive, TGS, FaST-GS, Uncontrolled")
-	infModel := flag.String("inf", "RoBERTa-large", "inference model")
-	trainModel := flag.String("train", "", "collocated training model (empty = none)")
-	rps := flag.Float64("rps", 30, "mean inference request rate")
-	cv := flag.Float64("cv", 1, "arrival coefficient of variation (1 = Poisson)")
-	dur := flag.Float64("dur", 60, "simulated seconds")
-	nodes := flag.Int("nodes", 1, "cluster nodes")
-	gpus := flag.Int("gpus", 2, "GPUs per node")
-	seed := flag.Int64("seed", 1, "random seed")
-	autoscale := flag.Bool("autoscale", false, "enable Dilu's lazy horizontal scaler")
-	flag.Parse()
+	os.Exit(run(os.Args[1:], os.Stdout, os.Stderr))
+}
+
+// run parses args, runs the scenario and prints the report to stdout.
+// It returns the process exit code: 0 on success, 1 when a deployment
+// fails, 2 on bad flags or an unknown system name.
+func run(args []string, stdout, stderr io.Writer) int {
+	fs := flag.NewFlagSet("dilu-sim", flag.ContinueOnError)
+	fs.SetOutput(stderr)
+	system := fs.String("system", "Dilu", "token policy: Dilu, MPS-l, MPS-r, Exclusive, TGS, FaST-GS, Uncontrolled")
+	infModel := fs.String("inf", "RoBERTa-large", "inference model")
+	trainModel := fs.String("train", "", "collocated training model (empty = none)")
+	rps := fs.Float64("rps", 30, "mean inference request rate")
+	cv := fs.Float64("cv", 1, "arrival coefficient of variation (1 = Poisson)")
+	dur := fs.Float64("dur", 60, "simulated seconds")
+	nodes := fs.Int("nodes", 1, "cluster nodes")
+	gpus := fs.Int("gpus", 2, "GPUs per node")
+	seed := fs.Int64("seed", 1, "random seed")
+	autoscale := fs.Bool("autoscale", false, "enable Dilu's lazy horizontal scaler")
+	if err := fs.Parse(args); err != nil {
+		return 2
+	}
 
 	if _, err := rckm.PolicyByName(*system); err != nil {
-		fmt.Fprintln(os.Stderr, err)
-		os.Exit(2)
+		fmt.Fprintln(stderr, err)
+		return 2
 	}
 	cfg := core.Config{Nodes: *nodes, GPUsPerNode: *gpus, Policy: *system, Seed: *seed}
 	if *autoscale {
@@ -42,37 +54,37 @@ func main() {
 	}
 	sys, err := core.NewSystem(cfg)
 	if err != nil {
-		fmt.Fprintln(os.Stderr, err)
-		os.Exit(1)
+		fmt.Fprintln(stderr, err)
+		return 1
 	}
 
 	var tj *core.TrainingJob
 	if *trainModel != "" {
 		tj, err = sys.DeployTraining(*trainModel+"-train", *trainModel, core.TrainOpts{Workers: 1})
 		if err != nil {
-			fmt.Fprintln(os.Stderr, "training deploy:", err)
-			os.Exit(1)
+			fmt.Fprintln(stderr, "training deploy:", err)
+			return 1
 		}
 	}
 	f, err := sys.DeployInference(*infModel+"-inf", *infModel, core.InferOpts{
 		Arrivals: workload.Gamma{RPS: *rps, CV: *cv},
 	})
 	if err != nil {
-		fmt.Fprintln(os.Stderr, "inference deploy:", err)
-		os.Exit(1)
+		fmt.Fprintln(stderr, "inference deploy:", err)
+		return 1
 	}
 
 	horizon := sim.FromSeconds(*dur)
 	sys.Run(horizon)
 
-	fmt.Printf("system          %s\n", *system)
-	fmt.Printf("simulated       %.0fs on %d GPUs (%d occupied)\n",
+	fmt.Fprintf(stdout, "system          %s\n", *system)
+	fmt.Fprintf(stdout, "simulated       %.0fs on %d GPUs (%d occupied)\n",
 		*dur, *nodes**gpus, sys.Clu.OccupiedCount())
-	fmt.Printf("inference       %s: served=%d p50=%.1fms p95=%.1fms SVR=%.2f%% cold-starts=%d instances=%d\n",
+	fmt.Fprintf(stdout, "inference       %s: served=%d p50=%.1fms p95=%.1fms SVR=%.2f%% cold-starts=%d instances=%d\n",
 		*infModel, f.Served(), f.Rec.P50().Millis(), f.Rec.P95().Millis(),
 		f.Rec.ViolationRate()*100, f.ColdStarts.Value, f.InstancesActive())
 	if tj != nil {
-		fmt.Printf("training        %s: %.1f samples/s (%.0f%% of exclusive)\n",
+		fmt.Fprintf(stdout, "training        %s: %.1f samples/s (%.0f%% of exclusive)\n",
 			*trainModel, tj.Throughput(sys.Eng.Now()),
 			100*tj.Throughput(sys.Eng.Now())/tj.Spec.TrainThroughput(1.0))
 	}
@@ -83,6 +95,7 @@ func main() {
 		n++
 	}
 	if n > 0 {
-		fmt.Printf("mean SM busy    %.1f%% across %d active GPUs\n", occ/float64(n)*100, n)
+		fmt.Fprintf(stdout, "mean SM busy    %.1f%% across %d active GPUs\n", occ/float64(n)*100, n)
 	}
+	return 0
 }

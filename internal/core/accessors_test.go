@@ -90,7 +90,9 @@ func TestColdStartDelaysServing(t *testing.T) {
 	for _, g := range sys.Clu.GPUs() {
 		placementsBefore += len(g.Placements)
 	}
-	f.scaleOut()
+	if _, err := f.launch(true); err != nil {
+		t.Fatal(err)
+	}
 	if f.InstancesActive() != 2 {
 		t.Fatal("scale-out did not register")
 	}

@@ -38,7 +38,6 @@ func (c ColdStartConfig) withDefaults() ColdStartConfig {
 type coldStartStats struct {
 	KernelCacheHits   int64
 	KernelCacheMisses int64
-	PrewarmLaunches   int64
 	ColdLaunches      int64
 	ColdTime          sim.Duration
 }
@@ -122,7 +121,6 @@ func (sys *System) coldStartSLO() metrics.ColdStartSLO {
 	cs := metrics.ColdStartSLO{
 		KernelCacheHits:   sys.coldStats.KernelCacheHits,
 		KernelCacheMisses: sys.coldStats.KernelCacheMisses,
-		PrewarmLaunches:   sys.coldStats.PrewarmLaunches,
 		ColdLaunches:      sys.coldStats.ColdLaunches,
 		ColdMillisTotal:   sys.coldStats.ColdTime.Millis(),
 	}

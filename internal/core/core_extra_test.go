@@ -287,3 +287,66 @@ func TestKeepAliveExpiryRequeuesInFlightBatch(t *testing.T) {
 		}
 	}
 }
+
+// scaleOutOnce answers delta at its first sample and 0 after.
+type scaleOutOnce struct {
+	delta int
+	done  bool
+}
+
+func (p *scaleOutOnce) Name() string               { return "scale-out-once" }
+func (p *scaleOutOnce) KeepAliveTTL() sim.Duration { return 0 }
+func (p *scaleOutOnce) Decide(sim.Time, float64, int, float64) int {
+	if p.done {
+		return 0
+	}
+	p.done = true
+	return p.delta
+}
+
+// TestSampleCarriesOutWholeDelta: the control step launches one cold
+// instance per unit of a positive delta, and on a cluster without room
+// it stops at the first failed launch with every ledger intact.
+func TestSampleCarriesOutWholeDelta(t *testing.T) {
+	deploy := func(gpus, delta int) (*System, *Function) {
+		sys := MustSystem(Config{
+			Nodes: 1, GPUsPerNode: gpus, Seed: 1,
+			NewScaler: func() scaler.Policy { return &scaleOutOnce{delta: delta} },
+		})
+		f, err := sys.DeployInference("bert", "BERT-base", InferOpts{
+			Arrivals: workload.Constant{RPS: 50},
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		sys.Run(30 * sim.Second)
+		return sys, f
+	}
+
+	_, f := deploy(4, 2)
+	if f.ColdStarts.Value != 2 || f.InstancesActive() != 3 {
+		t.Fatalf("+2 on a roomy cluster: %d cold starts, %d instances; want 2 and 3",
+			f.ColdStarts.Value, f.InstancesActive())
+	}
+
+	const ask = 1000
+	sys, f := deploy(1, ask)
+	if n := f.ColdStarts.Value; n == 0 || n >= ask {
+		t.Fatalf("+%d on one GPU launched %d cold instances", ask, n)
+	}
+	if _, err := f.launch(true); err == nil {
+		t.Fatal("the loop stopped while the GPU still had room")
+	}
+	submitted, admitted, shed := f.GatewayCounts()
+	if submitted != admitted+shed || f.InFlightCount() != f.RecountInFlight() {
+		t.Fatalf("ledgers: submitted %d admitted %d shed %d, in flight %d recounted %d",
+			submitted, admitted, shed, f.InFlightCount(), f.RecountInFlight())
+	}
+	placements := 0
+	for _, g := range sys.Clu.GPUs() {
+		placements += len(g.Placements)
+	}
+	if placements != f.InstancesActive() {
+		t.Fatalf("%d placements for %d instances", placements, f.InstancesActive())
+	}
+}

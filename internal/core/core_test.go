@@ -127,7 +127,9 @@ func TestKeepAliveAvoidsColdStart(t *testing.T) {
 		t.Fatal("scale-in failed")
 	}
 	sys.Run(5 * sim.Second)
-	f.scaleOut()
+	if _, err := f.launch(true); err != nil {
+		t.Fatal(err)
+	}
 	if f.InstancesActive() != 2 {
 		t.Fatal("scale-out failed")
 	}

@@ -125,10 +125,6 @@ type Function struct {
 	// it, keeping the default path byte-identical.
 	res *resilience
 
-	// prewarm is the predictive-prewarming state (rate-trend ring and
-	// in-flight launch windows); nil whenever Config.Prewarm is nil.
-	prewarm *prewarmState
-
 	// llm is the token-level serving state (profile, token recorder,
 	// length sampler); nil whenever the deployment has no LLMOpts —
 	// every touchpoint guards on it, keeping fixed-batch deployments
@@ -221,9 +217,6 @@ func (sys *System) DeployInference(name, modelName string, opts InferOpts) (*Fun
 	}
 	if sys.cfg.Resilience != nil {
 		f.res = newResilience(sys.cfg.Resilience)
-	}
-	if sys.cfg.Prewarm != nil {
-		f.prewarm = newPrewarmState(*sys.cfg.Prewarm)
 	}
 	if f.tenant != "" {
 		f.Rec.SetTenant(f.tenant)
@@ -503,11 +496,6 @@ func (f *Function) pinPlace() (sched.Decision, error) {
 	return d, nil
 }
 
-// scaleOut launches one instance (cold) in response to the scaler.
-func (f *Function) scaleOut() {
-	_, _ = f.launch(true)
-}
-
 // scaleIn deactivates the least-loaded instance; its reservation either
 // enters the keep-alive pool (TTL > 0) or is torn down immediately, its
 // in-flight batch going back through the gateway.
@@ -584,18 +572,18 @@ func (f *Function) sample(now sim.Time) {
 	f.RPSTrace.Add(now, rps)
 	f.InstTrace.Add(now, float64(len(f.active)))
 	f.flushPending(now, model.ColdStartStages{})
-	if f.prewarm != nil {
-		f.prewarm.observe(rps)
-		f.prewarmStep(now)
-	}
 	if f.policy == nil {
 		return
 	}
+	// Scale-out launches cold; a launch that finds no capacity ends the
+	// step's scale-out.
 	delta := f.policy.Decide(now, rps, len(f.active), f.Profile.ServingRPS)
-	switch {
-	case delta > 0:
-		f.scaleOut()
-	case delta < 0:
+	for ; delta > 0; delta-- {
+		if _, err := f.launch(true); err != nil {
+			break
+		}
+	}
+	if delta < 0 {
 		f.scaleIn(now)
 	}
 }

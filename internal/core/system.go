@@ -58,9 +58,6 @@ type Config struct {
 	// kernel caches (see ColdStartConfig); the zero value is the
 	// defaults.
 	ColdStart ColdStartConfig
-	// Prewarm enables predictive prewarming (see PrewarmConfig); nil
-	// disables the layer with zero overhead.
-	Prewarm *PrewarmConfig
 	// Seed drives all randomness.
 	Seed int64
 	// Meter, when non-nil, observes the engine's virtual-time progress
@@ -95,10 +92,6 @@ func (c Config) withDefaults() Config {
 		c.Resilience = &r
 	}
 	c.ColdStart = c.ColdStart.withDefaults()
-	if c.Prewarm != nil {
-		pw := c.Prewarm.withDefaults()
-		c.Prewarm = &pw
-	}
 	return c
 }
 
@@ -161,8 +154,8 @@ type System struct {
 	health     *healthMonitor
 
 	// coldStats aggregates cold-launch activity (kernel-cache hits,
-	// prewarm launches, total cold time) for the SLO summary's
-	// cold-start block.
+	// launch count, total cold time) for the SLO summary's cold-start
+	// block.
 	coldStats coldStartStats
 
 	// llmDeployed latches once any deployment uses the token-level

@@ -38,3 +38,32 @@ func TestColdStartStagesCacheCutsColdTime(t *testing.T) {
 		t.Fatal("staged+cache SLO summary carries no kernel-cache hits")
 	}
 }
+
+// TestPrewarmPolicyHidesRampLag pins the prewarm_policy result: on the
+// same ramp, the reactive arm misses p99 on two of three functions
+// while the prewarm arm attains it on all three, and the wrapper's
+// launches are a share of the run's cold launches.
+func TestPrewarmPolicyHidesRampLag(t *testing.T) {
+	skipSlowTier(t, "prewarm_policy")
+	rep := PrewarmPolicy(testOpts())
+	agg := rep.Table("Ramp: aggregate SLO attainment by arm")
+	if agg == nil || len(agg.Rows) != 2 {
+		t.Fatal("aggregate table wrong: want the reactive and prewarm arms")
+	}
+	reactive, prewarm := agg.Rows[0], agg.Rows[1]
+	if reactive[0] != "reactive" || prewarm[0] != "prewarm" {
+		t.Fatalf("arms %q, %q", reactive[0], prewarm[0])
+	}
+	if got := gwCell(t, prewarm, 4); got != 100 {
+		t.Fatalf("prewarm arm p99 attainment %v%%, want 100%%", got)
+	}
+	if got := gwCell(t, reactive, 4); got != 33.3 {
+		t.Fatalf("reactive arm p99 attainment %v%%, want 33.3%%", got)
+	}
+	if gwCell(t, reactive, 5) != 0 {
+		t.Fatalf("reactive arm reports %v prewarm launches", reactive[5])
+	}
+	if launches, cold := gwCell(t, prewarm, 5), gwCell(t, prewarm, 6); launches <= 0 || launches > cold {
+		t.Fatalf("prewarm arm: %v prewarm launches of %v cold launches", launches, cold)
+	}
+}

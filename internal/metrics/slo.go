@@ -107,7 +107,9 @@ type ResilienceSLO struct {
 
 // ColdStartSLO is the staged cold-start block of a run summary:
 // per-stage violation attribution summed over functions, warm-queue
-// waits split out, kernel-cache effectiveness, and prewarming activity.
+// waits split out, kernel-cache effectiveness, and the cold launches
+// paid. Predictive prewarming is a scaler policy (scaler.Prewarm), so
+// its launches are ordinary cold launches here.
 type ColdStartSLO struct {
 	ImageInitViolations int64 `json:"image_init_violations"`
 	ModelLoadViolations int64 `json:"model_load_violations"`
@@ -117,10 +119,6 @@ type ColdStartSLO struct {
 	// every target node's kernel cache warm; a hit shrinks the JIT stage.
 	KernelCacheHits   int64 `json:"kernel_cache_hits"`
 	KernelCacheMisses int64 `json:"kernel_cache_misses"`
-	// PrewarmLaunches counts cold launches initiated ahead of demand by
-	// the prewarming policy — their cold starts are paid off the request
-	// path.
-	PrewarmLaunches int64 `json:"prewarm_launches"`
 	// ColdLaunches / ColdMillisTotal are the run's cold-launch count and
 	// total cold-start wall clock actually paid (cache shortening
 	// included), so drivers can report mean effective cold-start time.

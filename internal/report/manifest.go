@@ -84,7 +84,7 @@ type SLOBlock struct {
 	Resilience *metrics.ResilienceSLO `json:"resilience,omitempty"`
 
 	// ColdStart is the staged cold-start roll-up (per-stage violation
-	// attribution, kernel-cache hits, prewarm launches).
+	// attribution, kernel-cache hits, cold launches and time).
 	ColdStart metrics.ColdStartSLO `json:"cold_start"`
 
 	// LLM is the token-level serving roll-up (TTFT/TPOT, token

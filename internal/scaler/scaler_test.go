@@ -188,3 +188,82 @@ func TestPolicyDeltaBoundsProperty(t *testing.T) {
 		t.Fatal(err)
 	}
 }
+
+// stubPolicy answers a fixed delta and records the instance count each
+// Decide call sees.
+type stubPolicy struct {
+	delta int
+	seen  []int
+}
+
+func (s *stubPolicy) Name() string               { return "stub" }
+func (s *stubPolicy) KeepAliveTTL() sim.Duration { return 0 }
+func (s *stubPolicy) Decide(_ sim.Time, _ float64, instances int, _ float64) int {
+	s.seen = append(s.seen, instances)
+	return s.delta
+}
+
+// decideRamp feeds p one sample a second from rps, holding the
+// instance count at instances, and returns each step's answer.
+func decideRamp(p Policy, rps []float64, instances int) []int {
+	out := make([]int, len(rps))
+	for i, r := range rps {
+		out[i] = p.Decide(sim.Time(i)*sim.Second, r, instances, 10)
+	}
+	return out
+}
+
+func TestPrewarmAsksAheadOfRisingRamp(t *testing.T) {
+	inner := &stubPolicy{}
+	p := NewPrewarm(inner, 2*sim.Second)
+	// At t=1 s the slope is 1 rps/s: 6 + 1·(2 s + 1 s) = 9 rps, ×1.3
+	// headroom needs 2 instances of 10 rps against 1 running.
+	got := decideRamp(p, []float64{5, 6}, 1)
+	if got[0] != 0 || got[1] != 1 {
+		t.Fatalf("answers %v, want [0 1]", got)
+	}
+	if inner.seen[0] != 1 || inner.seen[1] != 2 {
+		t.Fatalf("inner saw %v, want [1 2]: the ask counts as an instance", inner.seen)
+	}
+	if p.Launches() != 1 || p.Name() != "stub" {
+		t.Fatalf("launches %d name %q", p.Launches(), p.Name())
+	}
+}
+
+func TestPrewarmLaunchWindowSuppressesSecondAsk(t *testing.T) {
+	p := NewPrewarm(&stubPolicy{}, 2*sim.Second)
+	// The t=1 s ask is on the way until t=3 s; at t=2 s it covers the
+	// second instance still needed, and at t=3 s its window has ended.
+	got := decideRamp(p, []float64{5, 6, 7, 8}, 1)
+	want := []int{0, 1, 0, 1}
+	for i := range want {
+		if got[i] != want[i] {
+			t.Fatalf("answers %v, want %v", got, want)
+		}
+	}
+}
+
+func TestPrewarmIgnoresFlatAndFallingLoad(t *testing.T) {
+	for name, rps := range map[string][]float64{
+		"flat":    {30, 30, 30, 30, 30, 30},
+		"falling": {40, 38, 36, 34, 32, 30},
+	} {
+		inner := &stubPolicy{}
+		p := NewPrewarm(inner, 2*sim.Second)
+		for i, d := range decideRamp(p, rps, 1) {
+			if d != 0 || inner.seen[i] != 1 {
+				t.Fatalf("%s: step %d answered %d, inner saw %d", name, i, d, inner.seen[i])
+			}
+		}
+	}
+}
+
+func TestPrewarmNetsAgainstInnerScaleIn(t *testing.T) {
+	p := NewPrewarm(&stubPolicy{delta: -1}, 2*sim.Second)
+	// The trend asks +1 at t=1 s while the inner policy scales in: a
+	// launch and a teardown in the same second would pay a cold start
+	// for nothing, so the answers net to 0.
+	if got := decideRamp(p, []float64{5, 6}, 1); got[1] != 0 || p.Launches() != 1 {
+		t.Fatalf("answers %v with %d launches, want 0 at t=1 s and 1 launch", got, p.Launches())
+	}
+}
