@@ -13,25 +13,19 @@ import (
 	"dilu/internal/sim"
 )
 
-// ColdStartConfig tunes the staged cold-start model and its node-local
-// kernel caches. The zero value is the defaults.
+// ColdStartConfig tunes the staged cold-start model. The zero value is
+// the default.
 type ColdStartConfig struct {
 	// JITFactor scales the kernel-JIT stage of a cold launch whose
 	// target nodes all hold compiled kernels for the function: 0 (the
 	// default) skips the stage entirely, 0.5 halves it, 1 disables the
 	// shortening while keeping the caches live.
 	JITFactor float64
-	// CacheCap bounds each node's kernel cache (LRU entries); <= 0
-	// defaults to 32 functions per node.
-	CacheCap int
 }
 
-func (c ColdStartConfig) withDefaults() ColdStartConfig {
-	if c.CacheCap <= 0 {
-		c.CacheCap = 32
-	}
-	return c
-}
+// kernelCacheSize bounds each node's kernel cache: 32 LRU entries, the
+// one size every configuration has used.
+const kernelCacheSize = 32
 
 // coldStartStats aggregates the run's cold-launch activity for the SLO
 // summary's cold-start block.

@@ -146,7 +146,7 @@ func (f *Function) abortOnGPU(g *cluster.GPU, now sim.Time) {
 // or enabled a mitigation layer, so pre-fault manifests keep their
 // exact bytes (every column is additionally omitempty).
 func (sys *System) resilienceSLO() *metrics.ResilienceSLO {
-	if !sys.faultsSeen && sys.cfg.Resilience == nil && sys.cfg.Health == nil {
+	if !sys.faultsSeen && !sys.cfg.Retry && !sys.cfg.Hedge && !sys.cfg.Quarantine {
 		return nil
 	}
 	r := &metrics.ResilienceSLO{

@@ -50,3 +50,60 @@ func TestErrorGPUClearsAbortedWork(t *testing.T) {
 		})
 	}
 }
+
+// Retry and hedge timings scale with each function's own SLO: two
+// functions of one model under different SLO overrides, every GPU
+// slowed so nothing completes, and each function's hedges fire SLO/2
+// after admission and its timeouts 2·SLO after it — never at the other
+// function's times.
+func TestRetryHedgeTimingsFollowOwnSLO(t *testing.T) {
+	sys := MustSystem(Config{Nodes: 1, GPUsPerNode: 4, Seed: 1, Retry: true, Hedge: true})
+	slos := map[string]sim.Duration{"fast": 80 * sim.Millisecond, "slow": 400 * sim.Millisecond}
+	funcs := map[string]*Function{}
+	for _, name := range []string{"fast", "slow"} {
+		f, err := sys.DeployInference(name, "BERT-base", InferOpts{
+			Instances: 2, NoScaler: true, SLO: slos[name], Tenant: name,
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		funcs[name] = f
+	}
+	for g := 0; g < 4; g++ {
+		sys.SlowGPU(0, g, 1000)
+	}
+	// 40 admitted requests per tenant buy a budget of 10 redeliveries;
+	// the 4 with a deadline hedge, leaving room for retries.
+	for _, name := range []string{"fast", "slow"} {
+		for i := 0; i < 40; i++ {
+			req := Request{Func: name}
+			if i%10 == 0 {
+				req.Deadline = slos[name]
+			}
+			sys.Submit(0, req)
+		}
+	}
+	hedges := func(f *Function) int64 { return f.ResilienceStats().Hedges }
+	retries := func(f *Function) int64 { return f.ResilienceStats().Retries }
+	for _, c := range []struct {
+		at    sim.Time
+		fn    string
+		kind  string
+		count func(*Function) int64
+	}{
+		{slos["fast"] / 2, "fast", "hedge", hedges},
+		{2 * slos["fast"], "fast", "timeout", retries},
+		{slos["slow"] / 2, "slow", "hedge", hedges},
+		{2 * slos["slow"], "slow", "timeout", retries},
+	} {
+		f := funcs[c.fn]
+		sys.Run(c.at - sim.Millisecond - sys.Eng.Now())
+		if n := c.count(f); n != 0 {
+			t.Fatalf("%s: %d before its %s time %v", c.fn, n, c.kind, c.at)
+		}
+		sys.Run(2 * sim.Millisecond)
+		if c.count(f) == 0 {
+			t.Fatalf("%s: no %s fired by %v", c.fn, c.kind, c.at+sim.Millisecond)
+		}
+	}
+}

@@ -121,8 +121,8 @@ type Function struct {
 	shed      int64
 
 	// res is the request-resilience state (timeout/retry/hedge); nil
-	// whenever Config.Resilience is nil — every touchpoint guards on
-	// it, keeping the default path byte-identical.
+	// unless Config.Retry or Config.Hedge is set — every touchpoint
+	// guards on it, keeping the default path byte-identical.
 	res *resilience
 
 	// llm is the token-level serving state (profile, token recorder,
@@ -215,8 +215,8 @@ func (sys *System) DeployInference(name, modelName string, opts InferOpts) (*Fun
 		f.llm = st
 		sys.llmDeployed = true
 	}
-	if sys.cfg.Resilience != nil {
-		f.res = newResilience(sys.cfg.Resilience)
+	if sys.cfg.Retry || sys.cfg.Hedge {
+		f.res = newResilience(slo)
 	}
 	if f.tenant != "" {
 		f.Rec.SetTenant(f.tenant)

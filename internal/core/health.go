@@ -16,55 +16,28 @@ import (
 // correlated gray event cannot trick it into shrinking the fleet below
 // what the traffic needs.
 
-// HealthConfig enables the per-GPU health monitor. Zero-valued knobs
-// take the documented defaults; a nil *HealthConfig in Config disables
-// monitoring entirely.
-type HealthConfig struct {
-	// SlowdownThreshold is the observed straggler factor at or above
-	// which a sample counts against the GPU (default 2.0); a readmit
-	// probe also requires the factor back below it.
-	SlowdownThreshold float64
-	// SlowSamples is how many consecutive 1 Hz samples must exceed the
-	// threshold before quarantine (default 3) — a single slow second is
-	// noise, a streak is a straggler.
-	SlowSamples int
-	// ErrorThreshold errors within ErrorWindow quarantine the GPU
-	// (defaults 3 / 30 s).
-	ErrorThreshold int
-	ErrorWindow    sim.Duration
-	// ProbeAfter is the quarantine dwell before a readmit probe
-	// (default 20 s); a dirty probe resets the clock.
-	ProbeAfter sim.Duration
-	// MaxQuarantineFrac caps simultaneously quarantined GPUs as a
-	// fraction of the fleet (default 0.25).
-	MaxQuarantineFrac float64
-}
-
-func (c HealthConfig) withDefaults() HealthConfig {
-	if c.SlowdownThreshold <= 0 {
-		c.SlowdownThreshold = 2.0
-	}
-	if c.SlowSamples <= 0 {
-		c.SlowSamples = 3
-	}
-	if c.ErrorThreshold <= 0 {
-		c.ErrorThreshold = 3
-	}
-	if c.ErrorWindow <= 0 {
-		c.ErrorWindow = 30 * sim.Second
-	}
-	if c.ProbeAfter <= 0 {
-		c.ProbeAfter = 20 * sim.Second
-	}
-	if c.MaxQuarantineFrac <= 0 {
-		c.MaxQuarantineFrac = 0.25
-	}
-	return c
-}
+// The health monitor's fixed thresholds.
+const (
+	// slowdownThreshold is the device slowdown factor at or above which
+	// one 1 Hz sample quarantines the GPU: the factor is read directly
+	// from the device, so a single sample is a verdict, not noise. A
+	// readmit probe also requires the factor back below it.
+	slowdownThreshold = 2.0
+	// errorThreshold errors within errorWindow quarantine the GPU: one
+	// error is transient, three in 30 s is a flaky device.
+	errorThreshold = 3
+	errorWindow    = 30 * sim.Second
+	// probeAfter is the quarantine dwell before a readmit probe, a few
+	// 1 Hz samples; a dirty probe resets the clock.
+	probeAfter = 5 * sim.Second
+	// maxQuarantineFrac caps simultaneously quarantined GPUs at a
+	// quarter of the fleet, so a correlated gray event cannot shrink
+	// serving capacity below what the traffic needs.
+	maxQuarantineFrac = 0.25
+)
 
 // gpuHealth is the monitor's per-GPU score state.
 type gpuHealth struct {
-	slowStreak  int
 	errs        []sim.Time // error arrivals inside the sliding window
 	quarantined bool
 	// errsSince counts errors observed while quarantined; a probe
@@ -76,17 +49,15 @@ type gpuHealth struct {
 // drives the quarantine/probe/readmit cycle.
 type healthMonitor struct {
 	sys         *System
-	cfg         HealthConfig
 	state       []gpuHealth // parallel to Clu.GPUs()
 	index       map[*cluster.GPU]int
 	quarantined int
 }
 
-func newHealthMonitor(sys *System, cfg HealthConfig) *healthMonitor {
+func newHealthMonitor(sys *System) *healthMonitor {
 	gpus := sys.Clu.GPUs()
 	m := &healthMonitor{
 		sys:   sys,
-		cfg:   cfg.withDefaults(),
 		state: make([]gpuHealth, len(gpus)),
 		index: make(map[*cluster.GPU]int, len(gpus)),
 	}
@@ -96,21 +67,13 @@ func newHealthMonitor(sys *System, cfg HealthConfig) *healthMonitor {
 	return m
 }
 
-// sample is the 1 Hz scoring pass: read each device's observed
-// slowdown, advance streaks, quarantine outliers.
+// sample is the 1 Hz scoring pass: read each device's slowdown factor
+// and quarantine the stragglers.
 func (m *healthMonitor) sample(now sim.Time) {
 	for i, g := range m.sys.Clu.GPUs() {
 		st := &m.state[i]
-		if st.quarantined {
-			continue
-		}
-		if g.Dev.Slowdown() >= m.cfg.SlowdownThreshold {
-			st.slowStreak++
-			if st.slowStreak >= m.cfg.SlowSamples {
-				m.quarantine(g, st)
-			}
-		} else {
-			st.slowStreak = 0
+		if !st.quarantined && g.Dev.Slowdown() >= slowdownThreshold {
+			m.quarantine(g, st)
 		}
 	}
 }
@@ -129,13 +92,13 @@ func (m *healthMonitor) observeError(g *cluster.GPU, now sim.Time) {
 	}
 	st.errs = append(st.errs, now)
 	cut := 0
-	for cut < len(st.errs) && now-st.errs[cut] > m.cfg.ErrorWindow {
+	for cut < len(st.errs) && now-st.errs[cut] > errorWindow {
 		cut++
 	}
 	if cut > 0 {
 		st.errs = append(st.errs[:0], st.errs[cut:]...)
 	}
-	if len(st.errs) >= m.cfg.ErrorThreshold {
+	if len(st.errs) >= errorThreshold {
 		m.quarantine(g, st)
 	}
 }
@@ -151,12 +114,11 @@ func (m *healthMonitor) quarantine(g *cluster.GPU, st *gpuHealth) {
 		return
 	}
 	total := len(m.state)
-	if float64(m.quarantined+1) > m.cfg.MaxQuarantineFrac*float64(total) {
+	if float64(m.quarantined+1) > maxQuarantineFrac*float64(total) {
 		return // quota: keep serving on a degraded device over shrinking the fleet
 	}
 	st.quarantined = true
 	st.errsSince = 0
-	st.slowStreak = 0
 	st.errs = st.errs[:0]
 	m.quarantined++
 	sys.Clu.QuarantineGPU(g)
@@ -171,7 +133,7 @@ func (m *healthMonitor) quarantine(g *cluster.GPU, st *gpuHealth) {
 		tj.preemptRetired(false)
 	}
 	sys.faults.QuarantineMigrations += sys.churn.MigratedInstances - before
-	sys.Eng.After(m.cfg.ProbeAfter, func(at sim.Time) { m.probe(g, at) })
+	sys.Eng.After(probeAfter, func(at sim.Time) { m.probe(g, at) })
 }
 
 // probe decides readmission after the quarantine dwell: clean (no
@@ -187,7 +149,7 @@ func (m *healthMonitor) probe(g *cluster.GPU, at sim.Time) {
 		}
 		return
 	}
-	if st.errsSince == 0 && g.Dev.Slowdown() < m.cfg.SlowdownThreshold {
+	if st.errsSince == 0 && g.Dev.Slowdown() < slowdownThreshold {
 		st.quarantined = false
 		m.quarantined--
 		m.sys.Clu.ReadmitGPU(g)
@@ -195,5 +157,5 @@ func (m *healthMonitor) probe(g *cluster.GPU, at sim.Time) {
 		return
 	}
 	st.errsSince = 0
-	m.sys.Eng.After(m.cfg.ProbeAfter, func(next sim.Time) { m.probe(g, next) })
+	m.sys.Eng.After(probeAfter, func(next sim.Time) { m.probe(g, next) })
 }

@@ -15,68 +15,30 @@ import (
 // a request may be delivered many times, but exactly one copy is ever
 // recorded as served.
 
-// ResilienceConfig enables the request-resilience layer. The zero value
-// of each knob picks the documented default; a nil *ResilienceConfig in
-// Config disables the layer entirely (no per-request state, no timers,
-// byte-identical output).
-type ResilienceConfig struct {
-	// Timeout re-delivers a request that has not completed this long
-	// after admission: the queued copy is stolen from its straggling
-	// instance and, after backoff, dispatched to the least-loaded one.
-	// Zero disables timeout/retry (hedging may still be on).
-	Timeout sim.Duration
-	// BackoffBase and BackoffCap shape the capped exponential backoff:
-	// attempt n waits Base·2^(n-1), at most Cap. Defaults 100 ms / 2 s.
-	// The schedule is a pure function of the attempt number — no jitter
-	// — so runs are deterministic.
-	BackoffBase sim.Duration
-	BackoffCap  sim.Duration
-	// MaxAttempts bounds deliveries per request including the first
-	// (default 3). 1 means never retry.
-	MaxAttempts int
+// The fixed resilience parameters. Timings are not constants: they
+// scale with each function's own SLO (Function.Rec.SLO()) — a timeout
+// fires 2·SLO after admission, backoff starts at SLO/4 and is capped at
+// 2·SLO (Backoff), and a hedge fires SLO/2 after admission.
+const (
+	// maxAttempts bounds deliveries per request including the first: two
+	// retries, so a request rides out one straggler and one error.
+	maxAttempts = 3
 	// RetryBudget caps per-tenant amplification: retries + hedges may
-	// not exceed this fraction of the tenant's admitted requests
-	// (default 0.1).
-	RetryBudget float64
-	// HedgeDelay, when > 0, dispatches a speculative second copy of a
-	// deadline-carrying request that is still unfinished this long
-	// after admission. First completion wins; the loser is canceled
-	// (stolen if queued, discarded unrecorded if executing). Zero
-	// disables hedging.
-	HedgeDelay sim.Duration
-}
+	// not exceed this fraction of the tenant's admitted requests, so
+	// mitigations add at most a quarter more load to a degraded fleet.
+	RetryBudget = 0.25
+)
 
-func (c ResilienceConfig) withDefaults() ResilienceConfig {
-	if c.BackoffBase <= 0 {
-		c.BackoffBase = 100 * sim.Millisecond
-	}
-	if c.BackoffCap <= 0 {
-		c.BackoffCap = 2 * sim.Second
-	}
-	if c.MaxAttempts <= 0 {
-		c.MaxAttempts = 3
-	}
-	if c.RetryBudget <= 0 {
-		c.RetryBudget = 0.1
-	}
-	return c
-}
-
-// Backoff returns the wait before delivering attempt n (n ≥ 1):
-// Base·2^(n-1) capped at Cap. Deterministic — the property tests pin
-// this schedule.
-func (c *ResilienceConfig) Backoff(attempt int) sim.Duration {
-	d := c.BackoffBase
-	for i := 1; i < attempt; i++ {
+// Backoff returns the wait before delivering attempt n (n ≥ 1) of a
+// request whose function has the given SLO: SLO/4·2^(n-1), capped at
+// 2·SLO. It is a pure function of its arguments — no jitter — so runs
+// are deterministic; the property tests pin this schedule.
+func Backoff(slo sim.Duration, attempt int) sim.Duration {
+	d, limit := slo/4, 2*slo
+	for i := 1; i < attempt && d < limit; i++ {
 		d *= 2
-		if d >= c.BackoffCap {
-			return c.BackoffCap
-		}
 	}
-	if d > c.BackoffCap {
-		return c.BackoffCap
-	}
-	return d
+	return min(d, limit)
 }
 
 // ResilienceStats counts one function's mitigation outcomes.
@@ -98,9 +60,11 @@ type ResilienceStats struct {
 }
 
 // resilience is the per-function request-resilience state. Allocated
-// only when Config.Resilience is set; every hot path guards on nil.
+// only when Config.Retry or Config.Hedge is set; every hot path guards
+// on nil.
 type resilience struct {
-	cfg *ResilienceConfig
+	// slo is the function's latency SLO, the scale of every timing.
+	slo sim.Duration
 	// done marks request IDs whose service was recorded — the
 	// at-most-once gate. len(done) == Function.Served() is invariant.
 	done map[int64]bool
@@ -116,8 +80,14 @@ type resilience struct {
 	stats ResilienceStats
 }
 
-func newResilience(cfg *ResilienceConfig) *resilience {
-	return &resilience{cfg: cfg, done: make(map[int64]bool), copies: make(map[int64]int)}
+func newResilience(slo sim.Duration) *resilience {
+	return &resilience{slo: slo, done: make(map[int64]bool), copies: make(map[int64]int)}
+}
+
+// budgetSpent reports whether the tenant's retries and hedges have
+// reached RetryBudget of its admitted requests.
+func budgetSpent(ts *TenantStats) bool {
+	return float64(ts.Retries+ts.Hedges) >= RetryBudget*float64(ts.Admitted)
 }
 
 // dropCopy settles a resolved hedge race: one duplicate copy left the
@@ -163,11 +133,10 @@ func (f *Function) ResilienceStats() ResilienceStats {
 // redispatch keeps the original clock running, so a request's timeout
 // covers its total time in the system.
 func (f *Function) armResilience(req instance.Request, now sim.Time) {
-	cfg := f.res.cfg
-	if cfg.Timeout > 0 && cfg.MaxAttempts > 1 {
+	if f.sys.cfg.Retry {
 		f.armTimeout(req, now)
 	}
-	if cfg.HedgeDelay > 0 && req.Deadline > 0 {
+	if f.sys.cfg.Hedge && req.Deadline > 0 {
 		f.armHedge(req, now)
 	}
 }
@@ -176,7 +145,7 @@ func (f *Function) armResilience(req instance.Request, now sim.Time) {
 // attempt. Exactly one timer exists per attempt: a retry arms the next
 // attempt's timer, so a fired timer is never stale.
 func (f *Function) armTimeout(req instance.Request, now sim.Time) {
-	f.sys.Eng.Schedule(now+f.res.cfg.Timeout, func(at sim.Time) {
+	f.sys.Eng.Schedule(now+2*f.res.slo, func(at sim.Time) {
 		f.fireTimeout(req.ID, req.Tenant, at)
 	})
 }
@@ -193,8 +162,8 @@ func (f *Function) fireTimeout(id int64, tenant string, at sim.Time) {
 		return
 	}
 	ts := f.sys.tenantStats(tenant)
-	if float64(ts.Retries+ts.Hedges) >= r.cfg.RetryBudget*float64(ts.Admitted) {
-		return // budget exhausted: the request keeps waiting where it is
+	if budgetSpent(ts) {
+		return // the request keeps waiting where it is
 	}
 	req, ok := f.stealCopy(id)
 	if !ok {
@@ -205,7 +174,7 @@ func (f *Function) fireTimeout(id int64, tenant string, at sim.Time) {
 	ts.Retries++
 	req.Attempt++
 	r.parked++
-	f.sys.Eng.After(r.cfg.Backoff(req.Attempt), func(at sim.Time) {
+	f.sys.Eng.After(Backoff(r.slo, req.Attempt), func(at sim.Time) {
 		f.unpark(req, at)
 	})
 }
@@ -225,14 +194,14 @@ func (f *Function) unpark(req instance.Request, now sim.Time) {
 	} else {
 		f.pending = append(f.pending, req)
 	}
-	if req.Attempt+1 < r.cfg.MaxAttempts {
+	if req.Attempt+1 < maxAttempts {
 		f.armTimeout(req, now)
 	}
 }
 
 // armHedge schedules the hedge check for a deadline-carrying request.
 func (f *Function) armHedge(req instance.Request, now sim.Time) {
-	f.sys.Eng.Schedule(now+f.res.cfg.HedgeDelay, func(at sim.Time) {
+	f.sys.Eng.Schedule(now+f.res.slo/2, func(at sim.Time) {
 		f.fireHedge(req, at)
 	})
 }
@@ -247,7 +216,7 @@ func (f *Function) fireHedge(req instance.Request, at sim.Time) {
 		return
 	}
 	ts := f.sys.tenantStats(req.Tenant)
-	if float64(ts.Retries+ts.Hedges) >= r.cfg.RetryBudget*float64(ts.Admitted) {
+	if budgetSpent(ts) {
 		return
 	}
 	holder := f.holderOf(req.ID)

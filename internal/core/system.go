@@ -48,15 +48,20 @@ type Config struct {
 	// the pre-gateway behaviour). Policies hold per-run state — build a
 	// fresh value per System.
 	Admission AdmissionPolicy
-	// Resilience enables per-request timeout/retry and hedged dispatch
-	// (see ResilienceConfig); nil disables the layer with zero overhead.
-	Resilience *ResilienceConfig
-	// Health enables the per-GPU health monitor and quarantine cycle
-	// (see HealthConfig); nil disables monitoring.
-	Health *HealthConfig
-	// ColdStart tunes the staged cold-start model and the node-local
-	// kernel caches (see ColdStartConfig); the zero value is the
-	// defaults.
+	// Retry re-delivers a request still queued 2·SLO after admission
+	// (its own function's SLO), after capped exponential backoff (see
+	// Backoff). Hedge races a deadline-carrying request on a second
+	// instance SLO/2 after admission. Both draw on a per-tenant retry
+	// budget (see resilience.go); with both off the layer has no
+	// per-request state and no timers.
+	Retry bool
+	Hedge bool
+	// Quarantine enables the per-GPU health monitor: slow or flaky GPUs
+	// leave the schedulable indexes until a probe finds them clean (see
+	// health.go).
+	Quarantine bool
+	// ColdStart tunes the staged cold-start model (see
+	// ColdStartConfig); the zero value is the default.
 	ColdStart ColdStartConfig
 	// Seed drives all randomness.
 	Seed int64
@@ -87,11 +92,6 @@ func (c Config) withDefaults() Config {
 	if c.Seed == 0 {
 		c.Seed = 1
 	}
-	if c.Resilience != nil {
-		r := c.Resilience.withDefaults()
-		c.Resilience = &r
-	}
-	c.ColdStart = c.ColdStart.withDefaults()
 	return c
 }
 
@@ -219,11 +219,11 @@ func NewSystem(cfg Config) (*System, error) {
 		sys.managers = append(sys.managers, m)
 		sys.mgrByGPU[g] = m
 	}
-	if cfg.Health != nil {
-		sys.health = newHealthMonitor(sys, *cfg.Health)
+	if cfg.Quarantine {
+		sys.health = newHealthMonitor(sys)
 	}
 	for _, n := range clu.Nodes {
-		n.Kernels = gpu.NewKernelCache(cfg.ColdStart.CacheCap)
+		n.Kernels = gpu.NewKernelCache(kernelCacheSize)
 	}
 	sys.tickHandle = sys.Eng.AddDynamicTicker(sim.TickerFunc(sys.tick))
 	sys.updateTickActivity() // nothing deployed yet: start deregistered

@@ -17,27 +17,6 @@ import (
 // expressed as mitigations-on-vs-off comparisons over one seeded
 // adversarial schedule.
 
-// grayMitigations returns the resilience/health configuration the
-// mitigated arms share, scaled off the model's SLO.
-func grayMitigations(slo sim.Duration) (*core.ResilienceConfig, *core.HealthConfig) {
-	res := &core.ResilienceConfig{
-		Timeout:     2 * slo,
-		BackoffBase: slo / 4,
-		BackoffCap:  2 * slo,
-		MaxAttempts: 3,
-		RetryBudget: 0.25,
-		HedgeDelay:  slo / 2,
-	}
-	health := &core.HealthConfig{
-		SlowdownThreshold: 2.0,
-		SlowSamples:       1,
-		ErrorThreshold:    3,
-		ErrorWindow:       30 * sim.Second,
-		ProbeAfter:        5 * sim.Second,
-	}
-	return res, health
-}
-
 // graySchedule builds the adversarial fault schedule both gray drivers'
 // faulted arms replay: a staggered straggler population (StragglerMix)
 // plus a flaky node emitting a triangular error wave (FaultWave), both
@@ -73,7 +52,6 @@ func GrayFailure(opts Options) *report.Report {
 	instances := nodes * gpusPerNode // one per GPU: every fault lands on serving capacity
 	demand := 0.5 * float64(instances) * prof.ServingRPS
 	schedule := graySchedule(opts.Seed, nodes, gpusPerNode, dur)
-	res, health := grayMitigations(spec.SLO)
 
 	arms := []struct {
 		name      string
@@ -91,14 +69,10 @@ func GrayFailure(opts Options) *report.Report {
 		"timeouts", "retries", "hedge wins", "quarantines", "migrations"))
 
 	for _, arm := range arms {
-		cfg := core.Config{
+		sys := core.MustSystem(core.Config{
 			Nodes: nodes, GPUsPerNode: gpusPerNode, Seed: opts.Seed, Meter: opts.Meter,
-		}
-		if arm.mitigated {
-			cfg.Resilience = res
-			cfg.Health = health
-		}
-		sys := core.MustSystem(cfg)
+			Retry: arm.mitigated, Hedge: arm.mitigated, Quarantine: arm.mitigated,
+		})
 		if _, err := sys.DeployInference("gray-fn", modelName, core.InferOpts{
 			Instances: instances, NoScaler: true,
 			Deadline: spec.SLO,
@@ -158,7 +132,6 @@ func StragglerTail(opts Options) *report.Report {
 	// headroom hedged duplicates need to win their races.
 	stragglers := workload.StragglerMix(sim.NewRNG(opts.Seed+7101), 1, 1,
 		dur/8, dur/30, dur/2, 1, 6.0)
-	res, _ := grayMitigations(spec.SLO)
 
 	arms := []struct {
 		name  string
@@ -174,13 +147,9 @@ func StragglerTail(opts Options) *report.Report {
 		"retries", "retry success", "hedges", "hedge wins"))
 
 	for _, arm := range arms {
-		cfg := *res
-		if !arm.hedge {
-			cfg.HedgeDelay = 0
-		}
 		sys := core.MustSystem(core.Config{
 			Nodes: nodes, GPUsPerNode: gpusPerNode, Seed: opts.Seed, Meter: opts.Meter,
-			Resilience: &cfg,
+			Retry: true, Hedge: arm.hedge,
 		})
 		if _, err := sys.DeployInference("tail-fn", modelName, core.InferOpts{
 			Instances: instances, NoScaler: true,
@@ -229,10 +198,9 @@ func DisturbanceReplayOn(opts Options, churn []workload.ChurnEvent, faults []wor
 	rep := report.New("disturbance_replay", "External churn/fault schedule replay (extra)")
 	dur := opts.dur(120 * sim.Second)
 
-	res, health := grayMitigations(model.ByName("RoBERTa-large").SLO)
 	sys := core.MustSystem(core.Config{
 		Nodes: 5, GPUsPerNode: 4, Seed: opts.Seed, Meter: opts.Meter,
-		Resilience: res, Health: health,
+		Retry: true, Hedge: true, Quarantine: true,
 	})
 	churnDeploy(sys, 1.0)
 	sys.ScheduleChurn(churn)

@@ -43,7 +43,7 @@ type Request struct {
 	Priority int
 	Deadline sim.Time
 
-	// Resilience metadata (see core.ResilienceConfig). Attempt counts
+	// Resilience metadata (see core.Config.Retry). Attempt counts
 	// timeout-driven redeliveries of this request (0 = first try); Hedge
 	// marks a speculative duplicate racing the primary copy. Both are
 	// zero on every request when resilience is off.

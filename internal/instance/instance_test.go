@@ -22,7 +22,7 @@ type world struct {
 
 func newWorld(policy rckm.Policy) *world {
 	w := &world{eng: sim.NewEngine(), dev: gpu.NewDevice("g0")}
-	w.mgr = rckm.NewManager(w.dev, policy, rckm.DefaultConfig())
+	w.mgr = rckm.NewManager(w.dev, policy, rckm.Config{})
 	w.eng.AddTicker(sim.TickerFunc(func(now sim.Time) {
 		for _, in := range w.insts {
 			in.PreTick(now)
@@ -180,7 +180,7 @@ func TestPipelineStagesShareWork(t *testing.T) {
 	w := newWorld(rckm.Exclusive{})
 	var stages []Stage
 	dev2 := gpu.NewDevice("g1") // second GPU with its own manager
-	mgr2 := rckm.NewManager(dev2, rckm.Exclusive{}, rckm.DefaultConfig())
+	mgr2 := rckm.NewManager(dev2, rckm.Exclusive{}, rckm.Config{})
 	w.eng.AddTicker(sim.TickerFunc(func(now sim.Time) {
 		mgr2.Issue(now)
 		dev2.ExecuteTick()
@@ -238,7 +238,7 @@ func TestTrainingBarrelEffect(t *testing.T) {
 	w := newWorld(rckm.MPS{UseLimit: true})
 	fast := w.addStage(t, "w0", false, spec.TrainMemMB, 0.8, 0.8)
 	dev2 := gpu.NewDevice("g1")
-	mgr2 := rckm.NewManager(dev2, rckm.MPS{UseLimit: true}, rckm.DefaultConfig())
+	mgr2 := rckm.NewManager(dev2, rckm.MPS{UseLimit: true}, rckm.Config{})
 	w.eng.AddTicker(sim.TickerFunc(func(now sim.Time) {
 		mgr2.Issue(now)
 		dev2.ExecuteTick()

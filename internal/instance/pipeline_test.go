@@ -24,7 +24,7 @@ func newMultiWorld(n int, policy rckm.Policy) *multiWorld {
 	for i := 0; i < n; i++ {
 		d := gpu.NewDevice("g")
 		w.devs = append(w.devs, d)
-		w.mgrs = append(w.mgrs, rckm.NewManager(d, policy, rckm.DefaultConfig()))
+		w.mgrs = append(w.mgrs, rckm.NewManager(d, policy, rckm.Config{}))
 	}
 	w.eng.AddTicker(sim.TickerFunc(func(now sim.Time) {
 		for _, in := range w.insts {

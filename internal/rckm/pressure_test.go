@@ -37,9 +37,7 @@ func TestPressureHoldsEmergency(t *testing.T) {
 
 func TestNoPressureHoldAblation(t *testing.T) {
 	dev := gpu.NewDevice("g0")
-	cfg := DefaultConfig()
-	cfg.NoPressureHold = true
-	m := NewManager(dev, Dilu{}, cfg)
+	m := NewManager(dev, Dilu{}, Config{NoPressureHold: true})
 	res, _ := dev.Attach("inf", 10)
 	res.SetSatK(1e6)
 	c := &Client{ID: "inf", Res: res, SLOSensitive: true, Request: 0.3, Limit: 0.6}
@@ -60,10 +58,7 @@ func TestNoPressureHoldAblation(t *testing.T) {
 
 func TestNoAntiWindupAblationFreezesRLast(t *testing.T) {
 	dev := gpu.NewDevice("g0")
-	cfg := DefaultConfig()
-	cfg.NoAntiWindup = true
-	cfg.NoHysteresis = true
-	m := NewManager(dev, Dilu{}, cfg)
+	m := NewManager(dev, Dilu{}, Config{NoAntiWindup: true, NoHysteresis: true})
 	res, _ := dev.Attach("inf", 10)
 	res.SetSatK(1e6)
 	inf := &Client{ID: "inf", Res: res, SLOSensitive: true, Request: 0.3, Limit: 0.6}

@@ -209,21 +209,31 @@ func (c *Client) windowSum() float64 {
 	return s
 }
 
-// Config holds the manager hyper-parameters of Algorithm 2.
+// Algorithm 2's fixed thresholds, one value across the evaluation.
+const (
+	// etaViolation is the KLC inflation threshold that triggers the
+	// EMERGENCY protective scale-up. The paper's contention example is a
+	// KLC doubling (25→50 ms); 0.6 triggers well before that while
+	// staying above ordinary batch-growth noise (batch 1→2 inflates the
+	// cycle by ~35-50%). An episode exits at half this threshold
+	// (hysteresis) and re-entry is suppressed for emergencyCooldown
+	// unless inflation exceeds twice the threshold.
+	etaViolation = 0.6
+	// etaIncrease is the multiplicative token growth per period in
+	// RECOVERY: a request-to-limit doubling takes about three 5 ms ticks.
+	etaIncrease = 1.25
+	// emergencyCooldown is the re-entry suppression window: 50 ticks,
+	// several inference KLCs (25-50 ms in the paper's example).
+	emergencyCooldown = 250 * sim.Millisecond
+)
+
+// Config holds the manager hyper-parameters of Algorithm 2 that the
+// evaluation varies; the zero value is the evaluation default.
 type Config struct {
 	// MaxTokens is the maximum number of tokens issuable per period for a
 	// quota of 1.0, in block units. Zero defaults to the device capacity
 	// per tick (the Figure 18(b) sensitivity sweeps multiples of it).
 	MaxTokens float64
-	// EtaViolation is the KLC inflation threshold that triggers the
-	// EMERGENCY protective scale-up. An episode exits at half this
-	// threshold (hysteresis) and re-entry is suppressed for
-	// EmergencyCooldown unless inflation exceeds twice the threshold.
-	EtaViolation float64
-	// EtaIncrease is the multiplicative growth factor in RECOVERY.
-	EtaIncrease float64
-	// EmergencyCooldown is the re-entry suppression window.
-	EmergencyCooldown sim.Duration
 
 	// Ablation switches for the controller's interpretation choices
 	// (README, "Reproducing the paper"); all default to the stabilized
@@ -240,29 +250,9 @@ type Config struct {
 	NoAntiWindup   bool
 }
 
-// DefaultConfig returns the hyper-parameters used across the evaluation.
-func DefaultConfig() Config {
-	return Config{
-		MaxTokens: gpu.DefaultCapacityPerTick, EtaViolation: 0.6,
-		EtaIncrease: 1.25, EmergencyCooldown: 250 * sim.Millisecond,
-	}
-}
-
 func (c Config) withDefaults() Config {
 	if c.MaxTokens <= 0 {
 		c.MaxTokens = gpu.DefaultCapacityPerTick
-	}
-	if c.EtaViolation <= 0 {
-		// The paper's contention example is a KLC doubling (25→50 ms);
-		// 0.6 triggers well before that while staying above ordinary
-		// batch-growth noise (batch 1→2 inflates the cycle by ~35-50%).
-		c.EtaViolation = 0.6
-	}
-	if c.EtaIncrease <= 1 {
-		c.EtaIncrease = 1.25
-	}
-	if c.EmergencyCooldown <= 0 {
-		c.EmergencyCooldown = 250 * sim.Millisecond
 	}
 	return c
 }
@@ -394,17 +384,17 @@ func (Dilu) issue(m *Manager, now sim.Time) {
 		inEmergency := m.state == StateEmergency && m.owner == c
 		var trigger bool
 		if m.cfg.NoHysteresis {
-			trigger = dt > m.cfg.EtaViolation
+			trigger = dt > etaViolation
 		} else {
-			trigger = dt > m.cfg.EtaViolation &&
-				(now >= c.cooldownUntil || dt > 2*m.cfg.EtaViolation)
+			trigger = dt > etaViolation &&
+				(now >= c.cooldownUntil || dt > 2*etaViolation)
 			if inEmergency {
 				// Hysteresis: hold the protective state until inflation
 				// is mostly gone, then pay the cooldown before
 				// re-entering.
-				trigger = dt > m.cfg.EtaViolation/2
+				trigger = dt > etaViolation/2
 				if !trigger && !c.pressured {
-					c.cooldownUntil = now + m.cfg.EmergencyCooldown
+					c.cooldownUntil = now + emergencyCooldown
 				}
 			}
 		}
@@ -433,7 +423,7 @@ func (Dilu) issue(m *Manager, now sim.Time) {
 		case m.othersWindowSum(c) == 0:
 			// Collocated instances idle: take more, gradually.
 			m.setState(c, StateRecovery)
-			issue = c.rLast * m.cfg.EtaIncrease
+			issue = c.rLast * etaIncrease
 			if max := m.cfg.MaxTokens * c.Limit; issue > max {
 				issue = max
 			}
@@ -468,7 +458,7 @@ func (Dilu) issue(m *Manager, now sim.Time) {
 				issue = floor
 			}
 		case StateRecovery:
-			issue = c.rLast * m.cfg.EtaIncrease
+			issue = c.rLast * etaIncrease
 			if max := m.cfg.MaxTokens * c.Limit; issue > max {
 				issue = max
 			}

@@ -11,7 +11,7 @@ import (
 
 func newHarness(policy Policy) (*gpu.Device, *Manager) {
 	dev := gpu.NewDevice("g0")
-	m := NewManager(dev, policy, DefaultConfig())
+	m := NewManager(dev, policy, Config{})
 	return dev, m
 }
 

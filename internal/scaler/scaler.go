@@ -32,8 +32,11 @@ type DiluConfig struct {
 	Window int // sliding window length in samples (default 40 ≙ 40 s)
 	PhiOut int // samples over capacity required to scale out (default 20)
 	PhiIn  int // samples under (n−1)-capacity required to scale in (default 30)
-	Min    int // minimum instances kept (default 1)
 }
+
+// minInstances is the floor every policy scales in to: a function keeps
+// one instance, so scale-to-zero is left to keep-alive expiry.
+const minInstances = 1
 
 func (c DiluConfig) withDefaults() DiluConfig {
 	if c.Window <= 0 {
@@ -44,9 +47,6 @@ func (c DiluConfig) withDefaults() DiluConfig {
 	}
 	if c.PhiIn <= 0 {
 		c.PhiIn = 30
-	}
-	if c.Min <= 0 {
-		c.Min = 1
 	}
 	return c
 }
@@ -94,7 +94,7 @@ func (d *Dilu) Decide(_ sim.Time, rps float64, instances int, perInstanceRPS flo
 		d.samples = d.samples[:0] // re-arm after a decision
 		return +1
 	}
-	if instances > d.cfg.Min && under > d.cfg.PhiIn {
+	if instances > minInstances && under > d.cfg.PhiIn {
 		d.samples = d.samples[:0]
 		return -1
 	}
@@ -104,19 +104,22 @@ func (d *Dilu) Decide(_ sim.Time, rps float64, instances int, perInstanceRPS flo
 // ---------------------------------------------------------------------------
 // FaST-GS+: eager reactive scaling.
 
+// FaST-GS+ thresholds: consecutive over-capacity samples to scale out,
+// and consecutive under-capacity samples to scale in.
+const (
+	eagerOutAfter = 2
+	eagerInAfter  = 5
+)
+
 // Eager is the FaST-GS+ strategy: launch as soon as a couple of samples
 // exceed capacity and terminate almost as quickly. It reacts fast but
 // churns instances, paying cold starts for every few-second burst.
 type Eager struct {
-	OutAfter int // consecutive over-capacity samples to scale out (default 2)
-	InAfter  int // consecutive under-capacity samples to scale in (default 5)
-	Min      int
-
 	overRun, underRun int
 }
 
-// NewEager builds the policy with FaST-GS+ defaults.
-func NewEager() *Eager { return &Eager{OutAfter: 2, InAfter: 5, Min: 1} }
+// NewEager builds the policy.
+func NewEager() *Eager { return &Eager{} }
 
 // Name implements Policy.
 func (e *Eager) Name() string { return "FaST-GS+" }
@@ -139,11 +142,11 @@ func (e *Eager) Decide(_ sim.Time, rps float64, instances int, perInstanceRPS fl
 	} else {
 		e.underRun = 0
 	}
-	if e.overRun >= e.OutAfter {
+	if e.overRun >= eagerOutAfter {
 		e.overRun = 0
 		return +1
 	}
-	if instances > e.Min && e.underRun >= e.InAfter {
+	if instances > minInstances && e.underRun >= eagerInAfter {
 		e.underRun = 0
 		return -1
 	}
@@ -159,11 +162,6 @@ func (e *Eager) Decide(_ sim.Time, rps float64, instances int, perInstanceRPS fl
 // instances stay warm for the TTL (reducing cold starts on recurring
 // load) at the price of held GPU memory — the waste Table 3 charges it.
 type Predictive struct {
-	Window  int
-	OutFrac float64 // fraction of window over capacity to scale out
-	InFrac  float64 // fraction of window under capacity to scale in
-	TTL     sim.Duration
-	Min     int
 	samples []float64
 	// interArrival histogram state for prewarm prediction.
 	lastBusy   sim.Time
@@ -172,22 +170,30 @@ type Predictive struct {
 	prewarmHit bool
 }
 
-// NewPredictive builds the policy with INFless+ defaults.
-func NewPredictive() *Predictive {
-	return &Predictive{Window: 15, OutFrac: 0.6, InFrac: 0.8, TTL: 60 * sim.Second, Min: 1}
-}
+// INFless+ thresholds: a 15-sample reactive window, scaling out when
+// 60% of it is over capacity and in when 80% is under, with a one-minute
+// keep-alive.
+const (
+	predWindow  = 15
+	predOutFrac = 0.6
+	predInFrac  = 0.8
+	predTTL     = 60 * sim.Second
+)
+
+// NewPredictive builds the policy.
+func NewPredictive() *Predictive { return &Predictive{} }
 
 // Name implements Policy.
 func (p *Predictive) Name() string { return "INFless+" }
 
 // KeepAliveTTL implements Policy.
-func (p *Predictive) KeepAliveTTL() sim.Duration { return p.TTL }
+func (p *Predictive) KeepAliveTTL() sim.Duration { return predTTL }
 
 // Decide implements Policy.
 func (p *Predictive) Decide(now sim.Time, rps float64, instances int, perInstanceRPS float64) int {
 	p.samples = append(p.samples, rps)
-	if len(p.samples) > p.Window {
-		p.samples = p.samples[len(p.samples)-p.Window:]
+	if len(p.samples) > predWindow {
+		p.samples = p.samples[len(p.samples)-predWindow:]
 	}
 	if perInstanceRPS <= 0 {
 		return 0
@@ -220,7 +226,7 @@ func (p *Predictive) Decide(now sim.Time, rps float64, instances int, perInstanc
 			under++
 		}
 	}
-	if float64(over) >= p.OutFrac*float64(p.Window) {
+	if float64(over) >= predOutFrac*predWindow {
 		p.samples = p.samples[:0]
 		return +1
 	}
@@ -233,7 +239,7 @@ func (p *Predictive) Decide(now sim.Time, rps float64, instances int, perInstanc
 	if rps <= capNow {
 		p.prewarmHit = false
 	}
-	if instances > p.Min && float64(under) >= p.InFrac*float64(p.Window) {
+	if instances > minInstances && float64(under) >= predInFrac*predWindow {
 		p.samples = p.samples[:0]
 		return -1
 	}

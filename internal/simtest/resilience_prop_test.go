@@ -18,58 +18,48 @@ import (
 // at-most-once service under random fault/retry/hedge interleavings
 // with the armed invariants auditing every tick.
 
-// TestBackoffDeterministicAndCapped: Backoff is a pure function of the
-// attempt number — deterministic, monotone non-decreasing, starting at
-// the base and never exceeding the cap.
+// TestBackoffDeterministicAndCapped: for every catalog model's SLO,
+// Backoff is a pure function of the attempt number — deterministic,
+// monotone non-decreasing, starting at SLO/4 and never exceeding 2·SLO.
 func TestBackoffDeterministicAndCapped(t *testing.T) {
-	for seed := int64(1); seed <= 20; seed++ {
-		rng := rand.New(rand.NewSource(seed))
-		cfg := core.ResilienceConfig{
-			BackoffBase: sim.Duration(1+rng.Intn(500)) * sim.Millisecond,
-			BackoffCap:  sim.Duration(1+rng.Intn(5000)) * sim.Millisecond,
-		}
-		if cfg.BackoffCap < cfg.BackoffBase {
-			cfg.BackoffBase, cfg.BackoffCap = cfg.BackoffCap, cfg.BackoffBase
-		}
+	for _, spec := range model.All() {
+		base, limit := spec.SLO/4, 2*spec.SLO
 		prev := sim.Duration(0)
 		for n := 1; n <= 40; n++ {
-			d := cfg.Backoff(n)
-			if d != cfg.Backoff(n) {
-				t.Fatalf("seed %d: Backoff(%d) not deterministic", seed, n)
+			d := core.Backoff(spec.SLO, n)
+			if d != core.Backoff(spec.SLO, n) {
+				t.Fatalf("%s: Backoff(%d) not deterministic", spec.Name, n)
 			}
-			if d < cfg.BackoffBase || d > cfg.BackoffCap {
-				t.Fatalf("seed %d: Backoff(%d)=%v outside [base %v, cap %v]",
-					seed, n, d, cfg.BackoffBase, cfg.BackoffCap)
+			if d < base || d > limit {
+				t.Fatalf("%s: Backoff(%d)=%v outside [SLO/4 %v, 2·SLO %v]",
+					spec.Name, n, d, base, limit)
 			}
 			if d < prev {
-				t.Fatalf("seed %d: Backoff(%d)=%v < Backoff(%d)=%v", seed, n, d, n-1, prev)
+				t.Fatalf("%s: Backoff(%d)=%v < Backoff(%d)=%v", spec.Name, n, d, n-1, prev)
 			}
-			if n == 1 && d != cfg.BackoffBase {
-				t.Fatalf("seed %d: first backoff %v ≠ base %v", seed, d, cfg.BackoffBase)
+			if n == 1 && d != base {
+				t.Fatalf("%s: first backoff %v ≠ SLO/4 %v", spec.Name, d, base)
 			}
 			prev = d
+		}
+		if got := core.Backoff(spec.SLO, 40); got != limit {
+			t.Fatalf("%s: Backoff(40)=%v never reached the cap %v", spec.Name, got, limit)
 		}
 	}
 }
 
 // resilienceChaos drives one random interleaving of request bursts and
 // direct fault injections (slowdowns, restores, batch errors) against a
-// resilience-enabled two-node system with the invariants armed, then
-// drains and returns the system for property assertions.
-func resilienceChaos(t *testing.T, seed int64, budget float64) *core.System {
+// two-node system with retry, hedging and quarantine on and the
+// invariants armed, then drains and returns the system for property
+// assertions.
+func resilienceChaos(t *testing.T, seed int64) *core.System {
 	t.Helper()
 	rng := rand.New(rand.NewSource(seed))
 	sys := core.MustSystem(core.Config{
 		Nodes: 2, GPUsPerNode: 2, Seed: seed,
 		Invariants: Checkers(),
-		Resilience: &core.ResilienceConfig{
-			Timeout:     40 * sim.Millisecond,
-			BackoffBase: 10 * sim.Millisecond,
-			MaxAttempts: 4,
-			RetryBudget: budget,
-			HedgeDelay:  25 * sim.Millisecond,
-		},
-		Health: &core.HealthConfig{SlowSamples: 2, ProbeAfter: 2 * sim.Second},
+		Retry:      true, Hedge: true, Quarantine: true,
 	})
 	if _, err := sys.DeployInference("f", "BERT-base", core.InferOpts{Instances: 2, NoScaler: true}); err != nil {
 		t.Fatal(err)
@@ -77,14 +67,14 @@ func resilienceChaos(t *testing.T, seed int64, budget float64) *core.System {
 	if _, err := sys.DeployInference("g", "ResNet152", core.InferOpts{Instances: 2, NoScaler: true, Tenant: "alpha"}); err != nil {
 		t.Fatal(err)
 	}
-	for step := 0; step < 30; step++ {
+	for step := 0; step < 60; step++ {
 		now := sys.Eng.Now()
-		for i, burst := 0, rng.Intn(10); i < burst; i++ {
+		for i, burst := 0, rng.Intn(20); i < burst; i++ {
 			req := core.Request{Func: []string{"f", "g"}[rng.Intn(2)]}
 			if req.Func == "g" {
 				req.Tenant = "alpha"
 			}
-			if rng.Intn(2) == 0 {
+			if rng.Intn(3) == 0 {
 				req.Deadline = sim.Duration(20+rng.Intn(100)) * sim.Millisecond
 			}
 			sys.Submit(now, req)
@@ -99,14 +89,15 @@ func resilienceChaos(t *testing.T, seed int64, budget float64) *core.System {
 		}
 		sys.Run(sim.Duration(1+rng.Intn(40)) * 5 * sim.Millisecond)
 	}
-	// Restore every device and drain: retries park up to
-	// MaxAttempts×backoff, hedges resolve at first completion.
+	// Restore every device and drain: retries park for a few backoffs,
+	// hedges resolve at first completion, and the drain outlasts two
+	// readmit probes so a quarantined GPU comes back.
 	for n := 0; n < 2; n++ {
 		for g := 0; g < 2; g++ {
 			sys.SlowGPU(n, g, 1)
 		}
 	}
-	sys.Run(5 * sim.Second)
+	sys.Run(15 * sim.Second)
 	return sys
 }
 
@@ -115,9 +106,9 @@ func resilienceChaos(t *testing.T, seed int64, budget float64) *core.System {
 // fraction of its admitted traffic (one in-flight redelivery of slack
 // past the strict bound, since the budget is checked before acting).
 func TestRetryBudgetBoundsRedeliveries(t *testing.T) {
+	const budget = core.RetryBudget
 	for seed := int64(1); seed <= 5; seed++ {
-		budget := 0.05 + 0.3*rand.New(rand.NewSource(seed)).Float64()
-		sys := resilienceChaos(t, seed, budget)
+		sys := resilienceChaos(t, seed)
 		var acted bool
 		for _, ts := range sys.GatewayTenantStats() {
 			redelivered := float64(ts.Retries + ts.Hedges)
@@ -143,7 +134,7 @@ func TestRetryBudgetBoundsRedeliveries(t *testing.T) {
 // independent end-of-run restatement.
 func TestAtMostOnceUnderFaultInterleavings(t *testing.T) {
 	for seed := int64(1); seed <= 5; seed++ {
-		sys := resilienceChaos(t, seed, 0.5)
+		sys := resilienceChaos(t, seed)
 		for _, f := range sys.Functions() {
 			unique, ok := f.UniqueServed()
 			if !ok {
