@@ -92,7 +92,6 @@ func (sys *System) SlowGPU(node, gpu int, factor float64) {
 		return
 	}
 	sys.faults.SlowEvents++
-	sys.faultsSeen = true
 	for _, g := range targets {
 		g.Dev.SetSlowdown(factor)
 	}
@@ -113,7 +112,6 @@ func (sys *System) ErrorGPU(node, gpu int) {
 		return
 	}
 	sys.faults.ErrorEvents++
-	sys.faultsSeen = true
 	now := sys.Eng.Now()
 	for _, g := range targets {
 		if sys.health != nil {
@@ -142,14 +140,9 @@ func (f *Function) abortOnGPU(g *cluster.GPU, now sim.Time) {
 }
 
 // resilienceSLO rolls fault-injection and mitigation counters into the
-// SLO summary's resilience block. Nil unless the run injected a fault
-// or enabled a mitigation layer, so pre-fault manifests keep their
-// exact bytes (every column is additionally omitempty).
-func (sys *System) resilienceSLO() *metrics.ResilienceSLO {
-	if !sys.faultsSeen && !sys.cfg.Retry && !sys.cfg.Hedge && !sys.cfg.Quarantine {
-		return nil
-	}
-	r := &metrics.ResilienceSLO{
+// SLO summary's resilience block.
+func (sys *System) resilienceSLO() metrics.ResilienceSLO {
+	r := metrics.ResilienceSLO{
 		SlowEvents:           int64(sys.faults.SlowEvents),
 		ErrorEvents:          int64(sys.faults.ErrorEvents),
 		AbortedBatches:       int64(sys.faults.AbortedBatches),
@@ -160,7 +153,6 @@ func (sys *System) resilienceSLO() *metrics.ResilienceSLO {
 	}
 	for _, f := range sys.funcs {
 		st := f.ResilienceStats()
-		r.Timeouts += st.Timeouts
 		r.Retries += st.Retries
 		r.RetrySuccess += st.RetrySuccess
 		r.Hedges += st.Hedges

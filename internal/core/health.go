@@ -123,7 +123,6 @@ func (m *healthMonitor) quarantine(g *cluster.GPU, st *gpuHealth) {
 	m.quarantined++
 	sys.Clu.QuarantineGPU(g)
 	sys.faults.Quarantines++
-	sys.faultsSeen = true
 	before := sys.churn.MigratedInstances
 	for _, f := range sys.funcs {
 		f.sweepWarmRetired()

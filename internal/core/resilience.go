@@ -43,12 +43,9 @@ func Backoff(slo sim.Duration, attempt int) sim.Duration {
 
 // ResilienceStats counts one function's mitigation outcomes.
 type ResilienceStats struct {
-	// Timeouts counts timeout firings that acted (stole a queued copy);
-	// every one produces a retry, so Timeouts == Retries today, kept
-	// separate for when executing-copy timeouts gain a distinct action.
-	Timeouts int64
-	// Retries counts redeliveries; RetrySuccess counts requests whose
-	// recorded completion came from a redelivered copy.
+	// Retries counts redeliveries, one per timeout that stole a queued
+	// copy; RetrySuccess counts requests whose recorded completion came
+	// from a redelivered copy.
 	Retries      int64
 	RetrySuccess int64
 	// Hedges counts speculative duplicates dispatched; HedgeWins counts
@@ -169,7 +166,6 @@ func (f *Function) fireTimeout(id int64, tenant string, at sim.Time) {
 	if !ok {
 		return // executing or parked: nothing to steal
 	}
-	r.stats.Timeouts++
 	r.stats.Retries++
 	ts.Retries++
 	req.Attempt++

@@ -147,11 +147,9 @@ type System struct {
 	churn ChurnStats
 
 	// faults counts injected gray-failure events and mitigation
-	// outcomes; faultsSeen latches once any fault fires so the SLO
-	// summary's resilience block appears only on runs that need it.
-	faults     FaultStats
-	faultsSeen bool
-	health     *healthMonitor
+	// outcomes.
+	faults FaultStats
+	health *healthMonitor
 
 	// coldStats aggregates cold-launch activity (kernel-cache hits,
 	// launch count, total cold time) for the SLO summary's cold-start

@@ -66,7 +66,7 @@ func GrayFailure(opts Options) *report.Report {
 	t := rep.AddTable(report.NewTable(
 		"Gray failure: admitted-traffic SLO attainment by arm (same seed, same schedule)",
 		"arm", "reqs", "p99 ms", "p99 attain %", "goodput rps",
-		"timeouts", "retries", "hedge wins", "quarantines", "migrations"))
+		"retries", "hedge wins", "quarantines", "migrations"))
 
 	for _, arm := range arms {
 		sys := core.MustSystem(core.Config{
@@ -95,12 +95,11 @@ func GrayFailure(opts Options) *report.Report {
 		var rs core.ResilienceStats
 		for _, f := range sys.Functions() {
 			st := f.ResilienceStats()
-			rs.Timeouts += st.Timeouts
 			rs.Retries += st.Retries
 			rs.HedgeWins += st.HedgeWins
 		}
 		t.AddRow(arm.name, float64(sum.Requests), p99, sum.P99Attainment*100,
-			sum.GoodputRPS, rs.Timeouts, rs.Retries, rs.HedgeWins,
+			sum.GoodputRPS, rs.Retries, rs.HedgeWins,
 			fs.Quarantines, fs.QuarantineMigrations)
 		if arm.name == "faults+mitigation" {
 			rep.SetSLO(sum)

@@ -85,24 +85,22 @@ func (g *GatewaySLO) ShedRate() float64 {
 }
 
 // ResilienceSLO is the gray-failure block of a run summary: injected
-// fault events and per-cause mitigation attribution (timeouts, retry
-// successes, hedge wins, quarantine migrations). Present only on runs
-// that injected faults or enabled a mitigation layer; every column is
-// omitempty so partial activity keeps minimal bytes.
+// fault events and per-cause mitigation attribution (retries, retry
+// successes, hedge wins, quarantine migrations). Always present; a run
+// without faults or mitigations reads all zeros.
 type ResilienceSLO struct {
-	SlowEvents           int64 `json:"slow_events,omitempty"`
-	ErrorEvents          int64 `json:"error_events,omitempty"`
-	AbortedBatches       int64 `json:"aborted_batches,omitempty"`
-	AbortedRequests      int64 `json:"aborted_requests,omitempty"`
-	Timeouts             int64 `json:"timeouts,omitempty"`
-	Retries              int64 `json:"retries,omitempty"`
-	RetrySuccess         int64 `json:"retry_success,omitempty"`
-	Hedges               int64 `json:"hedges,omitempty"`
-	HedgeWins            int64 `json:"hedge_wins,omitempty"`
-	HedgeDiscards        int64 `json:"hedge_discards,omitempty"`
-	Quarantines          int64 `json:"quarantines,omitempty"`
-	Readmits             int64 `json:"readmits,omitempty"`
-	QuarantineMigrations int64 `json:"quarantine_migrations,omitempty"`
+	SlowEvents           int64 `json:"slow_events"`
+	ErrorEvents          int64 `json:"error_events"`
+	AbortedBatches       int64 `json:"aborted_batches"`
+	AbortedRequests      int64 `json:"aborted_requests"`
+	Retries              int64 `json:"retries"`
+	RetrySuccess         int64 `json:"retry_success"`
+	Hedges               int64 `json:"hedges"`
+	HedgeWins            int64 `json:"hedge_wins"`
+	HedgeDiscards        int64 `json:"hedge_discards"`
+	Quarantines          int64 `json:"quarantines"`
+	Readmits             int64 `json:"readmits"`
+	QuarantineMigrations int64 `json:"quarantine_migrations"`
 }
 
 // ColdStartSLO is the staged cold-start block of a run summary:
@@ -142,9 +140,8 @@ type SLOSummary struct {
 	// Gateway is the admission roll-up.
 	Gateway GatewaySLO `json:"gateway"`
 
-	// Resilience is the gray-failure/mitigation roll-up; nil for runs
-	// that never injected a fault nor enabled retry/hedge/quarantine.
-	Resilience *ResilienceSLO `json:"resilience,omitempty"`
+	// Resilience is the gray-failure/mitigation roll-up.
+	Resilience ResilienceSLO `json:"resilience"`
 
 	// ColdStart is the staged cold-start roll-up.
 	ColdStart ColdStartSLO `json:"cold_start"`

@@ -79,9 +79,8 @@ type SLOBlock struct {
 	Gateway metrics.GatewaySLO `json:"gateway"`
 
 	// Resilience is the gray-failure roll-up (fault events and per-cause
-	// mitigation attribution); omitted for fault-free runs so pre-fault
-	// manifests keep their bytes.
-	Resilience *metrics.ResilienceSLO `json:"resilience,omitempty"`
+	// mitigation attribution).
+	Resilience metrics.ResilienceSLO `json:"resilience"`
 
 	// ColdStart is the staged cold-start roll-up (per-stage violation
 	// attribution, kernel-cache hits, cold launches and time).
