@@ -11,6 +11,7 @@ package main
 import (
 	"flag"
 	"fmt"
+	"io"
 	"os"
 	"strings"
 
@@ -20,26 +21,34 @@ import (
 )
 
 func main() {
-	name := flag.String("model", "", "profile a single model (default: all)")
-	compare := flag.Bool("compare", false, "compare search methods (Table 2)")
-	flag.Parse()
+	os.Exit(run(os.Args[1:], os.Stdout, os.Stderr))
+}
 
-	var specs []*model.Spec
+// run parses args and prints the profile tables to stdout. It returns
+// the process exit code: 0 on success, 2 on bad flags or an unknown
+// model name.
+func run(args []string, stdout, stderr io.Writer) int {
+	fs := flag.NewFlagSet("dilu-profile", flag.ContinueOnError)
+	fs.SetOutput(stderr)
+	name := fs.String("model", "", "profile a single model (default: all)")
+	compare := fs.Bool("compare", false, "compare search methods (Table 2)")
+	if err := fs.Parse(args); err != nil {
+		return 2
+	}
+
+	specs := model.All()
 	if *name != "" {
-		found := false
+		specs = nil
 		for _, s := range model.All() {
 			if s.Name == *name {
 				specs = append(specs, s)
-				found = true
 			}
 		}
-		if !found {
-			fmt.Fprintf(os.Stderr, "unknown model %q; available: %s\n",
+		if len(specs) == 0 {
+			fmt.Fprintf(stderr, "unknown model %q; available: %s\n",
 				*name, strings.Join(model.Names(), ", "))
-			os.Exit(2)
+			return 2
 		}
-	} else {
-		specs = model.All()
 	}
 
 	t := report.NewTable("Dilu multi-factor profiles",
@@ -50,7 +59,7 @@ func main() {
 		pt := profiler.For(s, profiler.RoleTraining)
 		t.AddRow(s.Name, "training", pt.SMReq, pt.SMLim, "-", pt.MemMB, "-", pt.Trials)
 	}
-	fmt.Print(t.String())
+	fmt.Fprint(stdout, t.String())
 
 	if *compare {
 		c := report.NewTable("\nSearch method comparison (trials)",
@@ -62,6 +71,7 @@ func main() {
 				profiler.GPUlet(s).Trials,
 				profiler.HGSS(s).Trials)
 		}
-		fmt.Print(c.String())
+		fmt.Fprint(stdout, c.String())
 	}
+	return 0
 }
