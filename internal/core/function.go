@@ -216,7 +216,7 @@ func (sys *System) DeployInference(name, modelName string, opts InferOpts) (*Fun
 		sys.llmDeployed = true
 	}
 	if sys.cfg.Retry || sys.cfg.Hedge {
-		f.res = newResilience(slo)
+		f.res = newResilience()
 	}
 	if f.tenant != "" {
 		f.Rec.SetTenant(f.tenant)

@@ -20,8 +20,9 @@ import (
 // fires 2·SLO after admission, backoff starts at SLO/4 and is capped at
 // 2·SLO (Backoff), and a hedge fires SLO/2 after admission.
 const (
-	// maxAttempts bounds deliveries per request including the first: two
-	// retries, so a request rides out one straggler and one error.
+	// maxAttempts bounds deliveries per request including the first. The
+	// third starts 4.75·SLO after admission at the earliest, long past
+	// the SLO, so a fourth would only add load.
 	maxAttempts = 3
 	// RetryBudget caps per-tenant amplification: retries + hedges may
 	// not exceed this fraction of the tenant's admitted requests, so
@@ -60,8 +61,6 @@ type ResilienceStats struct {
 // only when Config.Retry or Config.Hedge is set; every hot path guards
 // on nil.
 type resilience struct {
-	// slo is the function's latency SLO, the scale of every timing.
-	slo sim.Duration
 	// done marks request IDs whose service was recorded — the
 	// at-most-once gate. len(done) == Function.Served() is invariant.
 	done map[int64]bool
@@ -77,8 +76,8 @@ type resilience struct {
 	stats ResilienceStats
 }
 
-func newResilience(slo sim.Duration) *resilience {
-	return &resilience{slo: slo, done: make(map[int64]bool), copies: make(map[int64]int)}
+func newResilience() *resilience {
+	return &resilience{done: make(map[int64]bool), copies: make(map[int64]int)}
 }
 
 // budgetSpent reports whether the tenant's retries and hedges have
@@ -142,7 +141,7 @@ func (f *Function) armResilience(req instance.Request, now sim.Time) {
 // attempt. Exactly one timer exists per attempt: a retry arms the next
 // attempt's timer, so a fired timer is never stale.
 func (f *Function) armTimeout(req instance.Request, now sim.Time) {
-	f.sys.Eng.Schedule(now+2*f.res.slo, func(at sim.Time) {
+	f.sys.Eng.Schedule(now+2*f.Rec.SLO(), func(at sim.Time) {
 		f.fireTimeout(req.ID, req.Tenant, at)
 	})
 }
@@ -170,7 +169,7 @@ func (f *Function) fireTimeout(id int64, tenant string, at sim.Time) {
 	ts.Retries++
 	req.Attempt++
 	r.parked++
-	f.sys.Eng.After(Backoff(r.slo, req.Attempt), func(at sim.Time) {
+	f.sys.Eng.After(Backoff(f.Rec.SLO(), req.Attempt), func(at sim.Time) {
 		f.unpark(req, at)
 	})
 }
@@ -197,7 +196,7 @@ func (f *Function) unpark(req instance.Request, now sim.Time) {
 
 // armHedge schedules the hedge check for a deadline-carrying request.
 func (f *Function) armHedge(req instance.Request, now sim.Time) {
-	f.sys.Eng.Schedule(now+f.res.slo/2, func(at sim.Time) {
+	f.sys.Eng.Schedule(now+f.Rec.SLO()/2, func(at sim.Time) {
 		f.fireHedge(req, at)
 	})
 }

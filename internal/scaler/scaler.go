@@ -104,19 +104,14 @@ func (d *Dilu) Decide(_ sim.Time, rps float64, instances int, perInstanceRPS flo
 // ---------------------------------------------------------------------------
 // FaST-GS+: eager reactive scaling.
 
-// FaST-GS+ thresholds: consecutive over-capacity samples to scale out,
-// and consecutive under-capacity samples to scale in.
-const (
-	eagerOutAfter = 2
-	eagerInAfter  = 5
-)
+// FaST-GS+ scales out after 2 consecutive over-capacity samples and in
+// after 5 consecutive under-capacity ones.
+const eagerOutAfter, eagerInAfter = 2, 5
 
 // Eager is the FaST-GS+ strategy: launch as soon as a couple of samples
 // exceed capacity and terminate almost as quickly. It reacts fast but
 // churns instances, paying cold starts for every few-second burst.
-type Eager struct {
-	overRun, underRun int
-}
+type Eager struct{ overRun, underRun int }
 
 // NewEager builds the policy.
 func NewEager() *Eager { return &Eager{} }
@@ -170,14 +165,11 @@ type Predictive struct {
 	prewarmHit bool
 }
 
-// INFless+ thresholds: a 15-sample reactive window, scaling out when
-// 60% of it is over capacity and in when 80% is under, with a one-minute
-// keep-alive.
+// INFless+ scales out when 60% of a 15-sample window is over capacity
+// and in when 80% is under; descheduled instances stay warm a minute.
 const (
-	predWindow  = 15
-	predOutFrac = 0.6
-	predInFrac  = 0.8
-	predTTL     = 60 * sim.Second
+	predWindow, predOutFrac, predInFrac = 15, 0.6, 0.8
+	predTTL                             = 60 * sim.Second
 )
 
 // NewPredictive builds the policy.

@@ -138,9 +138,7 @@ type Options struct {
 	// KernelCacheAffinity breaks fragmentation-score ties toward GPUs
 	// whose node's kernel cache is warm for the function, so a relaunch
 	// lands where its JIT artifacts already live and the cold start
-	// shrinks. Ties only — the score itself is untouched, and with the
-	// staged cold-start model disabled every node is cold, so the
-	// refinement is inert and selection stays bit-identical.
+	// shrinks. Ties only — the score itself is untouched.
 	KernelCacheAffinity bool
 }
 
