@@ -90,7 +90,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 	}
 	var occ float64
 	n := 0
-	for _, g := range sys.Clu.ActiveGPUs() {
+	for g := range sys.Clu.ActiveGPUs() {
 		occ += g.Dev.MeanOccupancy()
 		n++
 	}

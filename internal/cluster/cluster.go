@@ -8,22 +8,28 @@
 // leave it nil and work purely on quota accounting.
 //
 // The inventory keeps incremental indexes so the scheduler hot path does
-// no O(cluster) work: the active-GPU set is maintained (in inventory
-// order) on every placement transition, the first-inactive lookup is a
+// no O(cluster) work: the active-GPU set is a position bitset (O(1)
+// updates, iterated in inventory order), the first-inactive lookup is a
 // lazy min-heap over inventory positions, and per-GPU function
 // membership is counted instead of rescanned. Two further indexes make
 // placement sub-linear in cluster size: a function→hosting-GPUs posting
 // index (FuncGPUs, kept in inventory order) lets workload-affinity
 // lookups enumerate only the GPUs that actually host a function, and a
-// placement grid (Cell) files every active GPU under its normalized ΣReq
-// band and its memory-use band, so Algorithm 1's score bound and the
-// memory worst-fit touch only the cells that could still win. The grid
-// is maintained eagerly (swap-remove) on every ΣReq or memory change,
-// KV-cache growth included.
+// placement grid (Cell) files every healthy active GPU under its
+// normalized ΣReq band and its memory-use band, so Algorithm 1's score
+// bound and the memory worst-fit touch only the cells that could still
+// win. Inside a cell, GPUs with exactly the same state (ΣReq, ΣLim,
+// memory use, device generation) share one StateClass, so a scan scores
+// each distinct state once instead of each GPU. Place, Remove and health
+// changes refile a GPU at once; KV-cache growth and release only mark it
+// dirty, and the next grid read refiles the dirty GPUs.
 package cluster
 
 import (
 	"fmt"
+	"iter"
+	"math"
+	"math/bits"
 	"slices"
 
 	"dilu/internal/gpu"
@@ -128,9 +134,12 @@ type GPU struct {
 	pos int
 	// funcCounts counts placements per function, making HostsFunc O(1).
 	funcCounts map[string]int
-	// cell is the placement-grid cell the GPU is filed in (-1 while
-	// inactive) and slot its index there, so a move is a swap-remove.
-	cell, slot int
+	// cls is the state class the GPU is filed in (nil while inactive or
+	// unhealthy) and slot its index in the class's member heap. dirty is
+	// set while a KV-cache change awaits refiling (see Cluster.dirty).
+	cls   *StateClass
+	slot  int
+	dirty bool
 }
 
 // Active reports whether any instance is placed on the GPU.
@@ -185,7 +194,7 @@ func (g *GPU) Place(p *Placement) error {
 		if g.funcCounts[p.Func] == 1 {
 			g.clu.notePostingAdd(p.Func, g)
 		}
-		g.clu.noteCell(g)
+		g.clu.refile(g)
 	}
 	return nil
 }
@@ -213,7 +222,7 @@ func (g *GPU) Remove(p *Placement) {
 				if len(g.Placements) == 0 {
 					g.clu.noteDeactivated(g)
 				}
-				g.clu.noteCell(g)
+				g.clu.refile(g)
 			}
 			return
 		}
@@ -225,9 +234,9 @@ func (g *GPU) Remove(p *Placement) {
 // that forces token-level serving to preempt or shed. On success the
 // charge lands in p.MemMB, g.MemUsedMB, and g.KVUsedMB together, so the
 // quota-conservation view (Σ placement MemMB == MemUsedMB) is preserved.
-// The growth can move the GPU to another memory column of the placement
-// grid (ΣReq is unchanged), so the grid is re-filed here, as in
-// ReleaseKV.
+// The growth changes the GPU's state class and can move it to another
+// memory column of the placement grid, so the GPU is marked for
+// refiling at the next grid read, as in ReleaseKV.
 func (g *GPU) ReserveKV(p *Placement, mb float64) bool {
 	if mb <= 0 {
 		return true
@@ -240,7 +249,7 @@ func (g *GPU) ReserveKV(p *Placement, mb float64) bool {
 	g.MemUsedMB += mb
 	g.KVUsedMB += mb
 	if g.clu != nil {
-		g.clu.noteMem(g)
+		g.clu.markDirty(g)
 	}
 	return true
 }
@@ -262,7 +271,7 @@ func (g *GPU) ReleaseKV(p *Placement, mb float64) {
 	g.MemUsedMB -= mb
 	g.KVUsedMB -= mb
 	if g.clu != nil {
-		g.clu.noteMem(g)
+		g.clu.markDirty(g)
 	}
 }
 
@@ -308,9 +317,11 @@ type Cluster struct {
 	Nodes []*Node
 	gpus  []*GPU
 
-	// active holds the GPUs with at least one placement, sorted by
-	// inventory position — the same order a linear scan would produce.
-	active []*GPU
+	// activeBits has bit pos set iff the GPU at inventory position pos
+	// holds a placement, and activeN counts the set bits. Walking the
+	// words low to high yields inventory order; an update is one bit.
+	activeBits []uint64
+	activeN    int
 	// inactive is a min-heap of inventory positions of GPUs believed
 	// inactive, with lazy deletion: activation leaves a stale entry that
 	// FirstInactive discards when it surfaces. inHeap tracks which
@@ -329,17 +340,29 @@ type Cluster struct {
 	// transitions, and a function's key is deleted when its last
 	// placement leaves so the map tracks live functions only.
 	posting map[string][]*GPU
-	// cells is the placement grid: cells[r][m] holds the active GPUs
-	// whose normalized utilization ΣReq/Capacity falls in occupancy row r
-	// and whose memory-use share falls in column m (see Cell). Each
-	// active GPU sits in exactly one cell; order within a cell is not
-	// specified. On a homogeneous (capacity 1.0) fleet, utilization
-	// equals ΣReq bit-for-bit. A row is allocated when its first GPU is
-	// filed, so a small cluster does not pay for the whole grid.
-	// cellMask[r] has bit m set iff cell (r, m) is non-empty, so walks
-	// skip empty cells without touching them.
-	cells    [OccupancyBuckets]*[MemBuckets][]*GPU
+	// cells is the placement grid: cells[r][m] lists the state classes
+	// of the healthy active GPUs whose normalized utilization
+	// ΣReq/Capacity falls in occupancy row r and whose memory-use share
+	// falls in column m (see Cell). Each such GPU sits in exactly one
+	// class; order within a cell is not specified. On a homogeneous
+	// (capacity 1.0) fleet, utilization equals ΣReq bit-for-bit. A row
+	// is allocated when its first class is filed, so a small cluster
+	// does not pay for the whole grid. cellMask[r] has bit m set iff cell
+	// (r, m) is non-empty, so walks skip empty cells without touching
+	// them.
+	cells    [OccupancyBuckets]*[MemBuckets][]*StateClass
 	cellMask [OccupancyBuckets]uint32
+	// freeClasses recycles emptied classes (their member heaps keep
+	// their capacity), so GPUs moving between states allocate nothing
+	// once the pool has grown to the peak class count.
+	freeClasses []*StateClass
+	// dirty lists the positions of GPUs whose memory use changed by a
+	// KV-cache charge since they were last filed. Token-level serving
+	// charges KV on every decode step, far more often than the grid is
+	// read, so the charge only sets GPU.dirty and appends here; the next
+	// grid read refiles the list. A GPU refiled earlier (by Place,
+	// Remove or a health change) has its flag cleared and is skipped.
+	dirty []int32
 
 	// classes records the fleet's device generations (one synthetic
 	// entry for homogeneous clusters). min/maxCap and min/maxMem bound
@@ -456,7 +479,6 @@ func New(cfg Config) *Cluster {
 				clu:      c,
 				pos:      len(c.gpus),
 				classIdx: ci,
-				cell:     -1,
 			}
 			if cfg.WithDevices {
 				g.Dev = gpu.NewDevice(g.ID)
@@ -467,6 +489,7 @@ func New(cfg Config) *Cluster {
 		}
 		c.Nodes = append(c.Nodes, node)
 	}
+	c.activeBits = make([]uint64, (len(c.gpus)+63)/64)
 	// Every GPU starts inactive; positions are pushed in order, which is
 	// already a valid min-heap.
 	c.inactive = make([]int, len(c.gpus))
@@ -478,38 +501,19 @@ func New(cfg Config) *Cluster {
 	return c
 }
 
-// activeIndex returns the insertion point of pos in the active list
-// (lower bound by inventory position).
-func (c *Cluster) activeIndex(pos int) int {
-	lo, hi := 0, len(c.active)
-	for lo < hi {
-		mid := (lo + hi) / 2
-		if c.active[mid].pos < pos {
-			lo = mid + 1
-		} else {
-			hi = mid
-		}
-	}
-	return lo
-}
-
-// noteActivated inserts g into the active list at its inventory position.
-// The matching inactive-heap entry is left in place and lazily discarded.
+// noteActivated adds g to the active set. The matching inactive-heap
+// entry is left in place and lazily discarded.
 func (c *Cluster) noteActivated(g *GPU) {
-	lo := c.activeIndex(g.pos)
-	c.active = append(c.active, nil)
-	copy(c.active[lo+1:], c.active[lo:])
-	c.active[lo] = g
+	c.activeBits[g.pos>>6] |= 1 << (g.pos & 63)
+	c.activeN++
 	c.occupiedCap += g.Capacity
 }
 
-// noteDeactivated removes g from the active list and returns its position
+// noteDeactivated removes g from the active set and returns its position
 // to the inactive heap.
 func (c *Cluster) noteDeactivated(g *GPU) {
-	lo := c.activeIndex(g.pos)
-	if lo < len(c.active) && c.active[lo] == g {
-		c.active = append(c.active[:lo], c.active[lo+1:]...)
-	}
+	c.activeBits[g.pos>>6] &^= 1 << (g.pos & 63)
+	c.activeN--
 	c.occupiedCap -= g.Capacity
 	// A stale entry from before the GPU's last activation may still sit
 	// in the heap; it is valid again now, so don't add a duplicate.
@@ -560,11 +564,20 @@ func (c *Cluster) popInactive() int {
 // GPUs returns every GPU in the cluster, in stable order.
 func (c *Cluster) GPUs() []*GPU { return c.gpus }
 
-// ActiveGPUs returns GPUs hosting at least one placement (the 𝐺_act set
-// of Algorithm 1), in inventory order. The slice is the cluster's live
-// index — callers must treat it as read-only and must not hold it across
-// placement changes.
-func (c *Cluster) ActiveGPUs() []*GPU { return c.active }
+// ActiveGPUs yields the GPUs hosting at least one placement (the 𝐺_act
+// set of Algorithm 1), in inventory order. The iteration reads the live
+// index: the loop body must not place or remove.
+func (c *Cluster) ActiveGPUs() iter.Seq[*GPU] {
+	return func(yield func(*GPU) bool) {
+		for w, word := range c.activeBits {
+			for ; word != 0; word &= word - 1 {
+				if !yield(c.gpus[w<<6|bits.TrailingZeros64(word)]) {
+					return
+				}
+			}
+		}
+	}
+}
 
 // FirstInactive returns the schedulable inactive GPU earliest in
 // inventory order — the GPU a linear "first !Active() && Schedulable()"
@@ -638,7 +651,7 @@ func (c *Cluster) AppendInactiveFit(dst []*GPU, k int, fit func(*GPU) bool) []*G
 
 // OccupiedCount returns the number of active GPUs — the scheduling
 // objective Σ g_i of Equation (1).
-func (c *Cluster) OccupiedCount() int { return len(c.active) }
+func (c *Cluster) OccupiedCount() int { return c.activeN }
 
 // OccupiedCapacity returns the summed compute capacity of active GPUs —
 // the capacity-weighted occupancy that prices mixed fleets (a 0.5-
@@ -665,7 +678,7 @@ func (c *Cluster) MaxMemCapacity() float64 { return c.maxMem }
 // Node lifecycle: failures, drains, joins.
 
 // FailNode takes a node out of service abruptly: every placement on its
-// GPUs is evicted through the normal Remove path (so the active list,
+// GPUs is evicted through the normal Remove path (so the active set,
 // free heap, posting index, and placement grid stay consistent) and
 // returned to the caller as rescheduling work. The GPUs stop being
 // offered by every index until JoinNode restores them.
@@ -717,8 +730,9 @@ func (c *Cluster) ReadmitGPU(g *GPU) {
 }
 
 // setHealth transitions one GPU's lifecycle state, keeping the free heap
-// consistent. Placement eviction is the caller's job (FailNode evicts
-// before marking).
+// and the placement grid (which files healthy GPUs only) consistent.
+// Placement eviction is the caller's job (FailNode evicts before
+// marking).
 func (c *Cluster) setHealth(g *GPU, h Health) {
 	if g.health == h {
 		return
@@ -730,6 +744,7 @@ func (c *Cluster) setHealth(g *GPU, h Health) {
 		c.pushInactive(g.pos)
 	}
 	g.health = h
+	c.refile(g)
 }
 
 // ---------------------------------------------------------------------------
@@ -800,12 +815,160 @@ func MemBucketOf(share float64) int {
 	return min(max(int(share*MemBuckets), 0), MemBuckets-1)
 }
 
-// Cell returns the active GPUs filed in grid row `row` (occupancy band)
-// and column `col` (memory band). Order within a cell is not specified
-// — consumers needing the tie order of an inventory scan must rank by
-// (key, Pos()) lexicographically. The returned slice is the cluster's
-// live index: read-only, not to be held across placement changes.
-func (c *Cluster) Cell(row, col int) []*GPU {
+// StateClass is one placement state of the grid: the healthy active GPUs
+// of one device generation holding exactly the same ΣReq, ΣLim and
+// memory use. Algorithm 1's feasibility test and fragmentation score read
+// only those fields (and the generation's Capacity and MemCapMB), so
+// every member fits and scores alike and a scan evaluates the class
+// once. Members sit in a min-heap of inventory positions: the lowest-
+// position member is O(1) and a move in or out is O(log k). The exported
+// fields are the class key; callers must treat them as read-only.
+type StateClass struct {
+	SumReq, SumLim, MemUsedMB float64
+	Capacity, MemCapMB        float64
+
+	clu      *Cluster
+	classIdx int
+	cell     int     // grid cell, row*MemBuckets + column
+	slot     int     // index in the cell's class list
+	members  []int32 // min-heap of member inventory positions
+}
+
+// Util returns the members' normalized utilization ΣReq/Capacity,
+// bit-identical to GPU.Util of every member.
+func (s *StateClass) Util() float64 { return s.SumReq / s.Capacity }
+
+// Len returns the number of member GPUs (at least one).
+func (s *StateClass) Len() int { return len(s.members) }
+
+// Member returns the i-th member, 0 ≤ i < Len(), in unspecified order.
+func (s *StateClass) Member(i int) *GPU { return s.clu.gpus[s.members[i]] }
+
+// Min returns the member earliest in inventory order.
+func (s *StateClass) Min() *GPU { return s.clu.gpus[s.members[0]] }
+
+// MinPos returns Min().Pos() without touching the GPU.
+func (s *StateClass) MinPos() int { return int(s.members[0]) }
+
+// MinWithout returns the member earliest in inventory order that hosts
+// no placement of fn, or nil if every member does. It descends the heap
+// only below members hosting fn, so it costs O(h) for h such members,
+// not O(Len()).
+func (s *StateClass) MinWithout(fn string) *GPU {
+	if pos := s.minWithout(0, fn, math.MaxInt32); pos < math.MaxInt32 {
+		return s.clu.gpus[pos]
+	}
+	return nil
+}
+
+// minWithout returns the lowest position below bound, in the heap
+// subtree rooted at i, of a member not hosting fn; bound if none.
+func (s *StateClass) minWithout(i int, fn string, bound int32) int32 {
+	if i >= len(s.members) || s.members[i] >= bound {
+		return bound // heap order: nothing below i is lower either
+	}
+	if pos := s.members[i]; !s.clu.gpus[pos].HostsFunc(fn) {
+		return pos
+	}
+	return s.minWithout(2*i+2, fn, s.minWithout(2*i+1, fn, bound))
+}
+
+// KeepLowest merges the class's members into lowest, a list ascending
+// by Pos, keeping its first k entries, and returns the list. It descends
+// the heap only through members that enter the list, so it costs O(k)
+// per class however many members the class has.
+func (s *StateClass) KeepLowest(lowest []*GPU, k int) []*GPU {
+	return s.keepLowest(0, lowest, k)
+}
+
+func (s *StateClass) keepLowest(i int, lowest []*GPU, k int) []*GPU {
+	if i >= len(s.members) {
+		return lowest
+	}
+	pos := int(s.members[i])
+	if len(lowest) == k {
+		if pos >= lowest[k-1].pos {
+			return lowest // heap order: nothing below i enters either
+		}
+		lowest = lowest[:k-1]
+	}
+	j := len(lowest)
+	for j > 0 && lowest[j-1].pos > pos {
+		j--
+	}
+	lowest = slices.Insert(lowest, j, s.clu.gpus[pos])
+	return s.keepLowest(2*i+2, s.keepLowest(2*i+1, lowest, k), k)
+}
+
+// set stores pos at heap index i and records i in the GPU's slot.
+func (s *StateClass) set(i int, pos int32) {
+	s.members[i] = pos
+	s.clu.gpus[pos].slot = i
+}
+
+// up and down sift the member at heap index i into place, moving the
+// members it passes one level each and storing it once at the end.
+func (s *StateClass) up(i int) {
+	pos := s.members[i]
+	for i > 0 {
+		parent := (i - 1) / 2
+		if s.members[parent] <= pos {
+			break
+		}
+		s.set(i, s.members[parent])
+		i = parent
+	}
+	s.set(i, pos)
+}
+
+func (s *StateClass) down(i int) {
+	h := s.members
+	pos := h[i]
+	for {
+		least := 2*i + 1
+		if least >= len(h) {
+			break
+		}
+		if r := least + 1; r < len(h) && h[r] < h[least] {
+			least = r
+		}
+		if h[least] >= pos {
+			break
+		}
+		s.set(i, h[least])
+		i = least
+	}
+	s.set(i, pos)
+}
+
+func (s *StateClass) push(g *GPU) {
+	s.members = append(s.members, int32(g.pos))
+	s.up(len(s.members) - 1)
+}
+
+// remove drops the member at heap index i: the last member takes its
+// place and sifts whichever way the heap order needs.
+func (s *StateClass) remove(i int) {
+	last := len(s.members) - 1
+	s.members[i] = s.members[last]
+	s.members = s.members[:last]
+	if i < last {
+		if i > 0 && s.members[(i-1)/2] > s.members[i] {
+			s.up(i)
+		} else {
+			s.down(i)
+		}
+	}
+}
+
+// Cell returns the state classes filed in grid row `row` (occupancy
+// band) and column `col` (memory band). Order within a cell is not
+// specified — consumers needing the tie order of an inventory scan must
+// rank by (key, Pos()) lexicographically. The returned slice is the
+// cluster's live index: read-only, not to be held across placement
+// changes.
+func (c *Cluster) Cell(row, col int) []*StateClass {
+	c.flushDirty()
 	if r := c.cells[row]; r != nil {
 		return r[col]
 	}
@@ -813,53 +976,109 @@ func (c *Cluster) Cell(row, col int) []*GPU {
 }
 
 // CellMask returns the non-empty columns of grid row `row` as a bitmask:
-// bit m is set iff Cell(row, m) holds at least one GPU.
-func (c *Cluster) CellMask(row int) uint32 { return c.cellMask[row] }
-
-// noteMem is noteCell after a change to memory alone (KV growth or
-// release), which runs on every token-level KV charge: ΣReq and so the
-// row are unchanged, and the common case of a GPU staying in its column
-// returns after one division.
-func (c *Cluster) noteMem(g *GPU) {
-	if g.cell >= 0 && MemBucketOf(g.MemUsedMB/g.MemCapMB) == g.cell%MemBuckets {
-		return
-	}
-	c.noteCell(g)
+// bit m is set iff Cell(row, m) holds at least one class.
+func (c *Cluster) CellMask(row int) uint32 {
+	c.flushDirty()
+	return c.cellMask[row]
 }
 
-// noteCell files g in the grid cell of its current utilization and
-// memory share, or unfiles it when it has gone inactive. A move is a
-// swap-remove from the old cell and an append to the new one.
-func (c *Cluster) noteCell(g *GPU) {
-	cell := -1
-	if g.Active() {
-		cell = OccupancyBucketOf(g.Util())*MemBuckets + MemBucketOf(g.MemUsedMB/g.MemCapMB)
+// markDirty defers g's refiling after a KV-cache charge to the next grid
+// read: a flag and, the first time, an append to the dirty list.
+func (c *Cluster) markDirty(g *GPU) {
+	if !g.dirty {
+		g.dirty = true
+		c.dirty = append(c.dirty, int32(g.pos))
 	}
-	if cell == g.cell {
+}
+
+// flushDirty refiles every GPU still marked dirty.
+func (c *Cluster) flushDirty() {
+	if len(c.dirty) == 0 {
 		return
 	}
-	if old := g.cell; old >= 0 {
-		r, m := old/MemBuckets, old%MemBuckets
-		list := c.cells[r][m]
-		last := len(list) - 1
-		list[g.slot] = list[last]
-		list[g.slot].slot = g.slot
-		list[last] = nil // don't pin the moved-out GPU
-		c.cells[r][m] = list[:last]
-		if last == 0 {
-			c.cellMask[r] &^= 1 << m
+	for _, pos := range c.dirty {
+		if g := c.gpus[pos]; g.dirty {
+			c.refile(g)
 		}
 	}
-	g.cell = cell
-	if cell >= 0 {
-		r, m := cell/MemBuckets, cell%MemBuckets
-		if c.cells[r] == nil {
-			c.cells[r] = new([MemBuckets][]*GPU)
+	c.dirty = c.dirty[:0]
+}
+
+// refile files g in the state class of its current state, or unfiles it
+// when it has gone inactive or unhealthy. A GPU whose key is unchanged
+// stays where it is.
+func (c *Cluster) refile(g *GPU) {
+	g.dirty = false
+	cl := g.cls
+	if g.Active() && g.health == Healthy {
+		if cl != nil && cl.SumReq == g.SumReq && cl.SumLim == g.SumLim && cl.MemUsedMB == g.MemUsedMB {
+			return
 		}
-		g.slot = len(c.cells[r][m])
-		c.cells[r][m] = append(c.cells[r][m], g)
+	} else if cl == nil {
+		return
+	}
+	if cl != nil {
+		c.leaveClass(g)
+	}
+	if g.Active() && g.health == Healthy {
+		c.joinClass(g)
+	}
+}
+
+// joinClass adds g to the class of its key in the cell of its
+// utilization and memory share, creating the class (from the free list
+// when possible) if the cell has none.
+func (c *Cluster) joinClass(g *GPU) {
+	cell := OccupancyBucketOf(g.Util())*MemBuckets + MemBucketOf(g.MemUsedMB/g.MemCapMB)
+	r, m := cell/MemBuckets, cell%MemBuckets
+	if c.cells[r] == nil {
+		c.cells[r] = new([MemBuckets][]*StateClass)
+	}
+	list := c.cells[r][m]
+	var cl *StateClass
+	for _, k := range list {
+		if k.SumReq == g.SumReq && k.MemUsedMB == g.MemUsedMB && k.SumLim == g.SumLim && k.classIdx == g.classIdx {
+			cl = k
+			break
+		}
+	}
+	if cl == nil {
+		if n := len(c.freeClasses); n > 0 {
+			cl = c.freeClasses[n-1]
+			c.freeClasses = c.freeClasses[:n-1]
+		} else {
+			cl = &StateClass{clu: c}
+		}
+		cl.SumReq, cl.SumLim, cl.MemUsedMB = g.SumReq, g.SumLim, g.MemUsedMB
+		cl.Capacity, cl.MemCapMB, cl.classIdx = g.Capacity, g.MemCapMB, g.classIdx
+		cl.cell, cl.slot = cell, len(list)
+		c.cells[r][m] = append(list, cl)
 		c.cellMask[r] |= 1 << m
 	}
+	cl.push(g)
+	g.cls = cl
+}
+
+// leaveClass removes g from its class; an emptied class leaves its cell
+// (a swap-remove) and returns to the free list.
+func (c *Cluster) leaveClass(g *GPU) {
+	cl := g.cls
+	g.cls = nil
+	cl.remove(g.slot)
+	if len(cl.members) > 0 {
+		return
+	}
+	r, m := cl.cell/MemBuckets, cl.cell%MemBuckets
+	list := c.cells[r][m]
+	last := len(list) - 1
+	list[cl.slot] = list[last]
+	list[cl.slot].slot = cl.slot
+	list[last] = nil // don't pin the recycled class
+	c.cells[r][m] = list[:last]
+	if last == 0 {
+		c.cellMask[r] &^= 1 << m
+	}
+	c.freeClasses = append(c.freeClasses, cl)
 }
 
 // Stats aggregates the fragmentation view of the cluster.

@@ -2,6 +2,7 @@ package cluster
 
 import (
 	"math"
+	"slices"
 	"testing"
 	"testing/quick"
 )
@@ -85,7 +86,7 @@ func TestOccupiedAndActive(t *testing.T) {
 	if c.OccupiedCount() != 1 {
 		t.Fatalf("occupied = %d", c.OccupiedCount())
 	}
-	act := c.ActiveGPUs()
+	act := slices.Collect(c.ActiveGPUs())
 	if len(act) != 1 || act[0] != g {
 		t.Fatal("ActiveGPUs wrong")
 	}

@@ -2,6 +2,7 @@ package cluster
 
 import (
 	"fmt"
+	"math"
 	"math/rand"
 	"slices"
 	"testing"
@@ -11,27 +12,31 @@ import (
 // with KV-cache growth and release in between — and, since the
 // lifecycle work, random FailNode/DrainNode/JoinNode churn on
 // heterogeneous fleets — and, after every operation, require each
-// incremental index — the function posting lists, the placement grid,
-// the active list, and the free heap — to agree
-// exactly with a from-scratch recomputation over the inventory. They
-// run under -race via `make test-race-subsys`.
+// incremental index — the function posting lists, the placement grid
+// and its state classes, the active bitset, and the free heap — to
+// agree exactly with a from-scratch recomputation over the inventory.
+// They run under -race via `make test-race-subsys`.
 
 // checkIndexesConsistent recomputes every index from the placements and
-// compares. The grid comparison goes through Cell (the read API), and
-// duplicates inside or across cells are a failure in their own right.
+// compares. The grid comparison goes through Cell (the read API, which
+// refiles the GPUs a KV charge left dirty), and duplicates inside or
+// across classes are a failure in their own right.
 func checkIndexesConsistent(t *testing.T, c *Cluster, step int) {
 	t.Helper()
 
-	// Active list: GPUs with placements, in inventory order.
+	// Active bitset: its iteration is GPUs() filtered by Active(), and
+	// the count matches.
 	var wantActive []*GPU
 	for _, g := range c.gpus {
 		if g.Active() {
 			wantActive = append(wantActive, g)
 		}
 	}
-	if !slices.Equal(wantActive, c.ActiveGPUs()) {
-		t.Fatalf("step %d: active list diverged (len %d vs %d)",
-			step, len(c.ActiveGPUs()), len(wantActive))
+	if got := slices.Collect(c.ActiveGPUs()); !slices.Equal(wantActive, got) {
+		t.Fatalf("step %d: active set diverged (len %d vs %d)", step, len(got), len(wantActive))
+	}
+	if c.OccupiedCount() != len(wantActive) {
+		t.Fatalf("step %d: OccupiedCount = %d, want %d", step, c.OccupiedCount(), len(wantActive))
 	}
 
 	// Posting index: for every function with a live placement, the
@@ -55,36 +60,83 @@ func checkIndexesConsistent(t *testing.T, c *Cluster, step int) {
 		}
 	}
 
-	// Placement grid: every active GPU sits exactly once, in the cell
-	// of its current normalized utilization and memory share, and no
-	// inactive GPU sits in any cell.
+	// Placement grid: every healthy active GPU sits in exactly one
+	// state class, whose key equals the GPU's live state and whose cell
+	// is that of the GPU's normalized utilization and memory share; a
+	// class reports its true minimum position; no class is empty or
+	// duplicated within its cell; and no inactive or unhealthy GPU is
+	// filed anywhere.
 	type rc struct{ r, m int }
+	type key struct {
+		req, lim, mem float64
+		class         int
+	}
 	seen := map[*GPU]rc{}
 	for r := 0; r < OccupancyBuckets; r++ {
 		for m := 0; m < MemBuckets; m++ {
-			for _, g := range c.Cell(r, m) {
-				if prev, dup := seen[g]; dup {
-					t.Fatalf("step %d: %s appears in cells %v and %v", step, g.ID, prev, rc{r, m})
+			keys := map[key]bool{}
+			for i, cl := range c.Cell(r, m) {
+				if cl.slot != i || cl.cell != r*MemBuckets+m {
+					t.Fatalf("step %d: class in cell %v at %d records cell %d slot %d", step, rc{r, m}, i, cl.cell, cl.slot)
 				}
-				seen[g] = rc{r, m}
-				want := rc{OccupancyBucketOf(g.Util()), MemBucketOf(g.MemUsedMB / g.MemCapMB)}
-				if want != (rc{r, m}) {
-					t.Fatalf("step %d: %s (util=%v mem=%v/%v) in cell %v, want %v",
-						step, g.ID, g.Util(), g.MemUsedMB, g.MemCapMB, rc{r, m}, want)
+				k := key{cl.SumReq, cl.SumLim, cl.MemUsedMB, cl.classIdx}
+				if keys[k] {
+					t.Fatalf("step %d: cell %v holds two classes keyed %+v", step, rc{r, m}, k)
 				}
-				if !g.Active() {
-					t.Fatalf("step %d: inactive %s surfaced from cell %v", step, g.ID, rc{r, m})
+				keys[k] = true
+				if cl.Len() == 0 {
+					t.Fatalf("step %d: empty class in cell %v", step, rc{r, m})
+				}
+				minPos := math.MaxInt
+				for j := range cl.Len() {
+					g := cl.Member(j)
+					if prev, dup := seen[g]; dup {
+						t.Fatalf("step %d: %s appears in cells %v and %v", step, g.ID, prev, rc{r, m})
+					}
+					seen[g] = rc{r, m}
+					if g.cls != cl || g.slot != j {
+						t.Fatalf("step %d: %s back-link (slot %d) disagrees with class heap index %d", step, g.ID, g.slot, j)
+					}
+					if g.dirty {
+						t.Fatalf("step %d: %s still dirty after a grid read", step, g.ID)
+					}
+					if (key{g.SumReq, g.SumLim, g.MemUsedMB, g.classIdx}) != k ||
+						g.Capacity != cl.Capacity || g.MemCapMB != cl.MemCapMB {
+						t.Fatalf("step %d: %s (req=%v lim=%v mem=%v) filed under class %+v",
+							step, g.ID, g.SumReq, g.SumLim, g.MemUsedMB, k)
+					}
+					want := rc{OccupancyBucketOf(g.Util()), MemBucketOf(g.MemUsedMB / g.MemCapMB)}
+					if want != (rc{r, m}) {
+						t.Fatalf("step %d: %s (util=%v mem=%v/%v) in cell %v, want %v",
+							step, g.ID, g.Util(), g.MemUsedMB, g.MemCapMB, rc{r, m}, want)
+					}
+					if !g.Active() || !g.Schedulable() {
+						t.Fatalf("step %d: %s (active %v, %s) surfaced from cell %v",
+							step, g.ID, g.Active(), g.Health(), rc{r, m})
+					}
+					minPos = min(minPos, g.pos)
+				}
+				if cl.MinPos() != minPos || cl.Min().pos != minPos {
+					t.Fatalf("step %d: class in cell %v reports min position %d, want %d",
+						step, rc{r, m}, cl.MinPos(), minPos)
 				}
 			}
 			if bit := c.CellMask(r)>>m&1 == 1; bit != (len(c.Cell(r, m)) > 0) {
-				t.Fatalf("step %d: CellMask bit %v for cell %v holding %d GPUs",
+				t.Fatalf("step %d: CellMask bit %v for cell %v holding %d classes",
 					step, bit, rc{r, m}, len(c.Cell(r, m)))
 			}
 		}
 	}
-	if len(seen) != len(wantActive) {
-		t.Fatalf("step %d: placement grid covers %d GPUs, want %d active",
-			step, len(seen), len(wantActive))
+	filed := 0
+	for _, g := range c.gpus {
+		if g.Active() && g.Schedulable() {
+			filed++
+		} else if g.cls != nil {
+			t.Fatalf("step %d: %s (active %v, %s) still linked to a class", step, g.ID, g.Active(), g.Health())
+		}
+	}
+	if len(seen) != filed {
+		t.Fatalf("step %d: placement grid covers %d GPUs, want %d healthy active", step, len(seen), filed)
 	}
 
 	// Free index: FirstInactive returns the earliest schedulable
@@ -382,4 +434,90 @@ func TestPostingIndexBasics(t *testing.T) {
 	if c.FuncGPUs("f") != nil {
 		t.Fatal("posting key must be deleted with the last placement")
 	}
+}
+
+// TestKVChargeDefersRefile pins the KV fast path: a charge or release
+// only marks the GPU dirty (once, allocating nothing), its class keeps
+// the old key until the next grid read, and a Place in between refiles
+// the GPU at once so the stale dirty entry is skipped.
+func TestKVChargeDefersRefile(t *testing.T) {
+	c := New(Config{Nodes: 1, GPUsPerNode: 2, MemCapMB: 1000})
+	g := c.gpus[0]
+	p := &Placement{Instance: "a", Func: "f", Req: 0.2, MemMB: 100}
+	if err := g.Place(p); err != nil {
+		t.Fatal(err)
+	}
+	if !g.ReserveKV(p, 400) || !g.ReserveKV(p, 100) {
+		t.Fatal("KV charge refused")
+	}
+	if !g.dirty || len(c.dirty) != 1 || g.cls.MemUsedMB != 100 {
+		t.Fatalf("charge must only mark dirty: dirty=%v list=%d class mem=%v", g.dirty, len(c.dirty), g.cls.MemUsedMB)
+	}
+	c.CellMask(0)
+	if g.dirty || len(c.dirty) != 0 || g.cls.MemUsedMB != 600 {
+		t.Fatalf("grid read must refile: dirty=%v list=%d class mem=%v", g.dirty, len(c.dirty), g.cls.MemUsedMB)
+	}
+	g.ReleaseKV(p, 50)
+	if err := g.Place(&Placement{Instance: "b", Func: "f", Req: 0.1, MemMB: 10}); err != nil {
+		t.Fatal(err)
+	}
+	if g.dirty || g.cls.MemUsedMB != 560 {
+		t.Fatalf("Place must refile at once: dirty=%v class mem=%v", g.dirty, g.cls.MemUsedMB)
+	}
+	checkIndexesConsistent(t, c, 0)
+	if allocs := testing.AllocsPerRun(100, func() {
+		g.ReserveKV(p, 1)
+		g.ReleaseKV(p, 1)
+		c.flushDirty()
+	}); allocs != 0 {
+		t.Fatalf("KV charge/release/refile cycle allocates %v times", allocs)
+	}
+}
+
+// TestStateClassMembers covers the class heap directly: GPUs with one
+// state share a class whatever their functions, MinWithout skips
+// members hosting the function, and a state change moves a GPU out.
+func TestStateClassMembers(t *testing.T) {
+	c := New(Config{Nodes: 1, GPUsPerNode: 8, MemCapMB: 1000})
+	for i, g := range c.gpus {
+		fn := "g"
+		if i == 0 || i == 1 || i == 3 || i == 6 {
+			fn = "f"
+		}
+		if err := g.Place(&Placement{Instance: fmt.Sprint(i), Func: fn, Req: 0.25, Lim: 0.5, MemMB: 100}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	cells := c.Cell(OccupancyBucketOf(0.25), MemBucketOf(0.1))
+	if len(cells) != 1 || cells[0].Len() != 8 {
+		t.Fatalf("8 equal-state GPUs must share one class: %d classes", len(cells))
+	}
+	cl := cells[0]
+	if cl.Min() != c.gpus[0] || cl.MinWithout("f") != c.gpus[2] || cl.MinWithout("h") != c.gpus[0] {
+		t.Fatalf("Min=%s MinWithout(f)=%v", cl.Min().ID, cl.MinWithout("f"))
+	}
+	if cl.Util() != c.gpus[5].Util() {
+		t.Fatalf("class Util %v, member Util %v", cl.Util(), c.gpus[5].Util())
+	}
+	// KeepLowest merges into a list already holding a lower and a
+	// higher position, and keeps only the first k.
+	outside := New(Config{Nodes: 1, GPUsPerNode: 9}).gpus
+	got := cl.KeepLowest([]*GPU{outside[1], outside[8]}, 4)
+	if want := []*GPU{c.gpus[0], outside[1], c.gpus[1], c.gpus[2]}; !slices.Equal(got, want) {
+		t.Fatalf("KeepLowest = %v", got)
+	}
+	if got := cl.KeepLowest(nil, 8); len(got) != 8 || got[7] != c.gpus[7] {
+		t.Fatalf("KeepLowest(8) = %v", got)
+	}
+	c.DrainNode(c.Nodes[0])
+	if c.CellMask(OccupancyBucketOf(0.25)) != 0 {
+		t.Fatal("draining GPUs must leave the grid")
+	}
+	c.JoinNode(c.Nodes[0])
+	p := c.gpus[2].Placements[0]
+	c.gpus[2].Remove(p)
+	if cl := c.Cell(OccupancyBucketOf(0.25), MemBucketOf(0.1))[0]; cl.Len() != 7 || cl.MinWithout("f") != c.gpus[4] {
+		t.Fatalf("after removal: len %d MinWithout(f)=%v", cl.Len(), cl.MinWithout("f"))
+	}
+	checkIndexesConsistent(t, c, 0)
 }

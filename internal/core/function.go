@@ -121,14 +121,15 @@ type Function struct {
 	shed      int64
 
 	// res is the request-resilience state (timeout/retry/hedge); nil
-	// unless Config.Retry or Config.Hedge is set — every touchpoint
-	// guards on it, keeping the default path byte-identical.
+	// unless Config.Retry or Config.Hedge is set. Every touchpoint guards
+	// on it so a function without mitigations allocates none of it: a
+	// zero value would still need its two per-request maps.
 	res *resilience
 
 	// llm is the token-level serving state (profile, token recorder,
-	// length sampler); nil whenever the deployment has no LLMOpts —
-	// every touchpoint guards on it, keeping fixed-batch deployments
-	// byte-identical.
+	// length sampler); nil whenever the deployment has no LLMOpts. The
+	// nil is also the "serves tokens" test, and a fixed-batch function
+	// allocates no token recorder.
 	llm *llmState
 
 	pinned []int

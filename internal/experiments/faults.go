@@ -183,15 +183,16 @@ func StragglerTail(opts Options) *report.Report {
 			rep.SetSLO(sum)
 		}
 	}
-	rep.AddNote("6× stragglers stretch a third of the fleet; a hedge races each deadline request on a second instance after one SLO of waiting, so the tail rides the fast copy instead of the straggler's backoff cycle")
+	rep.AddNote("6× stragglers stretch a third of the fleet; a hedge races each deadline request on a second instance after half an SLO of waiting, so the tail rides the fast copy instead of the straggler's backoff cycle")
 	return rep
 }
 
 // DisturbanceReplayOn replays external churn and/or fault schedules
 // (the -churn / -faults CSV flags of cmd/dilu-bench) against the
-// standard three-function serving mix on a Dilu system with mitigations
-// enabled — the harness entry point for reproducing a recorded
-// production incident.
+// standard three-function serving mix on a Dilu system with retry and
+// quarantine enabled — the harness entry point for reproducing a
+// recorded production incident. Hedging is left off: the mix carries no
+// deadline requests, the only ones a hedge races.
 func DisturbanceReplayOn(opts Options, churn []workload.ChurnEvent, faults []workload.FaultEvent) *report.Report {
 	opts = opts.withDefaults()
 	rep := report.New("disturbance_replay", "External churn/fault schedule replay (extra)")
@@ -199,7 +200,7 @@ func DisturbanceReplayOn(opts Options, churn []workload.ChurnEvent, faults []wor
 
 	sys := core.MustSystem(core.Config{
 		Nodes: 5, GPUsPerNode: 4, Seed: opts.Seed, Meter: opts.Meter,
-		Retry: true, Hedge: true, Quarantine: true,
+		Retry: true, Quarantine: true,
 	})
 	churnDeploy(sys, 1.0)
 	sys.ScheduleChurn(churn)
@@ -213,17 +214,15 @@ func DisturbanceReplayOn(opts Options, churn []workload.ChurnEvent, faults []wor
 		"Disturbance replay: SLO accounting and lifecycle fallout",
 		"reqs", "SVR %", "goodput rps", "p99 attain %",
 		"failures", "drains", "slow events", "error events",
-		"retries", "hedge wins", "quarantines"))
-	var rs core.ResilienceStats
+		"retries", "quarantines"))
+	var retries int64
 	for _, f := range sys.Functions() {
-		st := f.ResilienceStats()
-		rs.Retries += st.Retries
-		rs.HedgeWins += st.HedgeWins
+		retries += f.ResilienceStats().Retries
 	}
 	t.AddRow(float64(sum.Requests), sum.ViolationRate()*100, sum.GoodputRPS,
 		sum.P99Attainment*100, cs.Failures, cs.Drains,
-		fs.SlowEvents, fs.ErrorEvents, rs.Retries, rs.HedgeWins, fs.Quarantines)
+		fs.SlowEvents, fs.ErrorEvents, retries, fs.Quarantines)
 	rep.SetSLO(sum)
-	rep.AddNote("replayed %d churn + %d fault events against the three-function mix with retry/hedge/quarantine enabled", len(churn), len(faults))
+	rep.AddNote("replayed %d churn + %d fault events against the three-function mix with retry/quarantine enabled", len(churn), len(faults))
 	return rep
 }

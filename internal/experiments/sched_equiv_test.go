@@ -6,6 +6,7 @@ import (
 	"testing"
 
 	"dilu/internal/cluster"
+	"dilu/internal/gpu"
 	"dilu/internal/profiler"
 	"dilu/internal/sched"
 	"dilu/internal/sim"
@@ -31,7 +32,8 @@ import (
 // replays also run with KV-cache churn (token-level growth and release
 // on live placements, moving GPUs between memory columns with no Place
 // or Remove) and under non-default Dilu options: Ω > 1 (utilizations
-// in the grid's clamped top row), an SM-heavy score weighting, and −RC.
+// in the grid's clamped top row), an SM-heavy score weighting, and −RC,
+// and with kernel-cache affinity over warm node caches.
 
 // oldDilu replays Algorithm 1 with the pre-index full-scan logic.
 type oldDilu struct {
@@ -242,6 +244,7 @@ func (s *oldDilu) affinityGPUs(fn string) []*cluster.GPU {
 
 func (s *oldDilu) selectOptGPU(cands []*cluster.GPU, p profiler.Profile, fn string) *cluster.GPU {
 	bestScore := 1e18
+	bestCold := 2
 	var best *cluster.GPU
 	for _, g := range cands {
 		if !g.Schedulable() {
@@ -263,9 +266,14 @@ func (s *oldDilu) selectOptGPU(cands []*cluster.GPU, p profiler.Profile, fn stri
 		if g.HostsFunc(fn) {
 			score += 0.5
 		}
-		if score < bestScore {
-			bestScore = score
-			best = g
+		// With kernel-cache affinity, warm nodes win exact score ties;
+		// scan order breaks the rest.
+		cold := 1
+		if s.opts.KernelCacheAffinity && g.Node.KernelsWarm(fn) {
+			cold = 0
+		}
+		if score < bestScore || (score == bestScore && cold < bestCold) {
+			bestScore, bestCold, best = score, cold, g
 		}
 	}
 	return best
@@ -723,4 +731,36 @@ func TestDiluOptionVariantsIndexEquivalence(t *testing.T) {
 				&oldDilu{opts: v.opts, clu: cluOld}, false, true)
 		})
 	}
+}
+
+// TestDiluKernelCacheAffinityIndexEquivalence replays the mix, with KV
+// churn, under KernelCacheAffinity on twin clusters whose node kernel
+// caches are warm for a deterministic subset of the placed functions:
+// each instance's function is warm on 64 of the 1,000 nodes. Warm GPUs
+// then sit inside equal-state classes whose lowest-position member is
+// cold, so the class walk must pick the warm member to match the
+// reference's (score, coldness, scan order) argmin.
+func TestDiluKernelCacheAffinityIndexEquivalence(t *testing.T) {
+	opts := optsWithDefaults()
+	opts.KernelCacheAffinity = true
+	cluNew := cluster.New(cluster.Config{Nodes: 1000, GPUsPerNode: 4})
+	cluOld := cluster.New(cluster.Config{Nodes: 1000, GPUsPerNode: 4})
+	for _, clu := range []*cluster.Cluster{cluNew, cluOld} {
+		for _, n := range clu.Nodes {
+			n.Kernels = gpu.NewKernelCache(0)
+		}
+	}
+	// The replay's own mix (same size, horizon and seed), for its names.
+	mix := largeScaleMix(3200, 3600*sim.Second, sim.NewRNG(1))
+	nodes := len(cluNew.Nodes)
+	for i, inst := range mix {
+		for k := range 64 {
+			node := (i*7 + k*13) % nodes // 13·k mod 1000 is distinct for k < 64
+			cluNew.Nodes[node].Kernels.Note(inst.fn)
+			cluOld.Nodes[node].Kernels.Note(inst.fn)
+		}
+	}
+	replayMixEquivChurn(t,
+		sched.NewDilu(cluNew, opts),
+		&oldDilu{opts: opts, clu: cluOld}, false, true)
 }

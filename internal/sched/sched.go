@@ -167,6 +167,7 @@ type Dilu struct {
 	affScratch   []*cluster.GPU
 	inactScratch []*cluster.GPU
 	candScratch  []multiCand
+	frontScratch []*cluster.GPU
 	topScratch   []float64
 	partners     map[string]bool
 }
@@ -275,8 +276,9 @@ func moreFreeMem(a, b multiCand) bool {
 // from the cluster's indexes rather than an inventory scan, and the
 // list keeps every GPU that selection could pick or let a swap move, so
 // it picks what the full list would:
-//   - Active GPUs come from the placement grid, walked column by column
-//     from the least-used memory band. A GPU in column m has free share
+//   - Active GPUs come from the placement grid's state classes (one
+//     feasibility check per class), walked column by column from the
+//     least-used memory band. A GPU in column m has free share
 //     at most 1 − m/MemBuckets, so once the `stages`-th largest free
 //     share collected beats the next column's ceiling, no later GPU can
 //     be picked. The walk takes one more column for rounding, as
@@ -288,28 +290,26 @@ func moreFreeMem(a, b multiCand) bool {
 //   - The selection swaps the GPU at the front position into the slot
 //     of the one it picks, which reorders later ties. Only the first
 //     `stages` entries of the full list ever sit at a front position,
-//     so those are kept too.
+//     so those are kept too: the first `stages` idle GPUs above and the
+//     first `stages` feasible active GPUs, which each feasible state
+//     class yields from its position heap in O(stages).
 //
 // Dropping a GPU that is never picked and never moved changes neither
-// the picks nor the relative order of the rest. The same argument
-// makes the survivor count reach `stages` exactly when the full
-// feasible count does.
+// the picks nor the relative order of the rest, so any sub-list that
+// keeps those GPUs selects alike. The same argument makes the survivor
+// count reach `stages` exactly when the full feasible count does.
 func (s *Dilu) placeMultiGPU(req Request, stages int) (Decision, error) {
 	if s.opts.DisableComplementary {
 		return s.placeExclusiveStages(req, stages)
 	}
 	p := shardProfile(req.Profile, stages)
 	feasible := func(g *cluster.GPU) bool {
-		return g.Schedulable() &&
-			g.SumReq+p.SMReq <= s.opts.Omega*g.Capacity+1e-9 &&
-			g.SumLim+p.SMLim <= s.opts.Gamma*g.Capacity+1e-9 &&
-			g.MemUsedMB+p.MemMB <= g.MemCapMB
+		return g.Schedulable() && s.fits(g.SumReq, g.SumLim, g.MemUsedMB, g.Capacity, g.MemCapMB, p)
 	}
 	// top holds the largest normalized free shares collected so far, in
 	// descending order, at most `stages` of them.
 	top := s.topScratch[:0]
-	note := func(g *cluster.GPU) {
-		f := (g.MemCapMB - g.MemUsedMB) / g.MemCapMB
+	note := func(f float64) {
 		if len(top) == stages {
 			if f <= top[stages-1] {
 				return
@@ -325,19 +325,41 @@ func (s *Dilu) placeMultiGPU(req Request, stages int) (Decision, error) {
 	inactives := s.clu.AppendInactiveFit(s.inactScratch[:0], stages, feasible)
 	s.inactScratch = inactives
 	for _, g := range inactives {
-		note(g)
+		note((g.MemCapMB - g.MemUsedMB) / g.MemCapMB)
 	}
 	cands := s.candScratch[:0]
+	// front collects the `stages` feasible active GPUs earliest in
+	// inventory order, which the selection's swaps may move. Every
+	// feasible GPU sits in the grid region gridTop bounds, so the walk
+	// covers all columns up to colTop for it, past the last column the
+	// worst-fit needs.
+	front := s.frontScratch[:0]
 	rowTop, colTop := s.gridTop(p)
-	for m, last := 0, colTop; m <= last; m++ {
-		for r := 0; r <= rowTop; r++ {
-			if s.clu.CellMask(r)&(1<<m) == 0 {
-				continue
-			}
-			for _, g := range s.clu.Cell(r, m) {
-				if feasible(g) {
-					cands = append(cands, multiCand{g, g.MemCapMB - g.MemUsedMB})
-					note(g)
+	// rowsOf[m] has bit r set iff cell (r, m) is non-empty, r ≤ rowTop.
+	var rowsOf [cluster.MemBuckets]uint64
+	for r := 0; r <= rowTop; r++ {
+		for cols := s.clu.CellMask(r); cols != 0; cols &= cols - 1 {
+			rowsOf[bits.TrailingZeros32(cols)] |= 1 << r
+		}
+	}
+	for m, last := 0, colTop; m <= colTop; m++ {
+		for rows := rowsOf[m]; rows != 0; rows &= rows - 1 {
+			for _, cl := range s.clu.Cell(bits.TrailingZeros64(rows), m) {
+				if !s.fits(cl.SumReq, cl.SumLim, cl.MemUsedMB, cl.Capacity, cl.MemCapMB, p) {
+					continue
+				}
+				front = cl.KeepLowest(front, stages)
+				if m > last {
+					continue
+				}
+				free := cl.MemCapMB - cl.MemUsedMB
+				for i := range cl.Len() {
+					cands = append(cands, multiCand{cl.Member(i), free})
+				}
+				// Members share the free share; more than `stages` copies
+				// of it cannot change top.
+				for range min(cl.Len(), stages) {
+					note(free / cl.MemCapMB)
 				}
 			}
 		}
@@ -346,21 +368,9 @@ func (s *Dilu) placeMultiGPU(req Request, stages int) (Decision, error) {
 		}
 	}
 	s.topScratch = top
-	// The first `stages` feasible GPUs in inventory order (idle ones
-	// counted in), which the selection's swaps may move.
-	front, ii := 0, 0
-	for _, g := range s.clu.ActiveGPUs() {
-		for ii < len(inactives) && inactives[ii].Pos() < g.Pos() && front < stages {
-			ii++
-			front++
-		}
-		if front == stages {
-			break
-		}
-		if feasible(g) {
-			cands = append(cands, multiCand{g, g.MemCapMB - g.MemUsedMB})
-			front++
-		}
+	s.frontScratch = front
+	for _, g := range front {
+		cands = append(cands, multiCand{g, g.MemCapMB - g.MemUsedMB})
 	}
 	for _, g := range inactives {
 		cands = append(cands, multiCand{g, g.MemCapMB - g.MemUsedMB})
@@ -495,13 +505,7 @@ func (s *Dilu) selectOptGPU(cands []*cluster.GPU, p profiler.Profile, fn string)
 	bestCold := 2
 	var best *cluster.GPU
 	for _, g := range cands {
-		if !g.Schedulable() {
-			continue
-		}
-		newReq := g.SumReq + p.SMReq
-		newLim := g.SumLim + p.SMLim
-		newMem := g.MemUsedMB + p.MemMB
-		if newReq > s.opts.Omega*g.Capacity+1e-9 || newLim > s.opts.Gamma*g.Capacity+1e-9 || newMem > g.MemCapMB {
+		if !g.Schedulable() || !s.fits(g.SumReq, g.SumLim, g.MemUsedMB, g.Capacity, g.MemCapMB, p) {
 			continue
 		}
 		if g.HostsFunc(fn) && p.Role == profiler.RoleTraining {
@@ -509,10 +513,7 @@ func (s *Dilu) selectOptGPU(cands []*cluster.GPU, p profiler.Profile, fn string)
 			// compute in lockstep and simply halve each other.
 			continue
 		}
-		score := s.opts.Alpha * (1 - newReq/g.Capacity)
-		if !s.opts.DisableComplementary {
-			score += s.opts.Beta * (1 - newMem/g.MemCapMB)
-		}
+		score := s.score(g.SumReq, g.MemUsedMB, g.Capacity, g.MemCapMB, p)
 		if g.HostsFunc(fn) {
 			score += 0.5
 		}
@@ -525,6 +526,25 @@ func (s *Dilu) selectOptGPU(cands []*cluster.GPU, p profiler.Profile, fn string)
 		}
 	}
 	return best
+}
+
+// fits reports whether a GPU in the given state has room for profile p
+// under Ω, γ and its memory: constraints (2)-(4) of Algorithm 1.
+func (s *Dilu) fits(sumReq, sumLim, memUsed, capacity, memCap float64, p profiler.Profile) bool {
+	return sumReq+p.SMReq <= s.opts.Omega*capacity+1e-9 &&
+		sumLim+p.SMLim <= s.opts.Gamma*capacity+1e-9 &&
+		memUsed+p.MemMB <= memCap
+}
+
+// score is the weighted fragmentation a GPU in the given state would be
+// left with after hosting profile p (lower is a tighter fit), before the
+// same-function penalty; −RC drops the memory term.
+func (s *Dilu) score(sumReq, memUsed, capacity, memCap float64, p profiler.Profile) float64 {
+	score := s.opts.Alpha * (1 - (sumReq+p.SMReq)/capacity)
+	if !s.opts.DisableComplementary {
+		score += s.opts.Beta * (1 - (memUsed+p.MemMB)/memCap)
+	}
+	return score
 }
 
 // cacheCold is the kernel-cache tie-break key: 0 when the GPU's node
@@ -549,17 +569,26 @@ const boundSlack = 1e-9
 // by the cluster's placement grid instead of a slice scan. Rows
 // (utilization bands) are walked from the highest feasible one down and,
 // within a row, columns (memory bands) from the most used down, so the
-// walk meets the lowest-scoring cells first.
+// walk meets the lowest-scoring cells first. Within a cell it visits
+// state classes, not GPUs: feasibility and score depend only on a
+// class's key, so each distinct state is scored once.
 //
 // Equivalence with selectOptGPU(ActiveGPUs()): that scan takes the
 // first (inventory-order) candidate achieving the minimum score, i.e.
 // the lexicographic argmin of (score, cacheCold, Pos) — the cache-
 // coldness key degenerates to a constant unless kernel-cache affinity
-// is enabled. Cell order is arbitrary, so the same argmin is computed
-// explicitly. A GPU in cell (r, m) below the clamped top row has
-// utilization under (r+1)/R and memory share under (m+1)/M (or exactly
-// 1 in the top column), so its score — the same-function penalty is
-// non-negative — is at least
+// is enabled. Class and cell order are arbitrary, so the same argmin is
+// computed explicitly, and a class's candidate is the member that ranks
+// first among its equal scores: the lowest Pos, or with cache affinity
+// the first warm member by Pos if it has one. GPUs hosting fn carry the
+// same-function penalty (or are excluded, for training), so the class
+// walk passes over them and they are scored one by one from the posting
+// list.
+//
+// A GPU in cell (r, m) below the clamped top row has utilization under
+// (r+1)/R and memory share under (m+1)/M (or exactly 1 in the top
+// column), so its score — the same-function penalty is non-negative —
+// is at least
 //
 //	α·(1 − ((r+1)/R + req/MinCapacity)) + β·(1 − ((m+1)/M + mem/MinMemCapacity))
 //
@@ -592,13 +621,17 @@ func (s *Dilu) selectOptGPUActive(p profiler.Profile, fn string) *cluster.GPU {
 		return score < bestScore || (score == bestScore &&
 			(cold < bestCold || (cold == bestCold && pos < bestPos)))
 	}
+	// The lowest coldness any member can key: with cache affinity off,
+	// every GPU keys 1.
+	coldFloor := 1
+	if s.opts.KernelCacheAffinity {
+		coldFloor = 0
+	}
 	// The posting index answers "does any GPU host fn" once, up front:
 	// when it is empty (the common case for per-instance function names)
-	// the HostsFunc check below is statically false. Otherwise it runs
-	// only for GPUs that would win without it, saving most of the
-	// string-map lookups that dominated the 32k-instance hyperscale batch
-	// profile.
-	hostsAny := len(s.clu.FuncGPUs(fn)) > 0
+	// no class member needs the HostsFunc check below.
+	hosts := s.clu.FuncGPUs(fn)
+	hostsAny := len(hosts) > 0
 	for r := rowTop; r >= 0; r-- {
 		prunable := r < cluster.OccupancyBuckets-1
 		rowBound := alpha * (1 - (float64(r+1)/cluster.OccupancyBuckets + reqTerm))
@@ -612,39 +645,62 @@ func (s *Dilu) selectOptGPUActive(p profiler.Profile, fn string) *cluster.GPU {
 			if prunable && rowBound+colBound(m) > bestScore {
 				break
 			}
-			for _, g := range s.clu.Cell(r, m) {
-				if !g.Schedulable() {
+			for _, cl := range s.clu.Cell(r, m) {
+				if !s.fits(cl.SumReq, cl.SumLim, cl.MemUsedMB, cl.Capacity, cl.MemCapMB, p) {
 					continue
 				}
-				newReq := g.SumReq + p.SMReq
-				newLim := g.SumLim + p.SMLim
-				newMem := g.MemUsedMB + p.MemMB
-				if newReq > s.opts.Omega*g.Capacity+1e-9 || newLim > s.opts.Gamma*g.Capacity+1e-9 || newMem > g.MemCapMB {
+				score := s.score(cl.SumReq, cl.MemUsedMB, cl.Capacity, cl.MemCapMB, p)
+				// (score, coldFloor, MinPos) bounds every member from below.
+				if !beats(score, coldFloor, cl.MinPos()) {
 					continue
 				}
-				score := s.opts.Alpha * (1 - newReq/g.Capacity)
-				if !s.opts.DisableComplementary {
-					score += s.opts.Beta * (1 - newMem/g.MemCapMB)
+				g, cold := cl.Min(), 1
+				if s.opts.KernelCacheAffinity {
+					g, cold = s.warmMember(cl, fn, hostsAny)
+				} else if hostsAny && g.HostsFunc(fn) {
+					g = cl.MinWithout(fn)
 				}
-				// The same-function terms only add to the score or exclude
-				// the GPU, so one that loses without them is done.
-				cold := s.cacheCold(g, fn)
-				if !beats(score, cold, g.Pos()) {
+				if g == nil || !beats(score, cold, g.Pos()) {
 					continue
-				}
-				if hostsAny && g.HostsFunc(fn) {
-					if p.Role == profiler.RoleTraining {
-						continue
-					}
-					if score += 0.5; !beats(score, cold, g.Pos()) {
-						continue
-					}
 				}
 				bestScore, bestCold, bestPos, best = score, cold, g.Pos(), g
 			}
 		}
 	}
+	if p.Role == profiler.RoleTraining {
+		// DDP workers of one job never share a GPU.
+		return best
+	}
+	for _, g := range hosts {
+		if !g.Schedulable() || !s.fits(g.SumReq, g.SumLim, g.MemUsedMB, g.Capacity, g.MemCapMB, p) {
+			continue
+		}
+		score := s.score(g.SumReq, g.MemUsedMB, g.Capacity, g.MemCapMB, p) + 0.5
+		if cold := s.cacheCold(g, fn); beats(score, cold, g.Pos()) {
+			bestScore, bestCold, bestPos, best = score, cold, g.Pos(), g
+		}
+	}
 	return best
+}
+
+// warmMember is a class's candidate under kernel-cache affinity: the
+// first member by Pos whose node cache is warm for fn, else the first
+// member by Pos, skipping members that host fn (when any GPU does). It
+// returns the member and its coldness, or nil if every member hosts fn.
+// Warmth is not indexed, so this visits every member.
+func (s *Dilu) warmMember(cl *cluster.StateClass, fn string, hostsAny bool) (*cluster.GPU, int) {
+	var best *cluster.GPU
+	bestCold := 2
+	for i := range cl.Len() {
+		g := cl.Member(i)
+		if hostsAny && g.HostsFunc(fn) {
+			continue
+		}
+		if cold := s.cacheCold(g, fn); cold < bestCold || (cold == bestCold && g.Pos() < best.Pos()) {
+			best, bestCold = g, cold
+		}
+	}
+	return best, bestCold
 }
 
 // freshGPU starts a new GPU instance (line 16): the first inactive GPU
@@ -825,7 +881,9 @@ func (s *Static) Schedule(req Request) ([]Decision, error) {
 // grid row by row (a row is one occupancy bucket: all of its memory
 // cells) from the most-occupied row that still has Σreq ≤ 1−q headroom
 // downward; within a row (unordered) the inventory-scan tie order is
-// reproduced by taking the lexicographic argmin of (free, Pos).
+// reproduced by taking the lexicographic argmin of (free, Pos). Free
+// share and feasibility depend only on a GPU's state, so the walk visits
+// state classes and a class's candidate is its lowest-position member.
 //
 // Stopping rule: a lower bucket has strictly smaller ΣReq, so by
 // monotonicity of exact rounding its free share 1−ΣReq is ≥ the best's
@@ -847,7 +905,7 @@ func (s *Static) pick(q, memMB float64, wholeGPU bool) *cluster.GPU {
 	}
 	headroom := 1 + 1e-9 - q/s.clu.MaxCapacity()
 	if headroom >= 0 {
-		var best *cluster.GPU
+		var best *cluster.StateClass
 		bestFree := 2.0
 		bestPos := -1
 		stopBelow := -1
@@ -856,16 +914,13 @@ func (s *Static) pick(q, memMB float64, wholeGPU bool) *cluster.GPU {
 				break
 			}
 			for cols := s.clu.CellMask(b); cols != 0; cols &= cols - 1 {
-				for _, g := range s.clu.Cell(b, bits.TrailingZeros32(cols)) {
-					if !g.Schedulable() {
+				for _, cl := range s.clu.Cell(b, bits.TrailingZeros32(cols)) {
+					if cl.SumReq+q > cl.Capacity+1e-9 || cl.MemUsedMB+memMB > cl.MemCapMB {
 						continue
 					}
-					if g.SumReq+q > g.Capacity+1e-9 || g.MemUsedMB+memMB > g.MemCapMB {
-						continue
-					}
-					free := 1 - g.Util()
-					if free < bestFree || (free == bestFree && g.Pos() < bestPos) {
-						bestFree, bestPos, best = free, g.Pos(), g
+					free := 1 - cl.Util()
+					if pos := cl.MinPos(); free < bestFree || (free == bestFree && pos < bestPos) {
+						bestFree, bestPos, best = free, pos, cl
 					}
 				}
 			}
@@ -874,7 +929,7 @@ func (s *Static) pick(q, memMB float64, wholeGPU bool) *cluster.GPU {
 			}
 		}
 		if best != nil {
-			return best
+			return best.Min()
 		}
 	}
 	return s.clu.FirstInactiveFit(q, memMB)

@@ -6,6 +6,7 @@ import (
 	"testing/quick"
 
 	"dilu/internal/cluster"
+	"dilu/internal/gpu"
 	"dilu/internal/model"
 	"dilu/internal/profiler"
 )
@@ -352,5 +353,77 @@ func TestDiluConstraintsProperty(t *testing.T) {
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 120}); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// fillEqual places one identical placement of function fns[i] on GPU i,
+// so every GPU lands in one state class.
+func fillEqual(t *testing.T, clu *cluster.Cluster, fns ...string) {
+	t.Helper()
+	for i, fn := range fns {
+		pl := &cluster.Placement{Instance: fmt.Sprint("fill-", i), Func: fn, Req: 0.2, Lim: 0.2, MemMB: 1000}
+		if err := clu.GPUs()[i].Place(pl); err != nil {
+			t.Fatal(err)
+		}
+	}
+}
+
+// TestDiluClassCandidateSkipsSameFunction covers the class walk when the
+// lowest-position member of the winning class already hosts the
+// function: the walk takes the next member instead, and a GPU hosting
+// the function is still chosen (from the posting list, penalty paid)
+// when it is the only one with room.
+func TestDiluClassCandidateSkipsSameFunction(t *testing.T) {
+	clu := cluster.New(cluster.Config{Nodes: 1, GPUsPerNode: 4})
+	fillEqual(t, clu, "f", "f", "g", "g")
+	s := NewDilu(clu, Options{DisableAffinity: true})
+	p := profiler.Profile{SMReq: 0.1, SMLim: 0.1, MemMB: 100}
+	d, err := s.Schedule(Request{Func: "f", Profile: p})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := d[0].GPUs[0]; got != clu.GPUs()[2] {
+		t.Fatalf("placed on %s, want the first GPU not hosting f", got.ID)
+	}
+	// Only GPU 0 (hosting f) keeps room for a 0.7 request.
+	for _, g := range clu.GPUs()[1:] {
+		if err := g.Place(&cluster.Placement{Instance: "top-" + g.ID, Func: "h", Req: 0.3, Lim: 0.3, MemMB: 100}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	d, err = s.Schedule(Request{Func: "f", Profile: profiler.Profile{SMReq: 0.7, SMLim: 0.7, MemMB: 100}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := d[0].GPUs[0]; got != clu.GPUs()[0] {
+		t.Fatalf("placed on %s, want %s, the only GPU with room", got.ID, clu.GPUs()[0].ID)
+	}
+}
+
+// TestDiluCacheAffinityPicksWarmClassMember covers kernel-cache affinity
+// inside a state class: with every GPU in one class, the placement goes
+// to the first GPU on a warm node rather than the class's lowest
+// position, and without affinity to the lowest position.
+func TestDiluCacheAffinityPicksWarmClassMember(t *testing.T) {
+	for _, aff := range []bool{false, true} {
+		clu := cluster.New(cluster.Config{Nodes: 3, GPUsPerNode: 2})
+		for _, n := range clu.Nodes {
+			n.Kernels = gpu.NewKernelCache(0)
+		}
+		clu.Nodes[1].Kernels.Note("f")
+		clu.Nodes[2].Kernels.Note("f")
+		fillEqual(t, clu, "a", "f", "b", "c", "d", "e")
+		s := NewDilu(clu, Options{DisableAffinity: true, KernelCacheAffinity: aff})
+		d, err := s.Schedule(Request{Func: "f", Profile: profiler.Profile{SMReq: 0.1, SMLim: 0.1, MemMB: 100}})
+		if err != nil {
+			t.Fatal(err)
+		}
+		want := clu.GPUs()[0] // GPU 1 hosts f
+		if aff {
+			want = clu.GPUs()[2]
+		}
+		if got := d[0].GPUs[0]; got != want {
+			t.Fatalf("affinity %v: placed on %s, want %s", aff, got.ID, want.ID)
+		}
 	}
 }

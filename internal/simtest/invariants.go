@@ -232,17 +232,18 @@ func QuotaConservation() core.Invariant {
 			if occupied != clu.OccupiedCount() {
 				return fmt.Errorf("occupied-GPU index drifted: index %d, ground truth %d", clu.OccupiedCount(), occupied)
 			}
-			active := clu.ActiveGPUs()
-			if len(active) != occupied {
-				return fmt.Errorf("active-GPU list has %d entries, ground truth %d", len(active), occupied)
-			}
-			for i, g := range active {
+			n, prev := 0, -1
+			for g := range clu.ActiveGPUs() {
 				if !g.Active() {
-					return fmt.Errorf("active-GPU list holds idle GPU %s", g.ID)
+					return fmt.Errorf("active-GPU set holds idle GPU %s", g.ID)
 				}
-				if i > 0 && active[i-1].Pos() >= g.Pos() {
-					return fmt.Errorf("active-GPU list out of inventory order at %s", g.ID)
+				if g.Pos() <= prev {
+					return fmt.Errorf("active-GPU set out of inventory order at %s", g.ID)
 				}
+				n, prev = n+1, g.Pos()
+			}
+			if n != occupied {
+				return fmt.Errorf("active-GPU set has %d entries, ground truth %d", n, occupied)
 			}
 			return nil
 		},
