@@ -125,7 +125,10 @@ type GPU struct {
 	KVUsedMB   float64
 	Placements []*Placement
 
-	health   Health
+	health Health
+	// dirty is set while a KV-cache change awaits refiling (see
+	// Cluster.dirty); it sits beside health to keep the struct small.
+	dirty    bool
 	classIdx int
 
 	// clu and pos link the GPU back to its cluster's indexes; nil/0 for
@@ -135,11 +138,9 @@ type GPU struct {
 	// funcCounts counts placements per function, making HostsFunc O(1).
 	funcCounts map[string]int
 	// cls is the state class the GPU is filed in (nil while inactive or
-	// unhealthy) and slot its index in the class's member heap. dirty is
-	// set while a KV-cache change awaits refiling (see Cluster.dirty).
-	cls   *StateClass
-	slot  int
-	dirty bool
+	// unhealthy) and slot its index in the class's member heap.
+	cls  *StateClass
+	slot int
 }
 
 // Active reports whether any instance is placed on the GPU.
