@@ -191,8 +191,8 @@ func BenchmarkChurnRecovery(b *testing.B) { runExperiment(b, "churn_recovery") }
 func BenchmarkRollingDrain(b *testing.B) { runExperiment(b, "rolling_drain") }
 
 // BenchmarkGrayFailure runs the three-arm gray-failure comparison:
-// fault injection, timeout/retry/hedge resilience, and health-monitor
-// quarantine all on the hot path of the mitigated arm.
+// fault injection, hedged dispatch, and health-monitor quarantine all
+// on the hot path of the mitigated arm.
 func BenchmarkGrayFailure(b *testing.B) { runExperiment(b, "gray_failure") }
 
 // BenchmarkStragglerTail runs the hedged-dispatch tail study under a

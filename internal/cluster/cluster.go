@@ -11,18 +11,18 @@
 // no O(cluster) work: the active-GPU set is a position bitset (O(1)
 // updates, iterated in inventory order), the first-inactive lookup is a
 // lazy min-heap over inventory positions, and per-GPU function
-// membership is counted instead of rescanned. Two further indexes make
-// placement sub-linear in cluster size: a function→hosting-GPUs posting
+// membership is counted instead of rescanned. Two further indexes keep
+// placement cost off the fleet size: a function→hosting-GPUs posting
 // index (FuncGPUs, kept in inventory order) lets workload-affinity
-// lookups enumerate only the GPUs that actually host a function, and a
-// placement grid (Cell) files every healthy active GPU under its
-// normalized ΣReq band and its memory-use band, so Algorithm 1's score
-// bound and the memory worst-fit touch only the cells that could still
-// win. Inside a cell, GPUs with exactly the same state (ΣReq, ΣLim,
-// memory use, device generation) share one StateClass, so a scan scores
-// each distinct state once instead of each GPU. Place, Remove and health
+// lookups enumerate only the GPUs that actually host a function, and the
+// state-class table (Classes) groups every healthy active GPU with the
+// others of exactly the same state (ΣReq, ΣLim, memory use, device
+// generation) in one StateClass, so a placement scan scores each
+// distinct state once instead of each GPU. The class count follows the
+// combinations of profiles a GPU can hold, not the number of GPUs, so
+// the placement walks scan the whole table. Place, Remove and health
 // changes refile a GPU at once; KV-cache growth and release only mark it
-// dirty, and the next grid read refiles the dirty GPUs.
+// dirty, and the next Classes call refiles the dirty GPUs.
 package cluster
 
 import (
@@ -154,7 +154,7 @@ func (g *GPU) Health() Health { return g.health }
 func (g *GPU) Schedulable() bool { return g.health == Healthy }
 
 // Util returns the GPU's normalized compute utilization ΣReq/Capacity —
-// the occupancy measure the index buckets by. On a capacity-1.0 GPU it
+// the occupancy measure feasibility works on. On a capacity-1.0 GPU it
 // equals ΣReq exactly (x/1.0 is bit-identical to x), so homogeneous
 // fleets behave as before normalization.
 func (g *GPU) Util() float64 {
@@ -235,9 +235,8 @@ func (g *GPU) Remove(p *Placement) {
 // that forces token-level serving to preempt or shed. On success the
 // charge lands in p.MemMB, g.MemUsedMB, and g.KVUsedMB together, so the
 // quota-conservation view (Σ placement MemMB == MemUsedMB) is preserved.
-// The growth changes the GPU's state class and can move it to another
-// memory column of the placement grid, so the GPU is marked for
-// refiling at the next grid read, as in ReleaseKV.
+// The growth changes the GPU's state class, so the GPU is marked for
+// refiling at the next Classes call, as in ReleaseKV.
 func (g *GPU) ReserveKV(p *Placement, mb float64) bool {
 	if mb <= 0 {
 		return true
@@ -341,37 +340,28 @@ type Cluster struct {
 	// transitions, and a function's key is deleted when its last
 	// placement leaves so the map tracks live functions only.
 	posting map[string][]*GPU
-	// cells is the placement grid: cells[r][m] lists the state classes
-	// of the healthy active GPUs whose normalized utilization
-	// ΣReq/Capacity falls in occupancy row r and whose memory-use share
-	// falls in column m (see Cell). Each such GPU sits in exactly one
-	// class; order within a cell is not specified. On a homogeneous
-	// (capacity 1.0) fleet, utilization equals ΣReq bit-for-bit. A row
-	// is allocated when its first class is filed, so a small cluster
-	// does not pay for the whole grid. cellMask[r] has bit m set iff cell
-	// (r, m) is non-empty, so walks skip empty cells without touching
-	// them.
-	cells    [OccupancyBuckets]*[MemBuckets][]*StateClass
-	cellMask [OccupancyBuckets]uint32
+	// table lists the live state classes (see Classes): every healthy
+	// active GPU sits in exactly one. A class's slot is its index here,
+	// and an emptied class leaves by swap-remove, so order is not
+	// specified. byKey maps each live class's key to the class.
+	table []*StateClass
+	byKey map[classKey]*StateClass
 	// freeClasses recycles emptied classes (their member heaps keep
 	// their capacity), so GPUs moving between states allocate nothing
 	// once the pool has grown to the peak class count.
 	freeClasses []*StateClass
 	// dirty lists the positions of GPUs whose memory use changed by a
 	// KV-cache charge since they were last filed. Token-level serving
-	// charges KV on every decode step, far more often than the grid is
-	// read, so the charge only sets GPU.dirty and appends here; the next
-	// grid read refiles the list. A GPU refiled earlier (by Place,
-	// Remove or a health change) has its flag cleared and is skipped.
+	// charges KV on every decode step, far more often than the class
+	// table is read, so the charge only sets GPU.dirty and appends here;
+	// the next Classes call refiles the list. A GPU refiled earlier (by
+	// Place, Remove or a health change) has its flag cleared and is
+	// skipped.
 	dirty []int32
 
 	// classes records the fleet's device generations (one synthetic
-	// entry for homogeneous clusters). min/maxCap and min/maxMem bound
-	// GPU capacities and memory sizes and back the schedulers' grid-walk
-	// pruning bounds.
-	classes        []GPUClass
-	minCap, maxCap float64
-	minMem, maxMem float64
+	// entry for homogeneous clusters).
+	classes []GPUClass
 
 	// occupiedCap sums the capacities of active GPUs (capacity-weighted
 	// occupancy, the cost measure on mixed fleets).
@@ -454,15 +444,8 @@ func New(cfg Config) *Cluster {
 	}
 	c := &Cluster{
 		posting: make(map[string][]*GPU),
+		byKey:   make(map[classKey]*StateClass),
 		classes: classes,
-	}
-	c.minCap, c.maxCap = classes[0].Capacity, classes[0].Capacity
-	c.minMem, c.maxMem = classes[0].MemCapMB, classes[0].MemCapMB
-	for _, cl := range classes {
-		c.minCap = min(c.minCap, cl.Capacity)
-		c.maxCap = max(c.maxCap, cl.Capacity)
-		c.minMem = min(c.minMem, cl.MemCapMB)
-		c.maxMem = max(c.maxMem, cl.MemCapMB)
 	}
 	assign := classAssign(classes, cfg.Nodes)
 	for n := 0; n < cfg.Nodes; n++ {
@@ -660,27 +643,12 @@ func (c *Cluster) OccupiedCount() int { return c.activeN }
 // homogeneous clusters.
 func (c *Cluster) OccupiedCapacity() float64 { return c.occupiedCap }
 
-// MinCapacity and MaxCapacity bound GPU compute capacities over the
-// inventory; the schedulers' grid-walk pruning bounds use them. Both
-// are 1.0 on homogeneous clusters.
-func (c *Cluster) MinCapacity() float64 { return c.minCap }
-
-// MaxCapacity returns the largest GPU capacity in the fleet.
-func (c *Cluster) MaxCapacity() float64 { return c.maxCap }
-
-// MinMemCapacity and MaxMemCapacity bound GPU memory sizes (MB) over the
-// inventory, for the grid walks' memory-term bounds.
-func (c *Cluster) MinMemCapacity() float64 { return c.minMem }
-
-// MaxMemCapacity returns the largest GPU memory size in the fleet (MB).
-func (c *Cluster) MaxMemCapacity() float64 { return c.maxMem }
-
 // ---------------------------------------------------------------------------
 // Node lifecycle: failures, drains, joins.
 
 // FailNode takes a node out of service abruptly: every placement on its
 // GPUs is evicted through the normal Remove path (so the active set,
-// free heap, posting index, and placement grid stay consistent) and
+// free heap, posting index and state classes stay consistent) and
 // returned to the caller as rescheduling work. The GPUs stop being
 // offered by every index until JoinNode restores them.
 func (c *Cluster) FailNode(n *Node) []*Placement {
@@ -731,7 +699,7 @@ func (c *Cluster) ReadmitGPU(g *GPU) {
 }
 
 // setHealth transitions one GPU's lifecycle state, keeping the free heap
-// and the placement grid (which files healthy GPUs only) consistent.
+// and the state classes (which file healthy GPUs only) consistent.
 // Placement eviction is the caller's job (FailNode evicts before
 // marking).
 func (c *Cluster) setHealth(g *GPU, h Health) {
@@ -789,35 +757,10 @@ func (c *Cluster) notePostingRemove(fn string, g *GPU) {
 }
 
 // ---------------------------------------------------------------------------
-// Placement grid.
+// State classes.
 
-// OccupancyBuckets is the row resolution of the placement grid: active
-// GPUs are banded by normalized utilization (ΣReq/Capacity) into rows of
-// width 1/OccupancyBuckets, with everything at or above 1.0 clamped into
-// the top row.
-const OccupancyBuckets = 64
-
-// MemBuckets is the column resolution of the placement grid: active
-// GPUs are banded by memory-use share MemUsedMB/MemCapMB into columns of
-// width 1/MemBuckets (a full GPU sits in the top column).
-const MemBuckets = 32
-
-// OccupancyBucketOf returns the row a GPU with the given normalized
-// utilization belongs to. Negative inputs (float residue after
-// removals) clamp to row 0, values ≥ 1 to the top row.
-func OccupancyBucketOf(util float64) int {
-	return min(max(int(util*OccupancyBuckets), 0), OccupancyBuckets-1)
-}
-
-// MemBucketOf returns the column a GPU with the given memory-use share
-// belongs to, clamped like OccupancyBucketOf. Column m holds shares in
-// [m/MemBuckets, (m+1)/MemBuckets), plus exactly 1.0 in the top column.
-func MemBucketOf(share float64) int {
-	return min(max(int(share*MemBuckets), 0), MemBuckets-1)
-}
-
-// StateClass is one placement state of the grid: the healthy active GPUs
-// of one device generation holding exactly the same ΣReq, ΣLim and
+// StateClass is one placement state of the fleet: the healthy active
+// GPUs of one device generation holding exactly the same ΣReq, ΣLim and
 // memory use. Algorithm 1's feasibility test and fragmentation score read
 // only those fields (and the generation's Capacity and MemCapMB), so
 // every member fits and scores alike and a scan evaluates the class
@@ -830,9 +773,19 @@ type StateClass struct {
 
 	clu      *Cluster
 	classIdx int
-	cell     int     // grid cell, row*MemBuckets + column
-	slot     int     // index in the cell's class list
+	slot     int     // index in the cluster's class table
 	members  []int32 // min-heap of member inventory positions
+}
+
+// classKey identifies a state class: the exact state Algorithm 1 reads
+// and the device generation.
+type classKey struct {
+	sumReq, sumLim, memUsed float64
+	gen                     int
+}
+
+func (s *StateClass) key() classKey {
+	return classKey{s.SumReq, s.SumLim, s.MemUsedMB, s.classIdx}
 }
 
 // Util returns the members' normalized utilization ΣReq/Capacity,
@@ -962,29 +915,19 @@ func (s *StateClass) remove(i int) {
 	}
 }
 
-// Cell returns the state classes filed in grid row `row` (occupancy
-// band) and column `col` (memory band). Order within a cell is not
-// specified — consumers needing the tie order of an inventory scan must
-// rank by (key, Pos()) lexicographically. The returned slice is the
-// cluster's live index: read-only, not to be held across placement
-// changes.
-func (c *Cluster) Cell(row, col int) []*StateClass {
+// Classes returns the live state classes, which together hold every
+// healthy active GPU once, after refiling the GPUs a KV-cache charge
+// left dirty. Order is not specified — consumers needing the tie order
+// of an inventory scan must rank by (key, Pos()) lexicographically. The
+// returned slice is the cluster's live index: read-only, not to be held
+// across placement changes.
+func (c *Cluster) Classes() []*StateClass {
 	c.flushDirty()
-	if r := c.cells[row]; r != nil {
-		return r[col]
-	}
-	return nil
+	return c.table
 }
 
-// CellMask returns the non-empty columns of grid row `row` as a bitmask:
-// bit m is set iff Cell(row, m) holds at least one class.
-func (c *Cluster) CellMask(row int) uint32 {
-	c.flushDirty()
-	return c.cellMask[row]
-}
-
-// markDirty defers g's refiling after a KV-cache charge to the next grid
-// read: a flag and, the first time, an append to the dirty list.
+// markDirty defers g's refiling after a KV-cache charge to the next
+// Classes call: a flag and, the first time, an append to the dirty list.
 func (c *Cluster) markDirty(g *GPU) {
 	if !g.dirty {
 		g.dirty = true
@@ -1026,23 +969,11 @@ func (c *Cluster) refile(g *GPU) {
 	}
 }
 
-// joinClass adds g to the class of its key in the cell of its
-// utilization and memory share, creating the class (from the free list
-// when possible) if the cell has none.
+// joinClass adds g to the class of its key, creating the class (from
+// the free list when possible) if the table has none.
 func (c *Cluster) joinClass(g *GPU) {
-	cell := OccupancyBucketOf(g.Util())*MemBuckets + MemBucketOf(g.MemUsedMB/g.MemCapMB)
-	r, m := cell/MemBuckets, cell%MemBuckets
-	if c.cells[r] == nil {
-		c.cells[r] = new([MemBuckets][]*StateClass)
-	}
-	list := c.cells[r][m]
-	var cl *StateClass
-	for _, k := range list {
-		if k.SumReq == g.SumReq && k.MemUsedMB == g.MemUsedMB && k.SumLim == g.SumLim && k.classIdx == g.classIdx {
-			cl = k
-			break
-		}
-	}
+	k := classKey{g.SumReq, g.SumLim, g.MemUsedMB, g.classIdx}
+	cl := c.byKey[k]
 	if cl == nil {
 		if n := len(c.freeClasses); n > 0 {
 			cl = c.freeClasses[n-1]
@@ -1052,16 +983,16 @@ func (c *Cluster) joinClass(g *GPU) {
 		}
 		cl.SumReq, cl.SumLim, cl.MemUsedMB = g.SumReq, g.SumLim, g.MemUsedMB
 		cl.Capacity, cl.MemCapMB, cl.classIdx = g.Capacity, g.MemCapMB, g.classIdx
-		cl.cell, cl.slot = cell, len(list)
-		c.cells[r][m] = append(list, cl)
-		c.cellMask[r] |= 1 << m
+		cl.slot = len(c.table)
+		c.table = append(c.table, cl)
+		c.byKey[k] = cl
 	}
 	cl.push(g)
 	g.cls = cl
 }
 
-// leaveClass removes g from its class; an emptied class leaves its cell
-// (a swap-remove) and returns to the free list.
+// leaveClass removes g from its class; an emptied class leaves the
+// table (a swap-remove) and returns to the free list.
 func (c *Cluster) leaveClass(g *GPU) {
 	cl := g.cls
 	g.cls = nil
@@ -1069,16 +1000,12 @@ func (c *Cluster) leaveClass(g *GPU) {
 	if len(cl.members) > 0 {
 		return
 	}
-	r, m := cl.cell/MemBuckets, cl.cell%MemBuckets
-	list := c.cells[r][m]
-	last := len(list) - 1
-	list[cl.slot] = list[last]
-	list[cl.slot].slot = cl.slot
-	list[last] = nil // don't pin the recycled class
-	c.cells[r][m] = list[:last]
-	if last == 0 {
-		c.cellMask[r] &^= 1 << m
-	}
+	last := len(c.table) - 1
+	c.table[cl.slot] = c.table[last]
+	c.table[cl.slot].slot = cl.slot
+	c.table[last] = nil // don't pin the recycled class
+	c.table = c.table[:last]
+	delete(c.byKey, cl.key())
 	c.freeClasses = append(c.freeClasses, cl)
 }
 

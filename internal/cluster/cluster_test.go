@@ -178,3 +178,79 @@ func TestAccountingConsistencyProperty(t *testing.T) {
 		t.Fatal(err)
 	}
 }
+
+// TestFitQuarantineAndClassStats covers the capacity-aware fresh-GPU
+// lookup on a mixed fleet, the quarantine round trip through the state
+// classes, and the per-generation occupancy view.
+func TestFitQuarantineAndClassStats(t *testing.T) {
+	c := New(Config{Nodes: 2, GPUsPerNode: 2, Classes: []GPUClass{
+		{Name: "big", Capacity: 1, MemCapMB: 1000},
+		{Name: "small", Capacity: 0.5, MemCapMB: 500},
+	}})
+	gs := c.GPUs() // node 0 is big, node 1 small
+	if err := gs[0].Place(&Placement{Instance: "a", Func: "f", Req: 0.4, Lim: 0.4, MemMB: 100}); err != nil {
+		t.Fatal(err)
+	}
+	if err := gs[2].Place(&Placement{Instance: "b", Func: "f", Req: 0.2, Lim: 0.2, MemMB: 100}); err != nil {
+		t.Fatal(err)
+	}
+	if g := c.FirstInactiveFit(0.5, 100); g != gs[1] {
+		t.Fatalf("FirstInactiveFit = %v, want %s", g, gs[1].ID)
+	}
+	c.DrainNode(c.Nodes[0])
+	if g := c.FirstInactiveFit(0.5, 100); g != gs[3] {
+		t.Fatalf("FirstInactiveFit past a drained node = %v, want %s", g, gs[3].ID)
+	}
+	if g := c.FirstInactiveFit(0.8, 100); g != nil {
+		t.Fatalf("no idle GPU has capacity 0.8, got %s", g.ID)
+	}
+	if g := c.FirstInactiveFit(0.5, 600); g != nil {
+		t.Fatalf("no idle GPU has 600 MB, got %s", g.ID)
+	}
+	if c.FirstInactive() != gs[3] {
+		t.Fatal("a refused fit must leave the GPU in the free heap")
+	}
+	c.JoinNode(c.Nodes[0])
+
+	inClasses := func(g *GPU) bool {
+		for _, cl := range c.Classes() {
+			for i := range cl.Len() {
+				if cl.Member(i) == g {
+					return true
+				}
+			}
+		}
+		return false
+	}
+	c.QuarantineGPU(gs[2])
+	if gs[2].Health().String() != "quarantined" || gs[2].Schedulable() || inClasses(gs[2]) {
+		t.Fatalf("quarantined GPU still offered: %s", gs[2].Health())
+	}
+	c.ReadmitGPU(gs[2])
+	if !gs[2].Schedulable() || !inClasses(gs[2]) {
+		t.Fatal("readmitted GPU must rejoin its state class")
+	}
+	c.DrainNode(c.Nodes[1])
+	c.ReadmitGPU(gs[2]) // the health monitor never undoes a drain
+	if gs[2].Health() != Draining || gs[2].Health().String() != "draining" {
+		t.Fatalf("ReadmitGPU touched a draining GPU: %s", gs[2].Health())
+	}
+	if cl := gs[0].cls; cl == nil || cl.MinWithout("f") != nil || cl.MinWithout("g") != gs[0] {
+		t.Fatal("MinWithout must skip the only member, which hosts f")
+	}
+	if gs[3].Pos() != 3 || gs[0].FuncCounts()["f"] != 1 || gs[0].Node.KernelsWarm("f") {
+		t.Fatal("GPU accessors disagree with the inventory")
+	}
+	want := []ClassStat{
+		{Name: "big", Capacity: 1, MemCapMB: 1000, Total: 2, Occupied: 1, SumReq: 0.4},
+		{Name: "small", Capacity: 0.5, MemCapMB: 500, Total: 2, Occupied: 1, Retired: 2, SumReq: 0.2},
+	}
+	if got := c.ClassStats(); !slices.Equal(got, want) {
+		t.Fatalf("ClassStats = %+v, want %+v", got, want)
+	}
+	c.FailNode(c.Nodes[1])
+	if gs[2].Health().String() != "failed" || Healthy.String() != "healthy" {
+		t.Fatalf("health names: %s", gs[2].Health())
+	}
+	checkIndexesConsistent(t, c, 0)
+}

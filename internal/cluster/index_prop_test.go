@@ -12,15 +12,15 @@ import (
 // with KV-cache growth and release in between — and, since the
 // lifecycle work, random FailNode/DrainNode/JoinNode churn on
 // heterogeneous fleets — and, after every operation, require each
-// incremental index — the function posting lists, the placement grid
-// and its state classes, the active bitset, and the free heap — to
+// incremental index — the function posting lists, the state-class
+// table and its key map, the active bitset, and the free heap — to
 // agree exactly with a from-scratch recomputation over the inventory.
 // They run under -race via `make test-race-subsys`.
 
 // checkIndexesConsistent recomputes every index from the placements and
-// compares. The grid comparison goes through Cell (the read API, which
-// refiles the GPUs a KV charge left dirty), and duplicates inside or
-// across classes are a failure in their own right.
+// compares. The class comparison goes through Classes (the read API,
+// which refiles the GPUs a KV charge left dirty), and duplicates inside
+// or across classes are a failure in their own right.
 func checkIndexesConsistent(t *testing.T, c *Cluster, step int) {
 	t.Helper()
 
@@ -60,72 +60,60 @@ func checkIndexesConsistent(t *testing.T, c *Cluster, step int) {
 		}
 	}
 
-	// Placement grid: every healthy active GPU sits in exactly one
-	// state class, whose key equals the GPU's live state and whose cell
-	// is that of the GPU's normalized utilization and memory share; a
-	// class reports its true minimum position; no class is empty or
-	// duplicated within its cell; and no inactive or unhealthy GPU is
-	// filed anywhere.
-	type rc struct{ r, m int }
-	type key struct {
-		req, lim, mem float64
-		class         int
-	}
-	seen := map[*GPU]rc{}
-	for r := 0; r < OccupancyBuckets; r++ {
-		for m := 0; m < MemBuckets; m++ {
-			keys := map[key]bool{}
-			for i, cl := range c.Cell(r, m) {
-				if cl.slot != i || cl.cell != r*MemBuckets+m {
-					t.Fatalf("step %d: class in cell %v at %d records cell %d slot %d", step, rc{r, m}, i, cl.cell, cl.slot)
-				}
-				k := key{cl.SumReq, cl.SumLim, cl.MemUsedMB, cl.classIdx}
-				if keys[k] {
-					t.Fatalf("step %d: cell %v holds two classes keyed %+v", step, rc{r, m}, k)
-				}
-				keys[k] = true
-				if cl.Len() == 0 {
-					t.Fatalf("step %d: empty class in cell %v", step, rc{r, m})
-				}
-				minPos := math.MaxInt
-				for j := range cl.Len() {
-					g := cl.Member(j)
-					if prev, dup := seen[g]; dup {
-						t.Fatalf("step %d: %s appears in cells %v and %v", step, g.ID, prev, rc{r, m})
-					}
-					seen[g] = rc{r, m}
-					if g.cls != cl || g.slot != j {
-						t.Fatalf("step %d: %s back-link (slot %d) disagrees with class heap index %d", step, g.ID, g.slot, j)
-					}
-					if g.dirty {
-						t.Fatalf("step %d: %s still dirty after a grid read", step, g.ID)
-					}
-					if (key{g.SumReq, g.SumLim, g.MemUsedMB, g.classIdx}) != k ||
-						g.Capacity != cl.Capacity || g.MemCapMB != cl.MemCapMB {
-						t.Fatalf("step %d: %s (req=%v lim=%v mem=%v) filed under class %+v",
-							step, g.ID, g.SumReq, g.SumLim, g.MemUsedMB, k)
-					}
-					want := rc{OccupancyBucketOf(g.Util()), MemBucketOf(g.MemUsedMB / g.MemCapMB)}
-					if want != (rc{r, m}) {
-						t.Fatalf("step %d: %s (util=%v mem=%v/%v) in cell %v, want %v",
-							step, g.ID, g.Util(), g.MemUsedMB, g.MemCapMB, rc{r, m}, want)
-					}
-					if !g.Active() || !g.Schedulable() {
-						t.Fatalf("step %d: %s (active %v, %s) surfaced from cell %v",
-							step, g.ID, g.Active(), g.Health(), rc{r, m})
-					}
-					minPos = min(minPos, g.pos)
-				}
-				if cl.MinPos() != minPos || cl.Min().pos != minPos {
-					t.Fatalf("step %d: class in cell %v reports min position %d, want %d",
-						step, rc{r, m}, cl.MinPos(), minPos)
-				}
-			}
-			if bit := c.CellMask(r)>>m&1 == 1; bit != (len(c.Cell(r, m)) > 0) {
-				t.Fatalf("step %d: CellMask bit %v for cell %v holding %d classes",
-					step, bit, rc{r, m}, len(c.Cell(r, m)))
-			}
+	// State classes: every healthy active GPU sits in exactly one
+	// class, whose key equals the GPU's live state; each class records
+	// its table index and reports its true minimum position; no class is
+	// empty; no two classes share a key; the key map holds exactly the
+	// live classes' keys; and no inactive or unhealthy GPU is filed
+	// anywhere.
+	seen := map[*GPU]int{}
+	keys := map[classKey]bool{}
+	for i, cl := range c.Classes() {
+		if cl.slot != i {
+			t.Fatalf("step %d: class at table index %d records slot %d", step, i, cl.slot)
 		}
+		k := cl.key()
+		if keys[k] {
+			t.Fatalf("step %d: two classes keyed %+v", step, k)
+		}
+		keys[k] = true
+		if c.byKey[k] != cl {
+			t.Fatalf("step %d: key map sends %+v to %p, not its class %p", step, k, c.byKey[k], cl)
+		}
+		if cl.Len() == 0 {
+			t.Fatalf("step %d: empty class %+v at %d", step, k, i)
+		}
+		minPos := math.MaxInt
+		for j := range cl.Len() {
+			g := cl.Member(j)
+			if prev, dup := seen[g]; dup {
+				t.Fatalf("step %d: %s appears in classes %d and %d", step, g.ID, prev, i)
+			}
+			seen[g] = i
+			if g.cls != cl || g.slot != j {
+				t.Fatalf("step %d: %s back-link (slot %d) disagrees with class heap index %d", step, g.ID, g.slot, j)
+			}
+			if g.dirty {
+				t.Fatalf("step %d: %s still dirty after a class read", step, g.ID)
+			}
+			if (classKey{g.SumReq, g.SumLim, g.MemUsedMB, g.classIdx}) != k ||
+				g.Capacity != cl.Capacity || g.MemCapMB != cl.MemCapMB {
+				t.Fatalf("step %d: %s (req=%v lim=%v mem=%v) filed under class %+v",
+					step, g.ID, g.SumReq, g.SumLim, g.MemUsedMB, k)
+			}
+			if !g.Active() || !g.Schedulable() {
+				t.Fatalf("step %d: %s (active %v, %s) surfaced from class %d",
+					step, g.ID, g.Active(), g.Health(), i)
+			}
+			minPos = min(minPos, g.pos)
+		}
+		if cl.MinPos() != minPos || cl.Min().pos != minPos {
+			t.Fatalf("step %d: class %d reports min position %d, want %d",
+				step, i, cl.MinPos(), minPos)
+		}
+	}
+	if len(c.byKey) != len(keys) {
+		t.Fatalf("step %d: key map holds %d keys for %d live classes", step, len(c.byKey), len(keys))
 	}
 	filed := 0
 	for _, g := range c.gpus {
@@ -136,7 +124,7 @@ func checkIndexesConsistent(t *testing.T, c *Cluster, step int) {
 		}
 	}
 	if len(seen) != filed {
-		t.Fatalf("step %d: placement grid covers %d GPUs, want %d healthy active", step, len(seen), filed)
+		t.Fatalf("step %d: state classes cover %d GPUs, want %d healthy active", step, len(seen), filed)
 	}
 
 	// Free index: FirstInactive returns the earliest schedulable
@@ -363,43 +351,6 @@ func TestLifecycleIndexConsistencyProperty(t *testing.T) {
 	}
 }
 
-// TestOccupancyBucketBoundaries pins the clamping behavior the
-// schedulers' bucket-walk pruning relies on.
-func TestOccupancyBucketBoundaries(t *testing.T) {
-	cases := []struct {
-		sum  float64
-		want int
-	}{
-		{-1e-15, 0}, {0, 0}, {1.0 / OccupancyBuckets, 1},
-		{0.25, 16}, {0.9999, OccupancyBuckets - 1},
-		{1.0, OccupancyBuckets - 1}, {1.7, OccupancyBuckets - 1},
-	}
-	for _, tc := range cases {
-		if got := OccupancyBucketOf(tc.sum); got != tc.want {
-			t.Fatalf("OccupancyBucketOf(%v) = %d, want %d", tc.sum, got, tc.want)
-		}
-	}
-}
-
-// TestMemBucketBoundaries pins the memory-column clamping the grid
-// walks' bounds rely on: column m holds shares in [m/32, (m+1)/32), and
-// a full GPU (share exactly 1) sits in the top column.
-func TestMemBucketBoundaries(t *testing.T) {
-	cases := []struct {
-		share float64
-		want  int
-	}{
-		{-1e-15, 0}, {0, 0}, {1.0/MemBuckets - 1e-12, 0}, {1.0 / MemBuckets, 1},
-		{0.5, 16}, {0.9999, MemBuckets - 1},
-		{1.0, MemBuckets - 1}, {1.3, MemBuckets - 1},
-	}
-	for _, tc := range cases {
-		if got := MemBucketOf(tc.share); got != tc.want {
-			t.Fatalf("MemBucketOf(%v) = %d, want %d", tc.share, got, tc.want)
-		}
-	}
-}
-
 // TestPostingIndexBasics covers the eager 0↔1 transitions directly:
 // replicas of one function on a GPU must not duplicate posting entries,
 // and the last replica leaving must drop the GPU (and eventually the
@@ -438,7 +389,7 @@ func TestPostingIndexBasics(t *testing.T) {
 
 // TestKVChargeDefersRefile pins the KV fast path: a charge or release
 // only marks the GPU dirty (once, allocating nothing), its class keeps
-// the old key until the next grid read, and a Place in between refiles
+// the old key until the next Classes call, and a Place in between refiles
 // the GPU at once so the stale dirty entry is skipped.
 func TestKVChargeDefersRefile(t *testing.T) {
 	c := New(Config{Nodes: 1, GPUsPerNode: 2, MemCapMB: 1000})
@@ -453,9 +404,9 @@ func TestKVChargeDefersRefile(t *testing.T) {
 	if !g.dirty || len(c.dirty) != 1 || g.cls.MemUsedMB != 100 {
 		t.Fatalf("charge must only mark dirty: dirty=%v list=%d class mem=%v", g.dirty, len(c.dirty), g.cls.MemUsedMB)
 	}
-	c.CellMask(0)
+	c.Classes()
 	if g.dirty || len(c.dirty) != 0 || g.cls.MemUsedMB != 600 {
-		t.Fatalf("grid read must refile: dirty=%v list=%d class mem=%v", g.dirty, len(c.dirty), g.cls.MemUsedMB)
+		t.Fatalf("class read must refile: dirty=%v list=%d class mem=%v", g.dirty, len(c.dirty), g.cls.MemUsedMB)
 	}
 	g.ReleaseKV(p, 50)
 	if err := g.Place(&Placement{Instance: "b", Func: "f", Req: 0.1, MemMB: 10}); err != nil {
@@ -488,11 +439,11 @@ func TestStateClassMembers(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	cells := c.Cell(OccupancyBucketOf(0.25), MemBucketOf(0.1))
-	if len(cells) != 1 || cells[0].Len() != 8 {
-		t.Fatalf("8 equal-state GPUs must share one class: %d classes", len(cells))
+	classes := c.Classes()
+	if len(classes) != 1 || classes[0].Len() != 8 {
+		t.Fatalf("8 equal-state GPUs must share one class: %d classes", len(classes))
 	}
-	cl := cells[0]
+	cl := classes[0]
 	if cl.Min() != c.gpus[0] || cl.MinWithout("f") != c.gpus[2] || cl.MinWithout("h") != c.gpus[0] {
 		t.Fatalf("Min=%s MinWithout(f)=%v", cl.Min().ID, cl.MinWithout("f"))
 	}
@@ -510,13 +461,13 @@ func TestStateClassMembers(t *testing.T) {
 		t.Fatalf("KeepLowest(8) = %v", got)
 	}
 	c.DrainNode(c.Nodes[0])
-	if c.CellMask(OccupancyBucketOf(0.25)) != 0 {
-		t.Fatal("draining GPUs must leave the grid")
+	if len(c.Classes()) != 0 || len(c.byKey) != 0 {
+		t.Fatal("draining GPUs must leave the class table")
 	}
 	c.JoinNode(c.Nodes[0])
 	p := c.gpus[2].Placements[0]
 	c.gpus[2].Remove(p)
-	if cl := c.Cell(OccupancyBucketOf(0.25), MemBucketOf(0.1))[0]; cl.Len() != 7 || cl.MinWithout("f") != c.gpus[4] {
+	if cl := c.Classes()[0]; cl.Len() != 7 || cl.MinWithout("f") != c.gpus[4] {
 		t.Fatalf("after removal: len %d MinWithout(f)=%v", cl.Len(), cl.MinWithout("f"))
 	}
 	checkIndexesConsistent(t, c, 0)

@@ -36,13 +36,13 @@ func graySchedule(seed int64, nodes, gpusPerNode int, dur sim.Duration) []worklo
 // GrayFailure is the quick-tier mitigations-on/off comparison: a fixed
 // 2×4 fleet serving near capacity, one adversarial schedule (stragglers
 // + a flaky node), three arms — fault-free baseline, faults without
-// mitigations, faults with retry/hedge/quarantine. The mitigated arm's
+// mitigations, faults with hedge/quarantine. The mitigated arm's
 // SLO summary (with the per-cause resilience columns) is the pinned
 // block; the experiments test asserts the p99-attainment restoration at
 // the golden scale.
 func GrayFailure(opts Options) *report.Report {
 	opts = opts.withDefaults()
-	rep := report.New("gray_failure", "Gray failures: retry/hedge/quarantine vs an adversarial slowdown+error schedule (extra)")
+	rep := report.New("gray_failure", "Gray failures: hedge/quarantine vs an adversarial slowdown+error schedule (extra)")
 	dur := opts.dur(60 * sim.Second)
 
 	const modelName = "ResNet152"
@@ -66,12 +66,12 @@ func GrayFailure(opts Options) *report.Report {
 	t := rep.AddTable(report.NewTable(
 		"Gray failure: admitted-traffic SLO attainment by arm (same seed, same schedule)",
 		"arm", "reqs", "p99 ms", "p99 attain %", "goodput rps",
-		"retries", "hedge wins", "quarantines", "migrations"))
+		"hedge wins", "quarantines", "migrations"))
 
 	for _, arm := range arms {
 		sys := core.MustSystem(core.Config{
 			Nodes: nodes, GPUsPerNode: gpusPerNode, Seed: opts.Seed, Meter: opts.Meter,
-			Retry: arm.mitigated, Hedge: arm.mitigated, Quarantine: arm.mitigated,
+			Hedge: arm.mitigated, Quarantine: arm.mitigated,
 		})
 		if _, err := sys.DeployInference("gray-fn", modelName, core.InferOpts{
 			Instances: instances, NoScaler: true,
@@ -92,20 +92,17 @@ func GrayFailure(opts Options) *report.Report {
 				p99 = st.P99Millis
 			}
 		}
-		var rs core.ResilienceStats
+		var hedgeWins int64
 		for _, f := range sys.Functions() {
-			st := f.ResilienceStats()
-			rs.Retries += st.Retries
-			rs.HedgeWins += st.HedgeWins
+			hedgeWins += f.ResilienceStats().HedgeWins
 		}
 		t.AddRow(arm.name, float64(sum.Requests), p99, sum.P99Attainment*100,
-			sum.GoodputRPS, rs.Retries, rs.HedgeWins,
-			fs.Quarantines, fs.QuarantineMigrations)
+			sum.GoodputRPS, hedgeWins, fs.Quarantines, fs.QuarantineMigrations)
 		if arm.name == "faults+mitigation" {
 			rep.SetSLO(sum)
 		}
 	}
-	rep.AddNote("one seeded schedule (%d events: stragglers 4× + flaky-node error wave) hits both faulted arms; mitigations steal timed-out work off stragglers, hedge deadline requests, and quarantine outliers via the make-before-break drain path", len(schedule))
+	rep.AddNote("one seeded schedule (%d events: stragglers 4× + flaky-node error wave) hits both faulted arms; mitigations hedge deadline requests and quarantine outliers via the make-before-break drain path", len(schedule))
 	return rep
 }
 

@@ -69,7 +69,7 @@ func All() []Driver {
 		{"rolling_drain", "Zero-downtime rolling drain sweep (extra)", TierStandard, RollingDrain},
 		{"overload_shed", "Admission policy vs SLO goodput at 2× capacity (extra)", TierQuick, OverloadShed},
 		{"tenant_fairness", "DRF fair-share admission under a tenant flood (extra)", TierQuick, TenantFairness},
-		{"gray_failure", "Retry/hedge/quarantine vs adversarial slowdown+error schedule (extra)", TierQuick, GrayFailure},
+		{"gray_failure", "Hedge/quarantine vs adversarial slowdown+error schedule (extra)", TierQuick, GrayFailure},
 		{"straggler_tail", "Hedged dispatch vs timeout-only under slow-GPU population (extra)", TierStandard, StragglerTail},
 		{"coldstart_stages", "Staged cold-start attribution + kernel-cache warm pools (extra)", TierQuick, ColdStartStages},
 		{"prewarm_policy", "Predictive prewarming vs reactive scaling on a demand ramp (extra)", TierStandard, PrewarmPolicy},

@@ -28,12 +28,13 @@ import (
 // replay runs in three fleets: the homogeneous original, a 70/30
 // big/small mix, and a homogeneous fleet under fail/drain/join churn.
 //
-// The placement grid files GPUs by memory share as well as ΣReq, so the
-// replays also run with KV-cache churn (token-level growth and release
-// on live placements, moving GPUs between memory columns with no Place
-// or Remove) and under non-default Dilu options: Ω > 1 (utilizations
-// in the grid's clamped top row), an SM-heavy score weighting, and −RC,
-// and with kernel-cache affinity over warm node caches.
+// The state classes key GPUs by memory use as well as ΣReq and ΣLim, so
+// the replays also run with KV-cache churn (token-level growth and
+// release on live placements, moving GPUs between classes with no Place
+// or Remove, refiled only at the next class read) and under non-default
+// Dilu options: Ω > 1 (utilizations above 1), an SM-heavy score
+// weighting, and −RC, and with kernel-cache affinity over warm node
+// caches.
 
 // oldDilu replays Algorithm 1 with the pre-index full-scan logic.
 type oldDilu struct {
@@ -717,7 +718,7 @@ func TestDiluOptionVariantsIndexEquivalence(t *testing.T) {
 		name string
 		opts sched.Options
 	}{
-		// Ω > 1: utilizations above 1 land in the grid's clamped top row.
+		// Ω > 1: utilizations above 1 are feasible.
 		{"oversubscribed", sched.Options{Omega: 1.2, Gamma: 2, Alpha: 0.5, Beta: 0.5}},
 		{"sm-heavy", sched.Options{Omega: 1, Gamma: 1.5, Alpha: 0.8, Beta: 0.2}},
 		{"no-complementary", sched.Options{Omega: 1, Gamma: 1.5, Alpha: 0.5, Beta: 0.5, DisableComplementary: true}},

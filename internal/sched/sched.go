@@ -12,7 +12,6 @@ package sched
 
 import (
 	"errors"
-	"math/bits"
 	"slices"
 	"strconv"
 
@@ -276,13 +275,14 @@ func moreFreeMem(a, b multiCand) bool {
 // from the cluster's indexes rather than an inventory scan, and the
 // list keeps every GPU that selection could pick or let a swap move, so
 // it picks what the full list would:
-//   - Active GPUs come from the placement grid's state classes (one
-//     feasibility check per class), walked column by column from the
-//     least-used memory band. A GPU in column m has free share
-//     at most 1 − m/MemBuckets, so once the `stages`-th largest free
-//     share collected beats the next column's ceiling, no later GPU can
-//     be picked. The walk takes one more column for rounding, as
-//     Static.pick does.
+//   - Active GPUs come from the state classes, one feasibility check
+//     per class. A first pass over the feasible classes finds the
+//     `stages`-th largest free share. A GPU whose share is below it by
+//     more than rounding (1e-9, far above the few ulps a share or a
+//     cross-multiplied comparison can be off) is beaten by `stages`
+//     other GPUs and is never picked, so a second pass keeps every
+//     member of each feasible class whose share is at or above that
+//     share less 1e-9: ties stay in.
 //   - Idle GPUs all tie at a normalized free share of 1.0 (with zero
 //     use, free·capB == free'·capA exactly), so the tie goes to the
 //     earliest position and only the first `stages` feasible idle GPUs
@@ -327,48 +327,37 @@ func (s *Dilu) placeMultiGPU(req Request, stages int) (Decision, error) {
 	for _, g := range inactives {
 		note((g.MemCapMB - g.MemUsedMB) / g.MemCapMB)
 	}
-	cands := s.candScratch[:0]
 	// front collects the `stages` feasible active GPUs earliest in
-	// inventory order, which the selection's swaps may move. Every
-	// feasible GPU sits in the grid region gridTop bounds, so the walk
-	// covers all columns up to colTop for it, past the last column the
-	// worst-fit needs.
+	// inventory order, which the selection's swaps may move.
+	classes := s.clu.Classes()
 	front := s.frontScratch[:0]
-	rowTop, colTop := s.gridTop(p)
-	// rowsOf[m] has bit r set iff cell (r, m) is non-empty, r ≤ rowTop.
-	var rowsOf [cluster.MemBuckets]uint64
-	for r := 0; r <= rowTop; r++ {
-		for cols := s.clu.CellMask(r); cols != 0; cols &= cols - 1 {
-			rowsOf[bits.TrailingZeros32(cols)] |= 1 << r
+	for _, cl := range classes {
+		if !s.fits(cl.SumReq, cl.SumLim, cl.MemUsedMB, cl.Capacity, cl.MemCapMB, p) {
+			continue
 		}
-	}
-	for m, last := 0, colTop; m <= colTop; m++ {
-		for rows := rowsOf[m]; rows != 0; rows &= rows - 1 {
-			for _, cl := range s.clu.Cell(bits.TrailingZeros64(rows), m) {
-				if !s.fits(cl.SumReq, cl.SumLim, cl.MemUsedMB, cl.Capacity, cl.MemCapMB, p) {
-					continue
-				}
-				front = cl.KeepLowest(front, stages)
-				if m > last {
-					continue
-				}
-				free := cl.MemCapMB - cl.MemUsedMB
-				for i := range cl.Len() {
-					cands = append(cands, multiCand{cl.Member(i), free})
-				}
-				// Members share the free share; more than `stages` copies
-				// of it cannot change top.
-				for range min(cl.Len(), stages) {
-					note(free / cl.MemCapMB)
-				}
-			}
-		}
-		if len(top) == stages && top[stages-1] > 1-float64(m+1)/cluster.MemBuckets {
-			last = min(last, m+1)
+		front = cl.KeepLowest(front, stages)
+		// Members share the free share; more than `stages` copies of it
+		// cannot change top.
+		for range min(cl.Len(), stages) {
+			note((cl.MemCapMB - cl.MemUsedMB) / cl.MemCapMB)
 		}
 	}
 	s.topScratch = top
 	s.frontScratch = front
+	if len(top) < stages {
+		return Decision{}, ErrNoCapacity // fewer than `stages` feasible GPUs
+	}
+	cutoff := top[stages-1] - 1e-9
+	cands := s.candScratch[:0]
+	for _, cl := range classes {
+		free := cl.MemCapMB - cl.MemUsedMB
+		if free/cl.MemCapMB < cutoff || !s.fits(cl.SumReq, cl.SumLim, cl.MemUsedMB, cl.Capacity, cl.MemCapMB, p) {
+			continue
+		}
+		for i := range cl.Len() {
+			cands = append(cands, multiCand{cl.Member(i), free})
+		}
+	}
 	for _, g := range front {
 		cands = append(cands, multiCand{g, g.MemCapMB - g.MemUsedMB})
 	}
@@ -378,9 +367,6 @@ func (s *Dilu) placeMultiGPU(req Request, stages int) (Decision, error) {
 	slices.SortFunc(cands, func(a, b multiCand) int { return a.g.Pos() - b.g.Pos() })
 	cands = slices.CompactFunc(cands, func(a, b multiCand) bool { return a.g == b.g })
 	s.candScratch = cands
-	if len(cands) < stages {
-		return Decision{}, ErrNoCapacity
-	}
 	// Worst fit: swap-based selection of the GPUs with the largest
 	// normalized free-memory share (equal-capacity GPUs compare raw free
 	// MB, so homogeneous fleets rank exactly as before normalization).
@@ -409,19 +395,6 @@ func (s *Dilu) placeMultiGPU(req Request, stages int) (Decision, error) {
 		d.Placements = append(d.Placements, pl)
 	}
 	return d, nil
-}
-
-// gridTop returns the highest placement-grid row and column that can
-// hold a GPU with room for profile p. A feasible GPU has utilization at
-// most Ω + 1e-9/Capacity − req/Capacity, which is at most the row
-// headroom below on every capacity class; its memory share is at most
-// 1 − mem/MemCapMB ≤ 1 − mem/MaxMemCapacity (plus rounding, which the
-// 1e-9 absorbs). Negative headrooms clamp to row or column 0, where
-// per-GPU feasibility decides.
-func (s *Dilu) gridTop(p profiler.Profile) (row, col int) {
-	row = cluster.OccupancyBucketOf(s.opts.Omega + 1e-9/s.clu.MinCapacity() - p.SMReq/s.clu.MaxCapacity())
-	col = cluster.MemBucketOf(1 + 1e-9 - p.MemMB/s.clu.MaxMemCapacity())
-	return row, col
 }
 
 // placeExclusiveStages is the -RC fallback: each stage takes a fresh GPU.
@@ -559,59 +532,23 @@ func (s *Dilu) cacheCold(g *cluster.GPU, fn string) int {
 	return 1
 }
 
-// boundSlack is subtracted from the grid walks' score lower bounds
-// before the strict > test, so float rounding in a score (a few ulps)
-// can never make a cell look prunable when a GPU in it could still win
-// or tie. It is far below the bound's resolution (α/64, β/32).
-const boundSlack = 1e-9
-
 // selectOptGPUActive is selectOptGPU over the whole active set, served
-// by the cluster's placement grid instead of a slice scan. Rows
-// (utilization bands) are walked from the highest feasible one down and,
-// within a row, columns (memory bands) from the most used down, so the
-// walk meets the lowest-scoring cells first. Within a cell it visits
-// state classes, not GPUs: feasibility and score depend only on a
-// class's key, so each distinct state is scored once.
+// by the cluster's state-class table instead of a per-GPU scan:
+// feasibility and score depend only on a class's key, so each distinct
+// state is scored once.
 //
 // Equivalence with selectOptGPU(ActiveGPUs()): that scan takes the
 // first (inventory-order) candidate achieving the minimum score, i.e.
 // the lexicographic argmin of (score, cacheCold, Pos) — the cache-
 // coldness key degenerates to a constant unless kernel-cache affinity
-// is enabled. Class and cell order are arbitrary, so the same argmin is
-// computed explicitly, and a class's candidate is the member that ranks
-// first among its equal scores: the lowest Pos, or with cache affinity
-// the first warm member by Pos if it has one. GPUs hosting fn carry the
+// is enabled. Class order is arbitrary, so the same argmin is computed
+// explicitly, and a class's candidate is the member that ranks first
+// among its equal scores: the lowest Pos, or with cache affinity the
+// first warm member by Pos if it has one. GPUs hosting fn carry the
 // same-function penalty (or are excluded, for training), so the class
-// walk passes over them and they are scored one by one from the posting
+// scan passes over them and they are scored one by one from the posting
 // list.
-//
-// A GPU in cell (r, m) below the clamped top row has utilization under
-// (r+1)/R and memory share under (m+1)/M (or exactly 1 in the top
-// column), so its score — the same-function penalty is non-negative —
-// is at least
-//
-//	α·(1 − ((r+1)/R + req/MinCapacity)) + β·(1 − ((m+1)/M + mem/MinMemCapacity))
-//
-// with β = 0 under −RC. The bound grows as r or m falls, so once it is
-// strictly above bestScore (less boundSlack) for a cell, no GPU in that
-// cell or in any lower column of the row can beat *or tie* the best,
-// and the column loop ends; if the row's highest column is already out,
-// so is every lower row and the walk ends. Equal-score candidates that
-// could win the coldness/position tie-break are still scanned. The
-// clamped top row holds utilizations ≥ 1 (Ω > 1 lands there), so it has
-// no bound and is never pruned.
 func (s *Dilu) selectOptGPUActive(p profiler.Profile, fn string) *cluster.GPU {
-	rowTop, colTop := s.gridTop(p)
-	alpha, beta := s.opts.Alpha, s.opts.Beta
-	if s.opts.DisableComplementary {
-		beta = 0
-	}
-	reqTerm := p.SMReq / s.clu.MinCapacity()
-	memTerm := p.MemMB / s.clu.MinMemCapacity()
-	colBound := func(m int) float64 {
-		return beta*(1-(float64(m+1)/cluster.MemBuckets+memTerm)) - boundSlack
-	}
-	colMask := uint32(1)<<(colTop+1) - 1 // columns 0..colTop (all 32 wrap to ^0)
 	bestScore := 1e18
 	bestCold := 2
 	bestPos := -1
@@ -632,40 +569,25 @@ func (s *Dilu) selectOptGPUActive(p profiler.Profile, fn string) *cluster.GPU {
 	// no class member needs the HostsFunc check below.
 	hosts := s.clu.FuncGPUs(fn)
 	hostsAny := len(hosts) > 0
-	for r := rowTop; r >= 0; r-- {
-		prunable := r < cluster.OccupancyBuckets-1
-		rowBound := alpha * (1 - (float64(r+1)/cluster.OccupancyBuckets + reqTerm))
-		if prunable && rowBound+colBound(colTop) > bestScore {
-			break
+	for _, cl := range s.clu.Classes() {
+		if !s.fits(cl.SumReq, cl.SumLim, cl.MemUsedMB, cl.Capacity, cl.MemCapMB, p) {
+			continue
 		}
-		// Non-empty columns ≤ colTop, most used first.
-		for cols := s.clu.CellMask(r) & colMask; cols != 0; {
-			m := bits.Len32(cols) - 1
-			cols &^= 1 << m
-			if prunable && rowBound+colBound(m) > bestScore {
-				break
-			}
-			for _, cl := range s.clu.Cell(r, m) {
-				if !s.fits(cl.SumReq, cl.SumLim, cl.MemUsedMB, cl.Capacity, cl.MemCapMB, p) {
-					continue
-				}
-				score := s.score(cl.SumReq, cl.MemUsedMB, cl.Capacity, cl.MemCapMB, p)
-				// (score, coldFloor, MinPos) bounds every member from below.
-				if !beats(score, coldFloor, cl.MinPos()) {
-					continue
-				}
-				g, cold := cl.Min(), 1
-				if s.opts.KernelCacheAffinity {
-					g, cold = s.warmMember(cl, fn, hostsAny)
-				} else if hostsAny && g.HostsFunc(fn) {
-					g = cl.MinWithout(fn)
-				}
-				if g == nil || !beats(score, cold, g.Pos()) {
-					continue
-				}
-				bestScore, bestCold, bestPos, best = score, cold, g.Pos(), g
-			}
+		score := s.score(cl.SumReq, cl.MemUsedMB, cl.Capacity, cl.MemCapMB, p)
+		// (score, coldFloor, MinPos) bounds every member from below.
+		if !beats(score, coldFloor, cl.MinPos()) {
+			continue
 		}
+		g, cold := cl.Min(), 1
+		if s.opts.KernelCacheAffinity {
+			g, cold = s.warmMember(cl, fn, hostsAny)
+		} else if hostsAny && g.HostsFunc(fn) {
+			g = cl.MinWithout(fn)
+		}
+		if g == nil || !beats(score, cold, g.Pos()) {
+			continue
+		}
+		bestScore, bestCold, bestPos, best = score, cold, g.Pos(), g
 	}
 	if p.Role == profiler.RoleTraining {
 		// DDP workers of one job never share a GPU.
@@ -877,60 +799,32 @@ func (s *Static) Schedule(req Request) ([]Decision, error) {
 }
 
 // pick is the Static best-fit: the feasible active GPU with the least
-// free SM share, ties toward inventory order. It walks the placement
-// grid row by row (a row is one occupancy bucket: all of its memory
-// cells) from the most-occupied row that still has Σreq ≤ 1−q headroom
-// downward; within a row (unordered) the inventory-scan tie order is
-// reproduced by taking the lexicographic argmin of (free, Pos). Free
-// share and feasibility depend only on a GPU's state, so the walk visits
-// state classes and a class's candidate is its lowest-position member.
-//
-// Stopping rule: a lower bucket has strictly smaller ΣReq, so by
-// monotonicity of exact rounding its free share 1−ΣReq is ≥ the best's
-// — it can tie but never win. Ties across buckets are real: 1−x
-// collapses ΣReq values one ulp apart onto the same free (e.g. ΣReq
-// 0.25 and 0.25−2⁻⁵⁴ both yield free 0.75, one bucket apart), and the
-// reference scan resolves such ties toward the earlier GPU. The
-// collapse interval is ~1 ulp of free — vastly narrower than a 1/64
-// bucket — so scanning exactly one bucket below the first hit covers
-// every possible tie. (The differential replay in
-// experiments/sched_equiv_test.go caught this on the §5.5 mix.)
-// MPS thread percentages cannot exceed the device, so feasibility is
-// ΣReq + q ≤ Capacity per GPU and the free share is 1 − util. On a
-// homogeneous fleet Capacity is 1.0 and util ≡ ΣReq bit-for-bit, so
-// selection is unchanged from the pre-capacity code.
+// free SM share, ties toward inventory order — the lexicographic argmin
+// of (free, Pos). Free share and feasibility depend only on a GPU's
+// state, so the scan visits state classes and a class's candidate is
+// its lowest-position member. MPS thread percentages cannot exceed the
+// device, so feasibility is ΣReq + q ≤ Capacity per GPU and the free
+// share is 1 − util. On a homogeneous fleet Capacity is 1.0 and util ≡
+// ΣReq bit-for-bit, so selection is unchanged from the pre-capacity
+// code.
 func (s *Static) pick(q, memMB float64, wholeGPU bool) *cluster.GPU {
 	if wholeGPU {
 		return s.clu.FirstInactiveFit(q, memMB)
 	}
-	headroom := 1 + 1e-9 - q/s.clu.MaxCapacity()
-	if headroom >= 0 {
-		var best *cluster.StateClass
-		bestFree := 2.0
-		bestPos := -1
-		stopBelow := -1
-		for b := cluster.OccupancyBucketOf(headroom); b >= 0; b-- {
-			if best != nil && b < stopBelow {
-				break
-			}
-			for cols := s.clu.CellMask(b); cols != 0; cols &= cols - 1 {
-				for _, cl := range s.clu.Cell(b, bits.TrailingZeros32(cols)) {
-					if cl.SumReq+q > cl.Capacity+1e-9 || cl.MemUsedMB+memMB > cl.MemCapMB {
-						continue
-					}
-					free := 1 - cl.Util()
-					if pos := cl.MinPos(); free < bestFree || (free == bestFree && pos < bestPos) {
-						bestFree, bestPos, best = free, pos, cl
-					}
-				}
-			}
-			if best != nil && stopBelow == -1 {
-				stopBelow = b - 1 // one more bucket: rounding-collapse ties
-			}
+	var best *cluster.StateClass
+	bestFree := 2.0
+	bestPos := -1
+	for _, cl := range s.clu.Classes() {
+		if cl.SumReq+q > cl.Capacity+1e-9 || cl.MemUsedMB+memMB > cl.MemCapMB {
+			continue
 		}
-		if best != nil {
-			return best.Min()
+		free := 1 - cl.Util()
+		if pos := cl.MinPos(); free < bestFree || (free == bestFree && pos < bestPos) {
+			bestFree, bestPos, best = free, pos, cl
 		}
+	}
+	if best != nil {
+		return best.Min()
 	}
 	return s.clu.FirstInactiveFit(q, memMB)
 }

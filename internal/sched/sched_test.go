@@ -186,8 +186,8 @@ func TestDiluMultiGPUWorstFit(t *testing.T) {
 // selection swaps the front GPU into the slot of the one it picks, so
 // with candidates [g0 g1 g2 g3] (free: little, tie, tie, most) the first
 // pick moves g0 behind g2 and g1 keeps the tie. Dropping g0 from the
-// list, as the column walk alone would (it sits in a far column), moves
-// g1 behind g2 instead and picks g2.
+// list, as the share cutoff alone would (its share is far below it),
+// moves g1 behind g2 instead and picks g2.
 func TestDiluWorstFitKeepsSwapDisplacedFront(t *testing.T) {
 	clu := cluster.New(cluster.Config{Nodes: 1, GPUsPerNode: 4, MemCapMB: 40960})
 	gs := clu.GPUs()
@@ -205,6 +205,38 @@ func TestDiluWorstFitKeepsSwapDisplacedFront(t *testing.T) {
 	}
 	if got := d[0].GPUs; got[0] != gs[3] || got[1] != gs[1] {
 		t.Fatalf("stages on %s, %s; want %s, %s", got[0].ID, got[1].ID, gs[3].ID, gs[1].ID)
+	}
+}
+
+// TestDiluWorstFitKeepsCutoffTies pins the worst-fit's share cutoff:
+// GPUs tying the `stages`-th largest free share must stay candidates.
+// Every GPU is active; g0 and g1 (the front) and g3 have little free
+// memory, g2 has the most, and g4 and g5 (two state classes, one free
+// share) tie for the second largest. The first pick swaps g0 behind g2,
+// and the second goes to g4, the earlier of the tie. A cutoff that
+// dropped the tie would leave only the front to pick from and take g1.
+func TestDiluWorstFitKeepsCutoffTies(t *testing.T) {
+	clu := cluster.New(cluster.Config{Nodes: 1, GPUsPerNode: 6, MemCapMB: 1000})
+	gs := clu.GPUs()
+	for i, fill := range []struct{ req, mem float64 }{
+		{0.1, 800}, {0.1, 700}, {0.1, 100}, {0.1, 900}, {0.1, 400}, {0.2, 400},
+	} {
+		pl := &cluster.Placement{Instance: fmt.Sprint("fill-", i), Func: "fill", Req: fill.req, Lim: fill.req, MemMB: fill.mem}
+		if err := gs[i].Place(pl); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if n := len(clu.Classes()); n != 6 {
+		t.Fatalf("%d state classes, want 6", n)
+	}
+	s := NewDilu(clu, Options{})
+	p := profiler.Profile{SMReq: 0.2, SMLim: 0.2, MemMB: 200}
+	d, err := s.Schedule(Request{Func: "llm", Profile: p, GPUsPerInstance: 2})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := d[0].GPUs; got[0] != gs[2] || got[1] != gs[4] {
+		t.Fatalf("stages on %s, %s; want %s, %s", got[0].ID, got[1].ID, gs[2].ID, gs[4].ID)
 	}
 }
 
