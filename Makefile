@@ -22,14 +22,19 @@ test-short:
 # invariant checkers, the workload subsystem (trace parsing,
 # generators) and the cluster index property tests, then a short fuzz
 # of each external-input parser (trace CSV/JSON, churn CSV, fault CSV)
-# — fast enough for the check gate, where the full -race suite is not.
-# `go test -fuzz` takes one target per run, hence the loop.
-FUZZ_TARGETS = FuzzParseTraceCSV FuzzParseTraceJSON FuzzParseChurnCSV FuzzParseFaultCSV
+# and of RCKM's cached KLC inflation against its recompute — fast
+# enough for the check gate, where the full -race suite is not.
+# `go test -fuzz` takes one target per run, hence the loop; each entry
+# is target:package.
+FUZZ_TARGETS = FuzzParseTraceCSV:./internal/workload FuzzParseTraceJSON:./internal/workload \
+	FuzzParseChurnCSV:./internal/workload FuzzParseFaultCSV:./internal/workload \
+	FuzzKLCDeltaT:./internal/rckm
 test-race-subsys:
 	$(GO) test -race ./internal/sim/... ./internal/simtest/... ./internal/workload/... ./internal/cluster/...
-	@set -e; for f in $(FUZZ_TARGETS); do \
+	@set -e; for tp in $(FUZZ_TARGETS); do \
+		f=$${tp%%:*}; pkg=$${tp#*:}; \
 		echo "fuzz $$f (3s)"; \
-		$(GO) test -run '^$$' -fuzz "^$$f\$$" -fuzztime 3s ./internal/workload; \
+		$(GO) test -run '^$$' -fuzz "^$$f\$$" -fuzztime 3s $$pkg; \
 	done
 
 # The benchmark (benchmark/, run by benchmark/run.sh) is a Go module of

@@ -30,8 +30,9 @@ type Device struct {
 	// solved holds the previous tick's contention scale and the
 	// occupancy it leaves while that tick's inputs — the residents, their
 	// curves, Capacity and every want in tick — are unchanged: a repeat
-	// tick reuses them instead of solving. SetSatK (which Attach calls)
-	// and Detach invalidate it.
+	// tick reuses them instead of solving. SetSatK invalidates it when K
+	// changes (Attach's SetSatK(1) always does: a new resident's K is
+	// 0), and so does Detach.
 	solved                 bool
 	solvedScale, solvedOcc float64
 	solvedCap              float64
@@ -195,8 +196,13 @@ func (d *Device) MeanOccupancy() float64 {
 
 // SetSatK sets the saturation constant K of the resident's current
 // kernel mix (see Eff). The curve constants are derived here, once per
-// change, not in every tick.
+// change, not in every tick; an unchanged K keeps the curve, the eff
+// and inv caches and the device's solved tick, since none of their
+// inputs moved. Instances call it every step.
 func (r *Resident) SetSatK(k float64) {
+	if k == r.satK {
+		return
+	}
 	r.satK = k
 	r.cv = newCurve(k)
 	r.dev.solved = false

@@ -171,3 +171,73 @@ func BenchmarkExecuteTick(b *testing.B) {
 		})
 	}
 }
+
+// SetSatK with an unchanged K is a no-op: a device whose residents get
+// SetSatK(sameK) before every tick must execute bit for bit like one
+// whose K was set once, through repeated, changed and uncontended
+// demands. A real change of K must still reach the next tick.
+func TestSetSatKSameKeepsTick(t *testing.T) {
+	ks := []float64{KneeForEff(0.6, 0.95), KneeForEff(0.8, 0.95), LinearK}
+	every, once := tickMix(0, 1, ks...), tickMix(0, 1, ks...)
+	// Per-tick demand as a share of Capacity per resident: repeats let
+	// the contended solve be reused, changes force a fresh one, and the
+	// small demands drain within the tick (CompletionFraction < 1).
+	demand := [][3]float64{
+		{0.8, 0.8, 0.8}, {0.8, 0.8, 0.8}, {0.8, 0.8, 0.8},
+		{0.9, 0.5, 0.8}, {0.9, 0.5, 0.8}, {0.05, 0.05, 0.05},
+		{0.8, 0.8, 0.8}, {1.2, 0.3, 0.6}, {1.2, 0.3, 0.6},
+	}
+	contended, drained := 0, 0
+	step := func(i int, change bool) {
+		for _, d := range []*Device{every, once} {
+			for j, r := range d.Residents() {
+				r.ClearWork()
+				r.AddWork(demand[i%len(demand)][j] * d.Capacity)
+			}
+		}
+		for j, r := range every.Residents() {
+			k := ks[j]
+			if change && j == 1 {
+				k = 5
+			}
+			r.SetSatK(k)
+		}
+		every.ExecuteTick()
+		once.ExecuteTick()
+	}
+	same := func() bool {
+		if math.Float64bits(every.LastOccupancy()) != math.Float64bits(once.LastOccupancy()) {
+			return false
+		}
+		for j, r := range every.Residents() {
+			o := once.Residents()[j]
+			if math.Float64bits(r.ExecutedLast()) != math.Float64bits(o.ExecutedLast()) ||
+				math.Float64bits(r.CompletionFraction()) != math.Float64bits(o.CompletionFraction()) {
+				return false
+			}
+		}
+		return true
+	}
+	for i := 0; i < 3*len(demand); i++ {
+		step(i, false)
+		if !same() {
+			t.Fatalf("tick %d: SetSatK(sameK) changed the tick's outputs", i)
+		}
+		if every.LastOccupancy() > 0.99 {
+			contended++
+		}
+		if every.Residents()[0].CompletionFraction() < 1 {
+			drained++
+		}
+	}
+	if contended < len(demand) || drained == 0 {
+		t.Fatalf("%d contended and %d drained ticks: the demands miss a case", contended, drained)
+	}
+	// Repeat the last tick's demand, so only the solved-tick
+	// invalidation can make the change show.
+	last := 3*len(demand) - 1
+	step(last, true)
+	if same() {
+		t.Fatalf("SetSatK(5) left the next tick unchanged")
+	}
+}

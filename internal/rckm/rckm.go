@@ -58,8 +58,15 @@ type Client struct {
 	Request      float64 // profiled request quota (fraction of a GPU)
 	Limit        float64 // profiled limit quota (fraction of a GPU)
 
-	rates [rateWindowLen]float64
-	rIdx  int
+	// busyLeft is the client's 20 ms kernel rate window RW reduced to
+	// what every reader asks of it — is any of the last rateWindowLen
+	// rates nonzero — as the number of periods left before it counts as
+	// idle: a period with a nonzero rate sets it to rateWindowLen, an
+	// idle one counts it down. Rates are blocks executed, never
+	// negative, so the window's sum is 0 exactly when all of its rates
+	// are, and busyLeft == 0 is the same test. The zero value is idle,
+	// as an empty window is.
+	busyLeft int
 
 	// KLC tracking: the current iteration launch cycle compared against
 	// a windowed minimum of *the same work regime* (per-batch bucket).
@@ -68,9 +75,10 @@ type Client struct {
 	// ΔT measures contention and token starvation, not batching. New
 	// buckets are seeded by linearly scaling the profiled batch-1
 	// reference. Windowing (not all-time minima) gives the controller
-	// finite memory.
-	klcCur   float64
-	curWork  float64
+	// finite memory. dt is ΔT for the latest cycle: it moves only when
+	// an iteration is observed or the reference seeded, not from one
+	// token period to the next.
+	dt       float64
 	buckets  []klcBucket
 	seedSec  float64
 	seedWork float64
@@ -100,27 +108,41 @@ type klcBucket struct {
 	win  [klcWindowLen]float64
 	idx  int
 	n    int
+	// lo is the window's minimum (0 while it is empty), kept by push: a
+	// full window rescans only when the cycle it evicts was the minimum.
+	// Cycles are positive, so the minimum is one exact value whatever
+	// order it is found in.
+	lo float64
 }
 
 func (b *klcBucket) push(v float64) {
+	old := b.win[b.idx]
 	b.win[b.idx] = v
 	b.idx = (b.idx + 1) % klcWindowLen
-	if b.n < klcWindowLen {
+	switch {
+	case b.n < klcWindowLen:
 		b.n++
+		if b.n == 1 || v < b.lo {
+			b.lo = v
+		}
+	case v < b.lo:
+		b.lo = v
+	case old == b.lo && v != old:
+		b.lo = b.win[0]
+		for _, w := range b.win[1:] {
+			if w < b.lo {
+				b.lo = w
+			}
+		}
 	}
 }
 
-func (b *klcBucket) min() float64 {
-	if b.n == 0 {
+// deltaT is the relative inflation of cur over the window minimum.
+func (b *klcBucket) deltaT(cur float64) float64 {
+	if b.lo <= 0 {
 		return 0
 	}
-	m := b.win[0]
-	for i := 1; i < b.n; i++ {
-		if v := b.win[i]; v < m {
-			m = v
-		}
-	}
-	return m
+	return (cur - b.lo) / b.lo
 }
 
 func (c *Client) bucketFor(work float64) *klcBucket {
@@ -146,10 +168,15 @@ func (c *Client) ObserveIteration(klc sim.Duration, work float64) {
 	if work <= 0 || klc <= 0 {
 		return
 	}
-	cur := klc.Seconds()
-	c.klcCur = cur
-	c.curWork = work
-	c.bucketFor(work).push(cur)
+	c.record(klc.Seconds(), work)
+}
+
+// record pushes cycle cur into its work regime's window and recomputes
+// ΔT against that window.
+func (c *Client) record(cur, work float64) {
+	b := c.bucketFor(work)
+	b.push(cur)
+	c.dt = b.deltaT(cur)
 }
 
 // SeedKLC primes the reference launch cycle (seconds of an uncontended
@@ -168,23 +195,13 @@ func (c *Client) SeedKLCWork(seconds, work float64) {
 		work = 1
 	}
 	c.seedWork = work
-	c.klcCur = seconds
-	c.curWork = work
-	c.bucketFor(work).push(seconds)
+	c.record(seconds, work)
 }
 
 // DeltaT returns the relative KLC inflation (T_current − T_min)/T_min
-// within the current work regime's recent window.
-func (c *Client) DeltaT() float64 {
-	if c.curWork <= 0 {
-		return 0
-	}
-	min := c.bucketFor(c.curWork).min()
-	if min <= 0 {
-		return 0
-	}
-	return (c.klcCur - min) / min
-}
+// within the current work regime's recent window, as of the last
+// observed iteration (0 before any).
+func (c *Client) DeltaT() float64 { return c.dt }
 
 // SetPressured reports whether the instance is burst-batching beyond its
 // profiled IBS (queue backlog).
@@ -196,18 +213,19 @@ func (c *Client) Pressured() bool { return c.pressured }
 // LastIssued returns the tokens issued in the previous cycle.
 func (c *Client) LastIssued() float64 { return c.rLast }
 
+// shiftRateWindow pushes the rate the GPU observed last tick into the
+// client's window.
 func (c *Client) shiftRateWindow() {
-	c.rates[c.rIdx] = c.Res.ExecutedLast()
-	c.rIdx = (c.rIdx + 1) % rateWindowLen
+	if c.Res.ExecutedLast() > 0 {
+		c.busyLeft = rateWindowLen
+	} else if c.busyLeft > 0 {
+		c.busyLeft--
+	}
 }
 
-func (c *Client) windowSum() float64 {
-	var s float64
-	for _, r := range c.rates {
-		s += r
-	}
-	return s
-}
+// busy reports whether any rate in the client's window is nonzero —
+// Algorithm 2's RW sum > 0.
+func (c *Client) busy() bool { return c.busyLeft > 0 }
 
 // Algorithm 2's fixed thresholds, one value across the evaluation.
 const (
@@ -263,6 +281,9 @@ type Manager struct {
 	cfg     Config
 	policy  Policy
 	clients []*Client
+	// busy counts the clients whose rate window is busy, as of the last
+	// Issue's shift.
+	busy int
 
 	state      State
 	owner      *Client
@@ -319,20 +340,23 @@ func (m *Manager) Unregister(c *Client) {
 // rate observed by the GPU last tick, applies the policy, and programs
 // the residents' grants for the upcoming execution tick.
 func (m *Manager) Issue(now sim.Time) {
+	m.busy = 0
 	for _, c := range m.clients {
-		c.shiftRateWindow()
+		if c.shiftRateWindow(); c.busy() {
+			m.busy++
+		}
 	}
 	m.policy.issue(m, now)
 }
 
-func (m *Manager) othersWindowSum(self *Client) float64 {
-	var s float64
-	for _, c := range m.clients {
-		if c != self {
-			s += c.windowSum()
-		}
+// othersIdle reports whether every client but self has an idle rate
+// window — Algorithm 2's Σ RW of the collocated instances = 0.
+func (m *Manager) othersIdle(self *Client) bool {
+	n := m.busy
+	if self.busy() {
+		n--
 	}
-	return s
+	return n == 0
 }
 
 // setState applies Algorithm 2's ownership rule: only the instance that
@@ -416,11 +440,11 @@ func (Dilu) issue(m *Manager, now sim.Time) {
 				m.ownerDelta = dt
 			}
 			issue = m.cfg.MaxTokens * c.Limit
-		case c.windowSum() == 0:
+		case !c.busy():
 			// Own queue idle: scale down to request.
 			m.setState(c, StateRecovery)
 			issue = m.cfg.MaxTokens * c.Request
-		case m.othersWindowSum(c) == 0:
+		case m.othersIdle(c):
 			// Collocated instances idle: take more, gradually.
 			m.setState(c, StateRecovery)
 			issue = c.rLast * etaIncrease
@@ -572,7 +596,7 @@ func (TGS) issue(m *Manager, _ sim.Time) {
 		if c.DeltaT() > 0.10 {
 			interference = true
 		}
-		if c.windowSum() > 0 {
+		if c.busy() {
 			productiveBusy = true
 		}
 	}
@@ -637,7 +661,7 @@ func (p FaSTGS) issue(m *Manager, _ sim.Time) {
 	var idleShare float64
 	busy := 0
 	for _, c := range m.clients {
-		if c.windowSum() == 0 {
+		if !c.busy() {
 			idleShare += c.Limit * norm
 		} else {
 			busy++
@@ -645,7 +669,7 @@ func (p FaSTGS) issue(m *Manager, _ sim.Time) {
 	}
 	for _, c := range m.clients {
 		share := c.Limit * norm
-		if c.windowSum() == 0 {
+		if !c.busy() {
 			share *= 0.25 // parked partition
 		} else if busy > 0 {
 			share += idleShare / float64(busy)

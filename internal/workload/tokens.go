@@ -56,23 +56,28 @@ func (z ZipfTokenMix) alpha() float64 {
 	return z.Alpha
 }
 
+// bands returns the eight band weights and their sum. Sample computes
+// them once per request and shares them between the prompt and the
+// decode draw.
+func (z ZipfTokenMix) bands() (weights [zipfBuckets]float64, total float64) {
+	alpha := z.alpha()
+	for r := 0; r < zipfBuckets; r++ {
+		w := math.Pow(float64(r+1), -alpha)
+		weights[r] = w
+		total += w
+	}
+	return weights, total
+}
+
 // drawLen picks a band by Zipf weight, then a length uniformly inside
 // it. Two RNG draws per length, always — the fixed consumption pattern
 // keeps downstream streams aligned whatever values come out.
-func (z ZipfTokenMix) drawLen(rng *sim.RNG, min, max int) int {
+func drawLen(rng *sim.RNG, weights *[zipfBuckets]float64, total float64, min, max int) int {
 	if min < 1 {
 		min = 1
 	}
 	if max < min {
 		max = min
-	}
-	alpha := z.alpha()
-	var weights [zipfBuckets]float64
-	total := 0.0
-	for r := 0; r < zipfBuckets; r++ {
-		w := math.Pow(float64(r+1), -alpha)
-		weights[r] = w
-		total += w
 	}
 	u := rng.Float64() * total
 	band := 0
@@ -94,7 +99,8 @@ func (z ZipfTokenMix) drawLen(rng *sim.RNG, min, max int) int {
 // Sample implements TokenSampler: prompt then decode, independent
 // draws.
 func (z ZipfTokenMix) Sample(rng *sim.RNG) (int, int) {
-	p := z.drawLen(rng, z.PromptMin, z.PromptMax)
-	d := z.drawLen(rng, z.DecodeMin, z.DecodeMax)
+	weights, total := z.bands()
+	p := drawLen(rng, &weights, total, z.PromptMin, z.PromptMax)
+	d := drawLen(rng, &weights, total, z.DecodeMin, z.DecodeMax)
 	return p, d
 }
