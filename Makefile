@@ -21,14 +21,15 @@ test-short:
 # Race-detected pass over the event-engine order properties, the
 # invariant checkers, the workload subsystem (trace parsing,
 # generators) and the cluster index property tests, then a short fuzz
-# of each external-input parser (trace CSV/JSON, churn CSV, fault CSV)
-# and of RCKM's cached KLC inflation against its recompute — fast
+# of each external-input parser (trace CSV/JSON, churn CSV, fault CSV),
+# of RCKM's cached KLC inflation against its recompute and of the LLM
+# runtime's one-charge KV growth against per-sequence charging — fast
 # enough for the check gate, where the full -race suite is not.
 # `go test -fuzz` takes one target per run, hence the loop; each entry
 # is target:package.
 FUZZ_TARGETS = FuzzParseTraceCSV:./internal/workload FuzzParseTraceJSON:./internal/workload \
 	FuzzParseChurnCSV:./internal/workload FuzzParseFaultCSV:./internal/workload \
-	FuzzKLCDeltaT:./internal/rckm
+	FuzzKLCDeltaT:./internal/rckm FuzzGrowKV:./internal/instance
 test-race-subsys:
 	$(GO) test -race ./internal/sim/... ./internal/simtest/... ./internal/workload/... ./internal/cluster/...
 	@set -e; for tp in $(FUZZ_TARGETS); do \

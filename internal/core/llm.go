@@ -59,6 +59,7 @@ func newLLMState(sys *System, f *Function, opts LLMOpts) (*llmState, error) {
 	if !f.Spec.Generative {
 		return nil, fmt.Errorf("core: %s deploys non-generative model %s with LLMOpts", f.Name, f.Spec.Name)
 	}
+	opts.Tokens = workload.Prepare(opts.Tokens)
 	st := &llmState{
 		opts: opts,
 		prof: f.Spec.LLM(),

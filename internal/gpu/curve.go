@@ -24,10 +24,13 @@
 // that bracket. Because occupancy is nondecreasing in λ, every skipped
 // midpoint would have compared the same way, so the result is the
 // bisection's to the bit, in about six evaluations instead of 30. Each
-// resident caches its curve's K-dependent constants when K is set and
-// its last eff and inverse evaluation, which the tick reuses while the
-// grant or demand repeats, as they mostly do from one 5 ms tick to the
-// next.
+// resident caches its curve's K-dependent constants when K is set, and
+// memoizes its eff and inverse evaluations keyed on K and the input:
+// its last eff, and one inverse per bound of its want (the grant-bounded
+// rate and the pending demand, between which a decoding LLM stage
+// alternates). The tick reuses them while the grant or demand repeats,
+// as they mostly do from one 5 ms tick to the next, and across a batch
+// size's K that flips away and back.
 package gpu
 
 import "math"

@@ -60,7 +60,9 @@ func NewDevice(id string) *Device {
 	return &Device{ID: id, Capacity: DefaultCapacityPerTick, MemoryMB: DefaultMemoryMB}
 }
 
-// Resident is one instance's execution context on a device.
+// Resident is one instance's execution context on a device: its memory
+// reservation, the saturation curve of its kernel mix with the memos the
+// tick evaluates that curve through, and its block demand and grant.
 type Resident struct {
 	dev   *Device
 	ID    string
@@ -68,12 +70,16 @@ type Resident struct {
 
 	satK float64 // saturation constant for the current kernel mix
 	cv   curve   // eff_K for satK, constants cached by SetSatK
-	// The last eff and inv evaluation of cv, for the tick to reuse:
-	// grants and demand are mostly unchanged from one tick to the next.
+	// Memos of cv's evaluations for the tick to reuse, since grants and
+	// demand mostly repeat from one 5 ms tick to the next. Every entry
+	// is keyed on K as well as on its input, so a change of K needs no
+	// clearing and a K that flips back finds its entries still there.
+	// inv keeps one entry per bound of the tick's want (grantBound,
+	// demandBound): a decoding resident alternates between the two.
 	// Zero inputs map to zero outputs on every curve, so the zero value
 	// is a valid entry.
-	effS, effV             float64
-	invY, invOcc, invElast float64
+	effMemo effEntry
+	invMemo [2]invEntry
 
 	pending float64 // block demand not yet executed
 	granted float64 // token grant for the current tick, in blocks
@@ -196,9 +202,9 @@ func (d *Device) MeanOccupancy() float64 {
 
 // SetSatK sets the saturation constant K of the resident's current
 // kernel mix (see Eff). The curve constants are derived here, once per
-// change, not in every tick; an unchanged K keeps the curve, the eff
-// and inv caches and the device's solved tick, since none of their
-// inputs moved. Instances call it every step.
+// change, not in every tick, and the device's solved tick is dropped.
+// The eff and inv memos are keyed on K, so they stay. An unchanged K
+// returns at once: instances call it every step.
 func (r *Resident) SetSatK(k float64) {
 	if k == r.satK {
 		return
@@ -206,25 +212,38 @@ func (r *Resident) SetSatK(k float64) {
 	r.satK = k
 	r.cv = newCurve(k)
 	r.dev.solved = false
-	r.effS, r.effV = 0, 0
-	r.invY, r.invOcc, r.invElast = 0, 0, 0
 }
 
-// eff is cv.eff(s), reused when s repeats the previous call's share.
+// effEntry is one memoized cv.eff(s) under saturation constant k.
+type effEntry struct{ k, s, v float64 }
+
+// invEntry is one memoized cv.inv(y) under saturation constant k.
+type invEntry struct{ k, y, occ, elast float64 }
+
+// The inv memo entries: a tick's want is either its grant-bounded
+// usable rate or its pending demand.
+const (
+	grantBound = iota
+	demandBound
+)
+
+// eff is cv.eff(s), reused while s and K repeat the memoized call.
 func (r *Resident) eff(s float64) float64 {
-	if s != r.effS {
-		r.effS, r.effV = s, r.cv.eff(s)
+	m := &r.effMemo
+	if s != m.s || r.satK != m.k {
+		*m = effEntry{k: r.satK, s: s, v: r.cv.eff(s)}
 	}
-	return r.effV
+	return m.v
 }
 
-// inv is cv.inv(y), reused when y repeats the previous call's demand.
-func (r *Resident) inv(y float64) (occ, elast float64) {
-	if y != r.invY {
-		r.invY = y
-		r.invOcc, r.invElast = r.cv.inv(y)
+// inv is cv.inv(y), reused while y and K repeat memo entry e's call.
+func (r *Resident) inv(e int, y float64) (occ, elast float64) {
+	m := &r.invMemo[e]
+	if y != m.y || r.satK != m.k {
+		occ, elast := r.cv.inv(y)
+		*m = invEntry{k: r.satK, y: y, occ: occ, elast: elast}
 	}
-	return r.invOcc, r.invElast
+	return m.occ, m.elast
 }
 
 // SatK returns the saturation constant set by SetSatK (1 at Attach).
@@ -317,13 +336,13 @@ func (d *Device) ExecuteTick() {
 		if d.slow > 1 { // straggler: stretch execution, keep nominal capacity
 			usable /= d.slow
 		}
-		w := r.pending
+		w, bound := r.pending, demandBound
 		if w > usable {
-			w = usable
+			w, bound = usable, grantBound
 		}
 		repeat = repeat && w == tick[i].want
 		tick[i] = tickScratch{want: w, full: full}
-		occ, elast := r.inv(w / d.Capacity)
+		occ, elast := r.inv(bound, w/d.Capacity)
 		totalOcc += occ
 		totalElast += elast
 	}

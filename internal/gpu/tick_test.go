@@ -2,6 +2,7 @@ package gpu
 
 import (
 	"math"
+	"math/rand"
 	"testing"
 )
 
@@ -113,6 +114,62 @@ func TestContendedTickFollowsInputs(t *testing.T) {
 	}
 }
 
+// A decoding resident's want alternates between its pending demand and
+// its grant-bounded rate while its batch size flips K between two values.
+// Every tick must reproduce the reference tick (runRefTick) bit for bit,
+// alone on the device and contended by a grant-bound neighbour: the inv
+// memo entry a tick reads must match both its bound and its K.
+func TestDecodeTickFollowsBoundAndK(t *testing.T) {
+	ks := [2]float64{KneeForEff(0.5, 0.95), KneeForEff(0.8, 0.95)}
+	demands := [2]float64{0.1, 0.25} // shares of Capacity, below the grant
+	const grant = 0.6
+	for _, contended := range []bool{false, true} {
+		d := NewDevice("g")
+		r, _ := d.Attach("decode", 1)
+		r.SetGrant(grant * d.Capacity)
+		if contended {
+			n, _ := d.Attach("neighbour", 1)
+			n.SetSatK(KneeForEff(0.6, 0.95))
+			n.AddWork(1e18)
+			n.SetGrant(d.Capacity)
+		}
+		// K, the bound and the demand are drawn afresh each tick, so
+		// each memo entry is met with its input and its K repeated,
+		// changed, or changed and then restored.
+		rng := rand.New(rand.NewSource(24))
+		for i := 0; i < 256; i++ {
+			r.SetSatK(ks[rng.Intn(2)])
+			r.ClearWork()
+			if rng.Intn(2) == 0 {
+				r.AddWork(demands[rng.Intn(2)] * d.Capacity)
+			} else {
+				r.AddWork(1e18)
+			}
+			var ks, pending, grants []float64
+			for _, res := range d.Residents() {
+				ks = append(ks, res.SatK())
+				pending = append(pending, res.Pending())
+				grants = append(grants, res.Grant())
+			}
+			ref := runRefTick(d.Capacity, d.slow, ks, pending, grants)
+			if (ref.occ1 > 1) != contended {
+				t.Fatalf("contended %v tick %d: reference occupancy %v", contended, i, ref.occ1)
+			}
+			d.ExecuteTick()
+			for j, res := range d.Residents() {
+				if math.Float64bits(res.ExecutedLast()) != math.Float64bits(ref.executed[j]) ||
+					math.Float64bits(res.usableLast) != math.Float64bits(ref.usable[j]) {
+					t.Fatalf("contended %v tick %d resident %d: executed %v usable %v, reference %v %v",
+						contended, i, j, res.ExecutedLast(), res.usableLast, ref.executed[j], ref.usable[j])
+				}
+			}
+			if math.Float64bits(d.LastOccupancy()) != math.Float64bits(ref.occ) {
+				t.Fatalf("contended %v tick %d: occupancy %v, reference %v", contended, i, d.LastOccupancy(), ref.occ)
+			}
+		}
+	}
+}
+
 // A contended tick runs on the device's reused scratch: no allocation.
 // The first resident's grant alternates, so every tick solves afresh.
 func TestExecuteTickAllocatesNothing(t *testing.T) {
@@ -139,8 +196,24 @@ func TestExecuteTickAllocatesNothing(t *testing.T) {
 // and four contending ones, and a contended straggler. The first
 // resident's grant alternates between two values, so every tick
 // evaluates its curve and solves the contention afresh; the others
-// repeat, as most residents do from one tick to the next.
+// repeat, as most residents do from one tick to the next. In the
+// decode case a lone resident's want flips between its demand and its
+// grant every tick, and its K between two batch sizes' with it, as a
+// decoding LLM stage's do.
 func BenchmarkExecuteTick(b *testing.B) {
+	b.Run("decode", func(b *testing.B) {
+		d := tickMix(0, 0.6, KneeForEff(0.5, 0.95))
+		r := d.Residents()[0]
+		ks := [2]float64{KneeForEff(0.5, 0.95), KneeForEff(0.8, 0.95)}
+		demands := [2]float64{0.1 * d.Capacity, 1e18}
+		b.ReportAllocs()
+		for i := 0; i < b.N; i++ {
+			r.SetSatK(ks[i&1])
+			r.ClearWork()
+			r.AddWork(demands[i&1])
+			d.ExecuteTick()
+		}
+	})
 	cases := []struct {
 		name string
 		d    *Device

@@ -189,7 +189,31 @@ func (in *LLM) admit() {
 // sequence, preempting the youngest sequence (and retrying) when the
 // cache is full. Freshly admitted sequences already hold their first
 // token's KV from admit.
+//
+// The whole step is charged at once when it fits: one reservation of
+// KVForTokens(n) for the n continuing sequences. The catalog's KV
+// footprints, model memory and power-of-two stage splits are dyadic, so
+// the one sum holds the same bits in every ledger as n single-token
+// charges, and a step that fits has every prefix fit. When it does not
+// fit, nothing stays charged (the rollback is exact as well) and the
+// per-sequence loop runs, reaching the same cap the same way.
 func (in *LLM) growKV() {
+	// Sequences awaiting prefill were admitted last, so they are the
+	// batch's tail: admit appends them and PostTick clears every flag.
+	n := len(in.seqs)
+	for n > 0 && in.seqs[n-1].prefill {
+		n--
+	}
+	if n == 0 {
+		return
+	}
+	if in.reserveKV(in.Cfg.Prof.KVForTokens(n)) {
+		grow := in.Cfg.Prof.KVForTokens(1)
+		for _, s := range in.seqs[:n] {
+			s.kvMB += grow
+		}
+		return
+	}
 	for i := 0; i < len(in.seqs); i++ {
 		s := in.seqs[i]
 		if s.prefill {

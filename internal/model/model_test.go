@@ -256,3 +256,35 @@ func TestColdStartStagesSumExact(t *testing.T) {
 		}
 	}
 }
+
+// Token-level serving charges a decode step's KV in one reservation
+// rather than one per sequence, which matches per-sequence charging bit
+// for bit only while every amount it adds is exact in float64. So every
+// generative model's per-token KV footprint and inference memory, split
+// evenly over its pipeline stages and over 2 and 4 stages, must be a
+// whole multiple of 2^-10 MB, and few enough of them (< 2^40) that sums
+// of many stay exact.
+func TestGenerativeMemoryIsDyadic(t *testing.T) {
+	const grain = 1024 // 2^10
+	seen := 0
+	for _, s := range All() {
+		if !s.Generative {
+			continue
+		}
+		seen++
+		for _, stages := range []int{s.PipelineStages, 2, 4} {
+			for _, mb := range []struct {
+				name string
+				v    float64
+			}{{"KVMBPerToken", s.KVMBPerToken}, {"InferMemMB", s.InferMemMB}} {
+				per := mb.v / float64(stages) * grain
+				if per <= 0 || per != math.Trunc(per) || per >= 1<<40 {
+					t.Errorf("%s: %s %v over %d stages is not a multiple of 2^-10 MB", s.Name, mb.name, mb.v, stages)
+				}
+			}
+		}
+	}
+	if seen == 0 {
+		t.Fatal("no generative model in the catalog")
+	}
+}

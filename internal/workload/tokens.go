@@ -56,17 +56,49 @@ func (z ZipfTokenMix) alpha() float64 {
 	return z.Alpha
 }
 
-// bands returns the eight band weights and their sum. Sample computes
-// them once per request and shares them between the prompt and the
-// decode draw.
-func (z ZipfTokenMix) bands() (weights [zipfBuckets]float64, total float64) {
+// bands returns the mix as a sampler holding its eight band weights
+// and their sum, which depend only on Alpha.
+func (z ZipfTokenMix) bands() zipfBands {
+	b := zipfBands{mix: z}
 	alpha := z.alpha()
 	for r := 0; r < zipfBuckets; r++ {
 		w := math.Pow(float64(r+1), -alpha)
-		weights[r] = w
-		total += w
+		b.weights[r] = w
+		b.total += w
 	}
-	return weights, total
+	return b
+}
+
+// zipfBands is a ZipfTokenMix with its band weights computed once: what
+// Prepare returns for the mix. It draws exactly what the mix draws.
+type zipfBands struct {
+	mix     ZipfTokenMix
+	weights [zipfBuckets]float64
+	total   float64
+}
+
+// Name implements TokenSampler: the mix's own name.
+func (b *zipfBands) Name() string { return b.mix.Name() }
+
+// Sample implements TokenSampler: prompt then decode, independent
+// draws.
+func (b *zipfBands) Sample(rng *sim.RNG) (int, int) {
+	p := drawLen(rng, &b.weights, b.total, b.mix.PromptMin, b.mix.PromptMax)
+	d := drawLen(rng, &b.weights, b.total, b.mix.DecodeMin, b.mix.DecodeMax)
+	return p, d
+}
+
+// Prepare returns a sampler that draws exactly what ts draws, with any
+// per-mix constants computed once: a ZipfTokenMix becomes a sampler
+// holding its band weights, whose Sample then costs no math.Pow. Any
+// other sampler is returned unchanged. Callers that sample many
+// requests from one mix wrap it once.
+func Prepare(ts TokenSampler) TokenSampler {
+	if z, ok := ts.(ZipfTokenMix); ok {
+		b := z.bands()
+		return &b
+	}
+	return ts
 }
 
 // drawLen picks a band by Zipf weight, then a length uniformly inside
@@ -97,10 +129,9 @@ func drawLen(rng *sim.RNG, weights *[zipfBuckets]float64, total float64, min, ma
 }
 
 // Sample implements TokenSampler: prompt then decode, independent
-// draws.
+// draws. It computes the band weights on every call; Prepare the mix to
+// compute them once.
 func (z ZipfTokenMix) Sample(rng *sim.RNG) (int, int) {
-	weights, total := z.bands()
-	p := drawLen(rng, &weights, total, z.PromptMin, z.PromptMax)
-	d := drawLen(rng, &weights, total, z.DecodeMin, z.DecodeMax)
-	return p, d
+	b := z.bands()
+	return b.Sample(rng)
 }
