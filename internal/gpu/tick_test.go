@@ -120,7 +120,7 @@ func TestContendedTickFollowsInputs(t *testing.T) {
 // alone on the device and contended by a grant-bound neighbour: the inv
 // memo entry a tick reads must match both its bound and its K.
 func TestDecodeTickFollowsBoundAndK(t *testing.T) {
-	ks := [2]float64{KneeForEff(0.5, 0.95), KneeForEff(0.8, 0.95)}
+	batchK := [2]float64{KneeForEff(0.5, 0.95), KneeForEff(0.8, 0.95)}
 	demands := [2]float64{0.1, 0.25} // shares of Capacity, below the grant
 	const grant = 0.6
 	for _, contended := range []bool{false, true} {
@@ -138,7 +138,7 @@ func TestDecodeTickFollowsBoundAndK(t *testing.T) {
 		// changed, or changed and then restored.
 		rng := rand.New(rand.NewSource(24))
 		for i := 0; i < 256; i++ {
-			r.SetSatK(ks[rng.Intn(2)])
+			r.SetSatK(batchK[rng.Intn(2)])
 			r.ClearWork()
 			if rng.Intn(2) == 0 {
 				r.AddWork(demands[rng.Intn(2)] * d.Capacity)
