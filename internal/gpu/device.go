@@ -73,7 +73,8 @@ type Resident struct {
 	// Memos of cv's evaluations for the tick to reuse, since grants and
 	// demand mostly repeat from one 5 ms tick to the next. Every entry
 	// is keyed on K as well as on its input, so a change of K needs no
-	// clearing and a K that flips back finds its entries still there.
+	// clearing, and a K that flips back finds whatever entries no tick
+	// under the other K replaced.
 	// inv keeps one entry per bound of the tick's want (grantBound,
 	// demandBound): a decoding resident alternates between the two.
 	// Zero inputs map to zero outputs on every curve, so the zero value
