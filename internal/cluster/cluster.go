@@ -8,10 +8,9 @@
 // leave it nil and work purely on quota accounting.
 //
 // The inventory keeps incremental indexes so the scheduler hot path does
-// no O(cluster) work: the active-GPU set is a position bitset (O(1)
-// updates, iterated in inventory order), the first-inactive lookup is a
-// lazy min-heap over inventory positions, and per-GPU function
-// membership is counted instead of rescanned. Two further indexes keep
+// no O(cluster) work: the active-GPU set and the free set (inactive and
+// schedulable GPUs, the fresh-GPU candidates) are position bitsets (O(1)
+// updates, walked in inventory order). Two further indexes keep
 // placement cost off the fleet size: a function→hosting-GPUs posting
 // index (FuncGPUs, kept in inventory order) lets workload-affinity
 // lookups enumerate only the GPUs that actually host a function, and the
@@ -135,8 +134,6 @@ type GPU struct {
 	// GPUs constructed outside New (index maintenance is then skipped).
 	clu *Cluster
 	pos int
-	// funcCounts counts placements per function, making HostsFunc O(1).
-	funcCounts map[string]int
 	// cls is the state class the GPU is filed in (nil while inactive or
 	// unhealthy) and slot its index in the class's member heap.
 	cls  *StateClass
@@ -183,16 +180,13 @@ func (g *GPU) Place(p *Placement) error {
 	g.SumLim += p.Lim
 	g.SumTrueReq += p.trueReq()
 	g.MemUsedMB += p.MemMB
+	first := !g.HostsFunc(p.Func)
 	g.Placements = append(g.Placements, p)
-	if g.funcCounts == nil {
-		g.funcCounts = make(map[string]int, 4)
-	}
-	g.funcCounts[p.Func]++
 	if g.clu != nil {
 		if len(g.Placements) == 1 {
 			g.clu.noteActivated(g)
 		}
-		if g.funcCounts[p.Func] == 1 {
+		if first {
 			g.clu.notePostingAdd(p.Func, g)
 		}
 		g.clu.refile(g)
@@ -213,13 +207,10 @@ func (g *GPU) Remove(p *Placement) {
 			// and zero the placement's slice so a late ReleaseKV no-ops.
 			g.KVUsedMB -= p.KVMB
 			p.KVMB = 0
-			if g.funcCounts[p.Func]--; g.funcCounts[p.Func] <= 0 {
-				delete(g.funcCounts, p.Func)
-				if g.clu != nil {
+			if g.clu != nil {
+				if !g.HostsFunc(p.Func) {
 					g.clu.notePostingRemove(p.Func, g)
 				}
-			}
-			if g.clu != nil {
 				if len(g.Placements) == 0 {
 					g.clu.noteDeactivated(g)
 				}
@@ -275,19 +266,23 @@ func (g *GPU) ReleaseKV(p *Placement, mb float64) {
 	}
 }
 
-// HostsFunc reports whether any placement belongs to the function.
-func (g *GPU) HostsFunc(fn string) bool { return g.funcCounts[fn] > 0 }
-
-// FuncCounts returns the per-function placement counts. The map is the
-// GPU's live index — callers must treat it as read-only.
-func (g *GPU) FuncCounts() map[string]int { return g.funcCounts }
+// HostsFunc reports whether any placement belongs to the function: a
+// scan of the GPU's few placements.
+func (g *GPU) HostsFunc(fn string) bool {
+	for _, p := range g.Placements {
+		if p.Func == fn {
+			return true
+		}
+	}
+	return false
+}
 
 // Funcs returns the set of function names placed on the GPU (a fresh
-// copy; FuncCounts avoids the allocation on hot paths).
+// map; hot paths read Placements or HostsFunc instead).
 func (g *GPU) Funcs() map[string]bool {
-	out := make(map[string]bool, len(g.funcCounts))
-	for f := range g.funcCounts {
-		out[f] = true
+	out := make(map[string]bool, len(g.Placements))
+	for _, p := range g.Placements {
+		out[p.Func] = true
 	}
 	return out
 }
@@ -322,23 +317,18 @@ type Cluster struct {
 	// words low to high yields inventory order; an update is one bit.
 	activeBits []uint64
 	activeN    int
-	// inactive is a min-heap of inventory positions of GPUs believed
-	// inactive, with lazy deletion: activation leaves a stale entry that
-	// FirstInactive discards when it surfaces. inHeap tracks which
-	// positions currently have an entry so a GPU cycling through
-	// activations never accumulates duplicates.
-	inactive []int
-	inHeap   []bool
-	// takenScratch backs AppendInactiveFit's pop-and-restore, reused across
-	// calls (the cluster's mutating lookups are single-threaded).
-	takenScratch []int
+	// free has bit pos set iff the GPU at pos is inactive and
+	// schedulable — the fresh GPUs Algorithm 1 may open. Activation,
+	// deactivation and health changes keep it (see syncFree).
+	free []uint64
 
 	// posting maps a function name to the GPUs currently hosting at
 	// least one of its placements, in inventory order — the posting list
 	// workload-affinity lookups enumerate instead of scanning all active
-	// GPUs. Lists are maintained eagerly on 0↔1 per-GPU count
-	// transitions, and a function's key is deleted when its last
-	// placement leaves so the map tracks live functions only.
+	// GPUs. Lists are maintained eagerly when a GPU's first placement of
+	// a function arrives or its last leaves, and a function's key is
+	// deleted when its last placement leaves so the map tracks live
+	// functions only.
 	posting map[string][]*GPU
 	// table lists the live state classes (see Classes): every healthy
 	// active GPU sits in exactly one. A class's slot is its index here,
@@ -474,86 +464,45 @@ func New(cfg Config) *Cluster {
 		c.Nodes = append(c.Nodes, node)
 	}
 	c.activeBits = make([]uint64, (len(c.gpus)+63)/64)
-	// Every GPU starts inactive; positions are pushed in order, which is
-	// already a valid min-heap.
-	c.inactive = make([]int, len(c.gpus))
-	c.inHeap = make([]bool, len(c.gpus))
-	for i := range c.inactive {
-		c.inactive[i] = i
-		c.inHeap[i] = true
+	c.free = make([]uint64, len(c.activeBits))
+	for _, g := range c.gpus {
+		c.syncFree(g) // every GPU starts inactive and healthy
 	}
 	return c
 }
 
-// noteActivated adds g to the active set. The matching inactive-heap
-// entry is left in place and lazily discarded.
+// noteActivated adds g to the active set and takes it out of the free
+// set.
 func (c *Cluster) noteActivated(g *GPU) {
 	c.activeBits[g.pos>>6] |= 1 << (g.pos & 63)
 	c.activeN++
 	c.occupiedCap += g.Capacity
+	c.syncFree(g)
 }
 
-// noteDeactivated removes g from the active set and returns its position
-// to the inactive heap.
+// noteDeactivated removes g from the active set and, when schedulable,
+// returns it to the free set.
 func (c *Cluster) noteDeactivated(g *GPU) {
 	c.activeBits[g.pos>>6] &^= 1 << (g.pos & 63)
 	c.activeN--
 	c.occupiedCap -= g.Capacity
-	// A stale entry from before the GPU's last activation may still sit
-	// in the heap; it is valid again now, so don't add a duplicate.
-	if !c.inHeap[g.pos] {
-		c.inHeap[g.pos] = true
-		c.pushInactive(g.pos)
+	c.syncFree(g)
+}
+
+// syncFree sets g's free bit to !Active() && Schedulable().
+func (c *Cluster) syncFree(g *GPU) {
+	if !g.Active() && g.Schedulable() {
+		c.free[g.pos>>6] |= 1 << (g.pos & 63)
+	} else {
+		c.free[g.pos>>6] &^= 1 << (g.pos & 63)
 	}
 }
 
-func (c *Cluster) pushInactive(pos int) {
-	c.inactive = append(c.inactive, pos)
-	i := len(c.inactive) - 1
-	for i > 0 {
-		parent := (i - 1) / 2
-		if c.inactive[parent] <= c.inactive[i] {
-			break
-		}
-		c.inactive[i], c.inactive[parent] = c.inactive[parent], c.inactive[i]
-		i = parent
-	}
-}
-
-func (c *Cluster) popInactive() int {
-	h := c.inactive
-	top := h[0]
-	n := len(h) - 1
-	h[0] = h[n]
-	c.inactive = h[:n]
-	i := 0
-	for {
-		l, r := 2*i+1, 2*i+2
-		min := i
-		if l < n && h[l] < h[min] {
-			min = l
-		}
-		if r < n && h[r] < h[min] {
-			min = r
-		}
-		if min == i {
-			break
-		}
-		h[i], h[min] = h[min], h[i]
-		i = min
-	}
-	return top
-}
-
-// GPUs returns every GPU in the cluster, in stable order.
-func (c *Cluster) GPUs() []*GPU { return c.gpus }
-
-// ActiveGPUs yields the GPUs hosting at least one placement (the 𝐺_act
-// set of Algorithm 1), in inventory order. The iteration reads the live
-// index: the loop body must not place or remove.
-func (c *Cluster) ActiveGPUs() iter.Seq[*GPU] {
+// walk yields the GPUs whose bits are set in words, in inventory order.
+// The body must not change the set it walks.
+func (c *Cluster) walk(words []uint64) iter.Seq[*GPU] {
 	return func(yield func(*GPU) bool) {
-		for w, word := range c.activeBits {
+		for w, word := range words {
 			for ; word != 0; word &= word - 1 {
 				if !yield(c.gpus[w<<6|bits.TrailingZeros64(word)]) {
 					return
@@ -563,73 +512,44 @@ func (c *Cluster) ActiveGPUs() iter.Seq[*GPU] {
 	}
 }
 
-// FirstInactive returns the schedulable inactive GPU earliest in
-// inventory order — the GPU a linear "first !Active() && Schedulable()"
-// scan would find — or nil when none exists. Failed and draining GPUs
-// are discarded from the heap here and pushed back by JoinNode.
-func (c *Cluster) FirstInactive() *GPU {
-	for len(c.inactive) > 0 {
-		g := c.gpus[c.inactive[0]]
-		if !g.Active() && g.Schedulable() {
+// GPUs returns every GPU in the cluster, in stable order.
+func (c *Cluster) GPUs() []*GPU { return c.gpus }
+
+// ActiveGPUs yields the GPUs hosting at least one placement (the 𝐺_act
+// set of Algorithm 1), in inventory order. The iteration reads the live
+// index: the loop body must not place or remove.
+func (c *Cluster) ActiveGPUs() iter.Seq[*GPU] { return c.walk(c.activeBits) }
+
+// FirstInactiveFit returns the earliest schedulable inactive GPU whose
+// class fits the need — Capacity ≥ minCap (within quota epsilon) and
+// MemCapMB ≥ memMB — or nil. FirstInactiveFit(0, 0) is the first free
+// GPU; on a homogeneous fleet every free GPU fits any profile that fits
+// a GPU at all.
+func (c *Cluster) FirstInactiveFit(minCap, memMB float64) *GPU {
+	for g := range c.walk(c.free) {
+		if minCap <= g.Capacity+1e-9 && memMB <= g.MemCapMB {
 			return g
 		}
-		c.inHeap[c.popInactive()] = false // stale (activated) or retired entry
 	}
 	return nil
 }
 
-// FirstInactiveFit returns the earliest schedulable inactive GPU whose
-// class fits the need — Capacity ≥ minCap (within quota epsilon) and
-// MemCapMB ≥ memMB — or nil. Too-small GPUs are skipped but stay in the
-// heap (they remain valid fresh candidates for smaller requests); on a
-// homogeneous fleet nothing is ever skipped and the result is exactly
-// FirstInactive's.
-func (c *Cluster) FirstInactiveFit(minCap, memMB float64) *GPU {
-	taken := c.takenScratch[:0]
-	var found *GPU
-	for len(c.inactive) > 0 {
-		g := c.gpus[c.inactive[0]]
-		if g.Active() || !g.Schedulable() {
-			c.inHeap[c.popInactive()] = false // stale or retired entry
-			continue
-		}
-		if minCap <= g.Capacity+1e-9 && memMB <= g.MemCapMB {
-			found = g
-			break
-		}
-		taken = append(taken, c.popInactive()) // too small for this need only
-	}
-	for _, pos := range taken {
-		c.pushInactive(pos)
-	}
-	c.takenScratch = taken
-	return found
-}
-
 // AppendInactiveFit appends to dst the first k schedulable inactive
 // GPUs, in inventory order, for which fit reports true, and returns the
-// extended slice. GPUs that fail fit are skipped but stay in the free
-// heap, as in FirstInactiveFit; on a homogeneous fleet fit either
-// accepts every idle GPU or none.
+// extended slice; on a homogeneous fleet fit either accepts every idle
+// GPU or none.
 func (c *Cluster) AppendInactiveFit(dst []*GPU, k int, fit func(*GPU) bool) []*GPU {
-	taken := c.takenScratch[:0]
-	for found := 0; found < k && len(c.inactive) > 0; {
-		pos := c.popInactive()
-		g := c.gpus[pos]
-		if g.Active() || !g.Schedulable() {
-			c.inHeap[pos] = false // stale or retired entry
-			continue
-		}
-		taken = append(taken, pos)
+	if k <= 0 {
+		return dst
+	}
+	for g := range c.walk(c.free) {
 		if fit(g) {
 			dst = append(dst, g)
-			found++
+			if k--; k == 0 {
+				break
+			}
 		}
 	}
-	for _, pos := range taken {
-		c.pushInactive(pos) // still inactive: return to the heap
-	}
-	c.takenScratch = taken
 	return dst
 }
 
@@ -648,7 +568,7 @@ func (c *Cluster) OccupiedCapacity() float64 { return c.occupiedCap }
 
 // FailNode takes a node out of service abruptly: every placement on its
 // GPUs is evicted through the normal Remove path (so the active set,
-// free heap, posting index and state classes stay consistent) and
+// free set, posting index and state classes stay consistent) and
 // returned to the caller as rescheduling work. The GPUs stop being
 // offered by every index until JoinNode restores them.
 func (c *Cluster) FailNode(n *Node) []*Placement {
@@ -674,7 +594,7 @@ func (c *Cluster) DrainNode(n *Node) {
 }
 
 // JoinNode returns a failed or drained node to service: its idle GPUs
-// re-enter the free heap and new placements are accepted again.
+// re-enter the free set and new placements are accepted again.
 func (c *Cluster) JoinNode(n *Node) {
 	for _, g := range n.GPUs {
 		c.setHealth(g, Healthy)
@@ -698,7 +618,7 @@ func (c *Cluster) ReadmitGPU(g *GPU) {
 	}
 }
 
-// setHealth transitions one GPU's lifecycle state, keeping the free heap
+// setHealth transitions one GPU's lifecycle state, keeping the free set
 // and the state classes (which file healthy GPUs only) consistent.
 // Placement eviction is the caller's job (FailNode evicts before
 // marking).
@@ -706,13 +626,8 @@ func (c *Cluster) setHealth(g *GPU, h Health) {
 	if g.health == h {
 		return
 	}
-	if h == Healthy && !g.Active() && !c.inHeap[g.pos] {
-		// The GPU's heap entry was discarded while it was retired;
-		// restore it so FirstInactive can offer the GPU again.
-		c.inHeap[g.pos] = true
-		c.pushInactive(g.pos)
-	}
 	g.health = h
+	c.syncFree(g)
 	c.refile(g)
 }
 
@@ -732,14 +647,15 @@ func postingIndex(list []*GPU, pos int) int {
 	return lo
 }
 
-// notePostingAdd records that g now hosts fn (its per-GPU count went
-// 0→1), keeping the posting list in inventory order.
+// notePostingAdd records that g now hosts fn (its first placement of fn
+// arrived), keeping the posting list in inventory order.
 func (c *Cluster) notePostingAdd(fn string, g *GPU) {
 	list := c.posting[fn]
 	c.posting[fn] = slices.Insert(list, postingIndex(list, g.pos), g)
 }
 
-// notePostingRemove records that g no longer hosts fn (count 1→0). The
+// notePostingRemove records that g no longer hosts fn (its last
+// placement of fn left). The
 // key is deleted when the list empties so the map never accumulates
 // dead function names (§5.5-style mixes use per-instance names).
 func (c *Cluster) notePostingRemove(fn string, g *GPU) {

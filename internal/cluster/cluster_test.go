@@ -207,8 +207,8 @@ func TestFitQuarantineAndClassStats(t *testing.T) {
 	if g := c.FirstInactiveFit(0.5, 600); g != nil {
 		t.Fatalf("no idle GPU has 600 MB, got %s", g.ID)
 	}
-	if c.FirstInactive() != gs[3] {
-		t.Fatal("a refused fit must leave the GPU in the free heap")
+	if c.FirstInactiveFit(0, 0) != gs[3] {
+		t.Fatal("a refused fit must leave the GPU in the free set")
 	}
 	c.JoinNode(c.Nodes[0])
 
@@ -238,7 +238,7 @@ func TestFitQuarantineAndClassStats(t *testing.T) {
 	if cl := gs[0].cls; cl == nil || cl.MinWithout("f") != nil || cl.MinWithout("g") != gs[0] {
 		t.Fatal("MinWithout must skip the only member, which hosts f")
 	}
-	if gs[3].Pos() != 3 || gs[0].FuncCounts()["f"] != 1 || gs[0].Node.KernelsWarm("f") {
+	if gs[3].Pos() != 3 || !gs[0].Funcs()["f"] || len(gs[0].Funcs()) != 1 || gs[0].Node.KernelsWarm("f") {
 		t.Fatal("GPU accessors disagree with the inventory")
 	}
 	want := []ClassStat{

@@ -10,11 +10,12 @@ import (
 
 // These property tests drive random Place/Remove/Drain interleavings
 // with KV-cache growth and release in between — and, since the
-// lifecycle work, random FailNode/DrainNode/JoinNode churn on
-// heterogeneous fleets — and, after every operation, require each
-// incremental index — the function posting lists, the state-class
-// table and its key map, the active bitset, and the free heap — to
-// agree exactly with a from-scratch recomputation over the inventory.
+// lifecycle work, random FailNode/DrainNode/JoinNode churn and per-GPU
+// QuarantineGPU/ReadmitGPU on heterogeneous fleets — and, after every
+// operation, require each incremental index — the function posting
+// lists, the state-class table and its key map, the active bitset, and
+// the free bitset — to agree exactly with a from-scratch recomputation
+// over the inventory.
 // They run under -race via `make test-race-subsys`.
 
 // checkIndexesConsistent recomputes every index from the placements and
@@ -40,10 +41,12 @@ func checkIndexesConsistent(t *testing.T, c *Cluster, step int) {
 	}
 
 	// Posting index: for every function with a live placement, the
-	// hosting GPUs in inventory order; and no dead keys linger.
+	// hosting GPUs in inventory order; and no dead keys linger. The
+	// oracle counts each GPU once per function, however many of its
+	// placements belong to it.
 	wantPosting := map[string][]*GPU{}
 	for _, g := range c.gpus {
-		for fn := range g.funcCounts {
+		for fn := range g.Funcs() {
 			wantPosting[fn] = append(wantPosting[fn], g)
 		}
 	}
@@ -127,17 +130,22 @@ func checkIndexesConsistent(t *testing.T, c *Cluster, step int) {
 		t.Fatalf("step %d: state classes cover %d GPUs, want %d healthy active", step, len(seen), filed)
 	}
 
-	// Free index: FirstInactive returns the earliest schedulable
-	// inactive GPU — retired (failed/draining) slots never surface.
+	// Free index: the free bitset holds exactly the schedulable
+	// inactive GPUs, and FirstInactiveFit(0, 0) returns the earliest —
+	// retired (failed/draining/quarantined) slots never surface.
 	var wantFirst *GPU
 	for _, g := range c.gpus {
-		if !g.Active() && g.Schedulable() {
+		want := !g.Active() && g.Schedulable()
+		if got := c.free[g.pos>>6]&(1<<(g.pos&63)) != 0; got != want {
+			t.Fatalf("step %d: %s (active %v, %s) free bit %v, want %v",
+				step, g.ID, g.Active(), g.Health(), got, want)
+		}
+		if want && wantFirst == nil {
 			wantFirst = g
-			break
 		}
 	}
-	if got := c.FirstInactive(); got != wantFirst {
-		t.Fatalf("step %d: FirstInactive = %v, want %v", step, got, wantFirst)
+	if got := c.FirstInactiveFit(0, 0); got != wantFirst {
+		t.Fatalf("step %d: FirstInactiveFit(0, 0) = %v, want %v", step, got, wantFirst)
 	}
 
 	// Retired quiescence and capacity accounting.
@@ -156,27 +164,29 @@ func checkIndexesConsistent(t *testing.T, c *Cluster, step int) {
 
 	// AppendInactiveFit agrees with a filtered inventory scan prefix,
 	// with a predicate that accepts every idle GPU and with one that
-	// skips some (odd positions), which must stay in the free heap.
+	// skips some (odd positions), which must stay in the free set.
 	for _, fit := range []func(*GPU) bool{
 		func(*GPU) bool { return true },
 		func(g *GPU) bool { return g.pos%2 == 0 },
 	} {
-		got := c.AppendInactiveFit(nil, 3, fit)
-		var want []*GPU
-		for _, g := range c.gpus {
-			if len(want) == 3 {
-				break
+		for _, k := range []int{0, 3} {
+			got := c.AppendInactiveFit(nil, k, fit)
+			var want []*GPU
+			for _, g := range c.gpus {
+				if len(want) == k {
+					break
+				}
+				if !g.Active() && g.Schedulable() && fit(g) {
+					want = append(want, g)
+				}
 			}
-			if !g.Active() && g.Schedulable() && fit(g) {
-				want = append(want, g)
+			if !slices.Equal(got, want) {
+				t.Fatalf("step %d: AppendInactiveFit(%d) diverged from scan", step, k)
 			}
-		}
-		if !slices.Equal(got, want) {
-			t.Fatalf("step %d: AppendInactiveFit(3) diverged from scan", step)
 		}
 	}
-	if got := c.FirstInactive(); got != wantFirst {
-		t.Fatalf("step %d: AppendInactiveFit lost a heap entry: FirstInactive = %v, want %v",
+	if got := c.FirstInactiveFit(0, 0); got != wantFirst {
+		t.Fatalf("step %d: AppendInactiveFit changed the free set: FirstInactiveFit(0, 0) = %v, want %v",
 			step, got, wantFirst)
 	}
 }
@@ -253,10 +263,11 @@ func TestIndexConsistencyProperty(t *testing.T) {
 }
 
 // TestLifecycleIndexConsistencyProperty interleaves placements,
-// removals, and random node Fail/Drain/Join churn on a heterogeneous
-// (70/30 big/small) fleet, checking full index/recompute agreement
-// after every single operation — the churn extension of the property
-// suite. Runs under -race via `make test-race-subsys`.
+// removals, random node Fail/Drain/Join churn and per-GPU
+// Quarantine/Readmit (on idle and busy GPUs) on a heterogeneous (70/30
+// big/small) fleet, checking full index/recompute agreement after every
+// single operation — the churn extension of the property suite. Runs
+// under -race via `make test-race-subsys`.
 func TestLifecycleIndexConsistencyProperty(t *testing.T) {
 	classes := []GPUClass{
 		{Name: "big", Capacity: 1.0, MemCapMB: 1 << 20, Weight: 0.7},
@@ -281,8 +292,10 @@ func TestLifecycleIndexConsistencyProperty(t *testing.T) {
 			if testing.Short() {
 				steps = 150
 			}
+			// quarantined counts QuarantineGPU steps on [idle, busy] GPUs.
+			var quarantined [2]int
 			for step := 0; step < steps; step++ {
-				switch op := rng.Intn(14); {
+				switch op := rng.Intn(17); {
 				case op < 5 || (len(live) == 0 && op < 10): // place
 					g := c.gpus[rng.Intn(len(c.gpus))]
 					p := &Placement{
@@ -336,7 +349,7 @@ func TestLifecycleIndexConsistencyProperty(t *testing.T) {
 					if before != after {
 						t.Fatalf("step %d: drain changed placements %d→%d", step, before, after)
 					}
-				default: // join a node back
+				case op < 14: // join a node back
 					n := c.Nodes[rng.Intn(len(c.Nodes))]
 					c.JoinNode(n)
 					for _, g := range n.GPUs {
@@ -344,8 +357,40 @@ func TestLifecycleIndexConsistencyProperty(t *testing.T) {
 							t.Fatalf("step %d: %s not schedulable after join", step, g.ID)
 						}
 					}
+				case op < 16: // quarantine a healthy GPU, placements stay
+					g := c.gpus[rng.Intn(len(c.gpus))]
+					if len(live) > 0 && rng.Intn(2) == 0 {
+						g = onGPU[live[rng.Intn(len(live))]] // a busy one
+					}
+					if g.Health() != Healthy {
+						break // the health monitor leaves churn-owned GPUs alone
+					}
+					busy, n := 0, len(g.Placements)
+					if n > 0 {
+						busy = 1
+					}
+					quarantined[busy]++
+					c.QuarantineGPU(g)
+					if g.Schedulable() || len(g.Placements) != n {
+						t.Fatalf("step %d: quarantine of %s: %s with %d→%d placements",
+							step, g.ID, g.Health(), n, len(g.Placements))
+					}
+				default: // readmit a GPU; only a quarantined one changes
+					g := c.gpus[rng.Intn(len(c.gpus))]
+					was := g.Health()
+					c.ReadmitGPU(g)
+					want := was
+					if was == Quarantined {
+						want = Healthy
+					}
+					if g.Health() != want {
+						t.Fatalf("step %d: ReadmitGPU moved %s from %s to %s", step, g.ID, was, g.Health())
+					}
 				}
 				checkIndexesConsistent(t, c, step)
+			}
+			if quarantined[0] == 0 || quarantined[1] == 0 {
+				t.Fatalf("quarantine steps on idle/busy GPUs: %v, want both", quarantined)
 			}
 		})
 	}

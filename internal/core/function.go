@@ -561,7 +561,7 @@ func (f *Function) popWarm() *warmEntry {
 // as latency, never as a lost request.
 func (f *Function) teardown(si *servedInstance, now sim.Time) {
 	reqs := si.inst.Abort()
-	f.sys.detach(si.dec, si.stages)
+	f.sys.detachStages(si.dec, si.stages)
 	si.dec.Release()
 	f.redispatch(reqs, now)
 }

@@ -2,8 +2,8 @@ package core
 
 import (
 	"fmt"
+	"slices"
 
-	"dilu/internal/gpu"
 	"dilu/internal/instance"
 	"dilu/internal/rckm"
 	"dilu/internal/sim"
@@ -62,12 +62,11 @@ func (sys *System) ActiveSetSizes() (list, index int) {
 }
 
 // ManagerInActiveSet reports whether the RCKM manager is in the tick
-// loop's manager active set.
-func (sys *System) ManagerInActiveSet(m *rckm.Manager) bool { return sys.mgrActive[m] }
-
-// DeviceInActiveSet reports whether the device is in the tick loop's
-// execution active set.
-func (sys *System) DeviceInActiveSet(d *gpu.Device) bool { return sys.devActive[d] }
+// loop's manager active set, which drives both the token and the
+// execution phase. A scan of the set.
+func (sys *System) ManagerInActiveSet(m *rckm.Manager) bool {
+	return slices.Contains(sys.activeMgrs, m)
+}
 
 // VisitInstances calls visit for every live inference instance of the
 // function: serving instances first (deployment order), then keep-alive

@@ -119,19 +119,19 @@ type System struct {
 	// Active sets. The tick loop iterates exactly the entities whose
 	// per-tick work is non-trivial, instead of scanning the whole world:
 	// instances with queued or in-flight work, managers with registered
-	// clients, devices with attached residents, and started-but-
-	// unreleased training jobs. Membership is updated incrementally at
-	// attach/detach and demand transitions; each set's predicate matches
-	// the guard the pre-refactor full scan applied, so results are
-	// bit-identical. When every set is empty (and no OnTick observer is
-	// registered) the system deregisters its engine ticker entirely,
-	// letting the engine fast-forward across idle stretches.
+	// clients, and started-but-unreleased training jobs. Membership is
+	// updated incrementally at attach/detach and demand transitions;
+	// each set's predicate matches the guard the pre-refactor full scan
+	// applied, so results are bit-identical. attach registers a client
+	// and attaches a resident together and detachStages undoes both, so
+	// a manager has clients exactly while its device has residents and
+	// activeMgrs drives both the token and the execution phase. When
+	// every set is empty (and no OnTick observer is registered) the
+	// system deregisters its engine ticker entirely, letting the engine
+	// fast-forward across idle stretches.
 	activeInsts []instance.Ticker
 	instActive  map[instance.Ticker]bool
 	activeMgrs  []*rckm.Manager
-	mgrActive   map[*rckm.Manager]bool
-	activeDevs  []*gpu.Device
-	devActive   map[*gpu.Device]bool
 	liveJobs    []*TrainingJob
 	tickHandle  *sim.TickerHandle
 
@@ -184,8 +184,6 @@ func NewSystem(cfg Config) (*System, error) {
 		rng:         sim.NewRNG(cfg.Seed),
 		mgrByGPU:    make(map[*cluster.GPU]*rckm.Manager),
 		instActive:  make(map[instance.Ticker]bool),
-		mgrActive:   make(map[*rckm.Manager]bool),
-		devActive:   make(map[*gpu.Device]bool),
 		funcByName:  make(map[string]*Function),
 		tenantFuncs: make(map[string][]*Function),
 		gw:          gateway{policy: cfg.Admission, stats: make(map[string]*TenantStats)},
@@ -285,14 +283,15 @@ func (sys *System) wakeInst(t instance.Ticker) {
 // and no observers, tick is a no-op.
 func (sys *System) updateTickActivity() {
 	sys.tickHandle.SetActive(len(sys.activeInsts) > 0 || len(sys.activeMgrs) > 0 ||
-		len(sys.activeDevs) > 0 || len(sys.liveJobs) > 0 || len(sys.onTick) > 0)
+		len(sys.liveJobs) > 0 || len(sys.onTick) > 0)
 }
 
 // tick is the world loop: demand, tokens, execution, completions. Each
 // phase walks its active set; the sets' predicates mirror the guards the
-// full scans used (instances with work, managers with clients, devices
-// with residents), and every per-entity step touches only that entity's
-// state, so iteration order within a phase cannot affect results.
+// full scans used (instances with work, managers with clients — whose
+// devices are exactly those with residents), and every per-entity step
+// touches only that entity's state, so iteration order within a phase
+// cannot affect results.
 func (sys *System) tick(now sim.Time) {
 	for _, in := range sys.activeInsts {
 		in.PreTick(now)
@@ -300,8 +299,8 @@ func (sys *System) tick(now sim.Time) {
 	for _, m := range sys.activeMgrs {
 		m.Issue(now)
 	}
-	for _, d := range sys.activeDevs {
-		d.ExecuteTick()
+	for _, m := range sys.activeMgrs {
+		m.Dev.ExecuteTick()
 	}
 	idled := false
 	for _, in := range sys.activeInsts {

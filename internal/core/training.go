@@ -4,7 +4,6 @@ import (
 	"fmt"
 
 	"dilu/internal/cluster"
-	"dilu/internal/gpu"
 	"dilu/internal/instance"
 	"dilu/internal/model"
 	"dilu/internal/profiler"
@@ -195,8 +194,8 @@ func (tj *TrainingJob) Throughput(now sim.Time) float64 {
 // Shared attach/detach wiring.
 
 // attach creates one resident + RCKM client per stage GPU of a decision,
-// entering the GPU's manager and device into the tick-loop active sets
-// on their first client/resident.
+// entering the GPU's manager into the tick loop's manager set on its
+// first client.
 func (sys *System) attach(d sched.Decision, sloSensitive bool, prof profiler.Profile) ([]instance.Stage, error) {
 	var stages []instance.Stage
 	for i, g := range d.GPUs {
@@ -215,13 +214,8 @@ func (sys *System) attach(d sched.Decision, sloSensitive bool, prof profiler.Pro
 		c.SeedKLCWork(prof.SeedKLC/n, prof.SeedWork/n)
 		m := sys.mgrByGPU[g]
 		m.Register(c)
-		if !sys.mgrActive[m] {
-			sys.mgrActive[m] = true
+		if len(m.Clients()) == 1 {
 			sys.activeMgrs = append(sys.activeMgrs, m)
-		}
-		if !sys.devActive[g.Dev] {
-			sys.devActive[g.Dev] = true
-			sys.activeDevs = append(sys.activeDevs, g.Dev)
 		}
 		stages = append(stages, instance.Stage{Res: res, Client: c})
 	}
@@ -229,11 +223,9 @@ func (sys *System) attach(d sched.Decision, sloSensitive bool, prof profiler.Pro
 	return stages, nil
 }
 
-// detach reverses attach for a whole decision.
-func (sys *System) detach(d sched.Decision, stages []instance.Stage) {
-	sys.detachStages(d, stages)
-}
-
+// detachStages reverses attach for the given stages of a decision,
+// dropping a GPU's manager from the tick loop's manager set with its
+// last client.
 func (sys *System) detachStages(d sched.Decision, stages []instance.Stage) {
 	for _, st := range stages {
 		dev := st.Res.Device()
@@ -242,13 +234,8 @@ func (sys *System) detachStages(d sched.Decision, stages []instance.Stage) {
 				m := sys.mgrByGPU[g]
 				m.Unregister(st.Client)
 				dev.Detach(st.Res)
-				if len(m.Clients()) == 0 && sys.mgrActive[m] {
-					delete(sys.mgrActive, m)
+				if len(m.Clients()) == 0 {
 					sys.removeMgr(m)
-				}
-				if dev.ResidentCount() == 0 && sys.devActive[dev] {
-					delete(sys.devActive, dev)
-					sys.removeDev(dev)
 				}
 			}
 		}
@@ -257,21 +244,12 @@ func (sys *System) detachStages(d sched.Decision, stages []instance.Stage) {
 }
 
 // removeMgr drops a now-clientless manager from the active set,
-// preserving the order of the rest.
+// preserving the order of the rest; a manager not in the set is left
+// alone.
 func (sys *System) removeMgr(m *rckm.Manager) {
 	for i, mm := range sys.activeMgrs {
 		if mm == m {
 			sys.activeMgrs = append(sys.activeMgrs[:i], sys.activeMgrs[i+1:]...)
-			return
-		}
-	}
-}
-
-// removeDev drops a now-empty device from the active set.
-func (sys *System) removeDev(d *gpu.Device) {
-	for i, dd := range sys.activeDevs {
-		if dd == d {
-			sys.activeDevs = append(sys.activeDevs[:i], sys.activeDevs[i+1:]...)
 			return
 		}
 	}

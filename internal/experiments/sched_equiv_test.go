@@ -17,9 +17,10 @@ import (
 // schedulers with the pre-index full-scan logic (literal inventory
 // scans, per-call Funcs() maps, all-inactive candidate lists), and the
 // tests replay the §5.5 large-scale mix through both implementations,
-// requiring identical GPU choices decision by decision. It caught a
-// duplicate free-heap entry during the PR-2 refactor; keep it in sync
-// with any future selection-semantics change.
+// requiring identical GPU choices decision by decision. It once caught a
+// duplicate entry in the lazy free-GPU heap that the free bitset has
+// since replaced; keep it in sync with any future selection-semantics
+// change.
 //
 // Since the heterogeneity work the references carry the capacity-
 // normalized formulas (feasibility against Ω·Capacity, scores and free
@@ -389,7 +390,7 @@ func (s *oldStatic) Schedule(req sched.Request) ([]sched.Decision, error) {
 }
 
 // oldExclusive replays the Exclusive baseline with a literal first-
-// inactive inventory scan instead of the free-GPU heap.
+// inactive inventory scan instead of the cluster's free set.
 type oldExclusive struct {
 	clu *cluster.Cluster
 	seq int
@@ -463,7 +464,7 @@ func replayMixEquiv(t *testing.T, sNew, sOld sched.Scheduler) {
 // With churn, every 59th event either retires the next node
 // (alternating abrupt failure and drain) or rejoins the oldest retired
 // one, so the differential coverage includes evicted placements, free-
-// heap entries discarded for retired slots, and post-join re-offers.
+// set bits cleared for retired slots, and post-join re-offers.
 //
 // With kv, every event first grows (two events in three) or halves
 // (the third) the KV charge of every stage of one live instance, so

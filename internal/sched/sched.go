@@ -445,9 +445,9 @@ func (s *Dilu) affinityGPUs(fn string) []*cluster.GPU {
 	partners := s.partners
 	clear(partners)
 	for _, g := range hosts {
-		for f := range g.FuncCounts() {
-			if f != fn {
-				partners[f] = true
+		for _, p := range g.Placements {
+			if p.Func != fn {
+				partners[p.Func] = true
 			}
 		}
 	}
@@ -629,7 +629,7 @@ func (s *Dilu) warmMember(cl *cluster.StateClass, fn string, hostsAny bool) (*cl
 // whose class can host the profile (Capacity ≥ max(req/Ω, lim/γ) and
 // the memory fits), served by the cluster's free index instead of an
 // inventory scan. On a homogeneous fleet every fresh GPU fits, so the
-// result is exactly the old FirstInactive.
+// result is the first free GPU.
 func (s *Dilu) freshGPU(p profiler.Profile) *cluster.GPU {
 	minCap := p.SMReq / s.opts.Omega
 	if lc := p.SMLim / s.opts.Gamma; lc > minCap {

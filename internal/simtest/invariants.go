@@ -437,9 +437,12 @@ func MonotoneTime() core.Invariant {
 //     silently (the converse, a lingering idle member, is legal between
 //     sweeps);
 //   - the set's list and index agree on membership size;
-//   - a manager is in the manager set exactly while it has registered
-//     clients, and a device is in the execution set exactly while it has
-//     residents — attach/detach maintain both directions immediately.
+//   - for every GPU, having registered clients, having residents on its
+//     device and its manager being in the tick loop's manager set are
+//     the same fact — attach/detach maintain all three together, and
+//     the tick loop runs both the token and the execution phase over
+//     that one set, so a device with residents but a clientless manager
+//     would stop executing.
 func ActiveSetConsistency() core.Invariant {
 	return core.Invariant{
 		Name: "active-set-consistency",
@@ -466,17 +469,13 @@ func ActiveSetConsistency() core.Invariant {
 			}
 			for _, g := range sys.Clu.GPUs() {
 				m := sys.Manager(g)
-				if m != nil {
-					if hasClients := len(m.Clients()) > 0; hasClients != sys.ManagerInActiveSet(m) {
-						return fmt.Errorf("%s: manager active-set membership %v but %d clients",
-							g.ID, sys.ManagerInActiveSet(m), len(m.Clients()))
-					}
+				if m == nil || g.Dev == nil {
+					continue
 				}
-				if g.Dev != nil {
-					if hasRes := g.Dev.ResidentCount() > 0; hasRes != sys.DeviceInActiveSet(g.Dev) {
-						return fmt.Errorf("%s: device active-set membership %v but %d residents",
-							g.ID, sys.DeviceInActiveSet(g.Dev), g.Dev.ResidentCount())
-					}
+				clients, residents := len(m.Clients()), g.Dev.ResidentCount()
+				if inSet := sys.ManagerInActiveSet(m); (clients > 0) != inSet || (residents > 0) != inSet {
+					return fmt.Errorf("%s: manager tick-set membership %v with %d clients and %d residents",
+						g.ID, inSet, clients, residents)
 				}
 			}
 			return nil

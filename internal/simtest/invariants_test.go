@@ -5,6 +5,7 @@ import (
 	"testing"
 
 	"dilu/internal/core"
+	"dilu/internal/rckm"
 	"dilu/internal/scaler"
 	"dilu/internal/sim"
 	"dilu/internal/workload"
@@ -87,6 +88,36 @@ func TestQuotaConservationCatchesDeviceSplitBrain(t *testing.T) {
 		return
 	}
 	t.Fatal("no placed GPU found")
+}
+
+// TestActiveSetConsistencyCatchesSplitTickSet pins the one-set premise
+// of the tick loop: a resident attached without a client, or a client
+// registered without a resident, leaves the GPU's manager out of the
+// tick set while the GPU has work, and the checker must say so.
+func TestActiveSetConsistencyCatchesSplitTickSet(t *testing.T) {
+	sys := core.MustSystem(core.Config{Nodes: 1, GPUsPerNode: 2, Seed: 7})
+	check := func() error { return ActiveSetConsistency().Check(sys, sys.Eng.Now()) }
+	if err := check(); err != nil {
+		t.Fatalf("idle system flagged: %v", err)
+	}
+	g := sys.Clu.GPUs()[1]
+	res, err := g.Dev.Attach("stray", 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := check(); err == nil || !strings.Contains(err.Error(), "0 clients and 1 residents") {
+		t.Fatalf("resident outside the tick set not caught: %v", err)
+	}
+	g.Dev.Detach(res)
+	c := &rckm.Client{ID: "stray"}
+	sys.Manager(g).Register(c)
+	if err := check(); err == nil || !strings.Contains(err.Error(), "1 clients and 0 residents") {
+		t.Fatalf("client outside the tick set not caught: %v", err)
+	}
+	sys.Manager(g).Unregister(c)
+	if err := check(); err != nil {
+		t.Fatalf("restored system flagged: %v", err)
+	}
 }
 
 func TestMonotoneTimeCatchesBackwardsClock(t *testing.T) {
