@@ -62,7 +62,7 @@ func run() int {
 
 	if *list {
 		for _, d := range experiments.All() {
-			fmt.Printf("%-12s %-9s %s\n", d.ID, d.Tier, d.Paper)
+			fmt.Printf("%-12s %-9s %-13s %s\n", d.ID, d.Tier, d.Aim, d.Paper)
 		}
 		return 0
 	}
@@ -96,6 +96,7 @@ func run() int {
 			ID:    "trace_replay",
 			Paper: fmt.Sprintf("external trace replay — %s (%d events)", *tracePath, tr.Count()),
 			Tier:  experiments.TierStandard,
+			Aim:   experiments.AimCorrectness,
 			Run:   func(o experiments.Options) *report.Report { return experiments.TraceReplayOn(o, tr) },
 		}}
 	}
@@ -132,6 +133,7 @@ func run() int {
 			ID:    "disturbance_replay",
 			Paper: "external disturbance replay — " + strings.Join(desc, ", "),
 			Tier:  experiments.TierStandard,
+			Aim:   experiments.AimCorrectness,
 			Run: func(o experiments.Options) *report.Report {
 				return experiments.DisturbanceReplayOn(o, churn, faults)
 			},

@@ -97,7 +97,7 @@ func (h Health) String() string {
 type GPUClass struct {
 	Name     string
 	Capacity float64 // relative compute capacity; <=0 defaults to 1.0
-	MemCapMB float64 // per-class memory; <=0 defaults to Config.MemCapMB
+	MemCapMB float64 // per-class memory; <=0 defaults to A100-40GB
 	Weight   float64 // share of nodes assigned to the class; <=0 means 1
 }
 
@@ -362,8 +362,7 @@ type Cluster struct {
 type Config struct {
 	Nodes       int
 	GPUsPerNode int
-	MemCapMB    float64 // zero defaults to A100-40GB
-	WithDevices bool    // allocate live gpu.Devices for kernel-level runs
+	WithDevices bool // allocate live gpu.Devices for kernel-level runs
 	// Classes makes the fleet heterogeneous: nodes are assigned to
 	// classes by a deterministic weighted interleave (largest-deficit
 	// round-robin), so device generations mix through the inventory the
@@ -413,12 +412,9 @@ func New(cfg Config) *Cluster {
 	if cfg.GPUsPerNode <= 0 {
 		cfg.GPUsPerNode = 4
 	}
-	if cfg.MemCapMB <= 0 {
-		cfg.MemCapMB = gpu.DefaultMemoryMB
-	}
 	classes := cfg.Classes
 	if len(classes) == 0 {
-		classes = []GPUClass{{Name: "uniform", Capacity: 1, MemCapMB: cfg.MemCapMB, Weight: 1}}
+		classes = []GPUClass{{Name: "uniform", Capacity: 1, Weight: 1}}
 	}
 	classes = slices.Clone(classes)
 	for i := range classes {
@@ -426,7 +422,7 @@ func New(cfg Config) *Cluster {
 			classes[i].Capacity = 1
 		}
 		if classes[i].MemCapMB <= 0 {
-			classes[i].MemCapMB = cfg.MemCapMB
+			classes[i].MemCapMB = gpu.DefaultMemoryMB
 		}
 		if classes[i].Name == "" {
 			classes[i].Name = fmt.Sprintf("class-%d", i)

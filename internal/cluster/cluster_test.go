@@ -7,6 +7,12 @@ import (
 	"testing/quick"
 )
 
+// uniformMem is the one-class fleet New builds by default, with the
+// given per-GPU memory.
+func uniformMem(mb float64) []GPUClass {
+	return []GPUClass{{Name: "uniform", Capacity: 1, MemCapMB: mb}}
+}
+
 func TestNewClusterShape(t *testing.T) {
 	c := New(Config{Nodes: 5, GPUsPerNode: 4})
 	if len(c.Nodes) != 5 {
@@ -69,7 +75,7 @@ func TestPlaceRemoveAccounting(t *testing.T) {
 }
 
 func TestPlaceMemoryOverflow(t *testing.T) {
-	c := New(Config{Nodes: 1, GPUsPerNode: 1, MemCapMB: 1000})
+	c := New(Config{Nodes: 1, GPUsPerNode: 1, Classes: uniformMem(1000)})
 	g := c.GPUs()[0]
 	if err := g.Place(&Placement{MemMB: 1001}); err == nil {
 		t.Fatal("expected overflow error")
@@ -93,7 +99,7 @@ func TestOccupiedAndActive(t *testing.T) {
 }
 
 func TestSnapshotFragmentation(t *testing.T) {
-	c := New(Config{Nodes: 1, GPUsPerNode: 2, MemCapMB: 1000})
+	c := New(Config{Nodes: 1, GPUsPerNode: 2, Classes: uniformMem(1000)})
 	_ = c.GPUs()[0].Place(&Placement{Instance: "a", Func: "f", Req: 0.6, MemMB: 250})
 	// GPU 1 idle: must not enter fragmentation averages.
 	st := c.Snapshot()
@@ -139,7 +145,7 @@ func TestAccountingConsistencyProperty(t *testing.T) {
 		Mem      uint16
 		Remove   bool
 	}) bool {
-		c := New(Config{Nodes: 1, GPUsPerNode: 1, MemCapMB: 1e9})
+		c := New(Config{Nodes: 1, GPUsPerNode: 1, Classes: uniformMem(1e9)})
 		g := c.GPUs()[0]
 		var live []*Placement
 		for i, op := range ops {

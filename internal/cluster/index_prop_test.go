@@ -214,7 +214,7 @@ func TestIndexConsistencyProperty(t *testing.T) {
 		t.Run(fmt.Sprintf("seed=%d", seed), func(t *testing.T) {
 			t.Parallel()
 			rng := rand.New(rand.NewSource(seed))
-			c := New(Config{Nodes: 4, GPUsPerNode: 3, MemCapMB: 1 << 20})
+			c := New(Config{Nodes: 4, GPUsPerNode: 3, Classes: uniformMem(1 << 20)})
 			funcs := []string{"bert", "resnet", "llama", "gpt2", "vgg"}
 			var live []*Placement
 			onGPU := map[*Placement]*GPU{}
@@ -437,7 +437,7 @@ func TestPostingIndexBasics(t *testing.T) {
 // the old key until the next Classes call, and a Place in between refiles
 // the GPU at once so the stale dirty entry is skipped.
 func TestKVChargeDefersRefile(t *testing.T) {
-	c := New(Config{Nodes: 1, GPUsPerNode: 2, MemCapMB: 1000})
+	c := New(Config{Nodes: 1, GPUsPerNode: 2, Classes: uniformMem(1000)})
 	g := c.gpus[0]
 	p := &Placement{Instance: "a", Func: "f", Req: 0.2, MemMB: 100}
 	if err := g.Place(p); err != nil {
@@ -474,7 +474,7 @@ func TestKVChargeDefersRefile(t *testing.T) {
 // state share a class whatever their functions, MinWithout skips
 // members hosting the function, and a state change moves a GPU out.
 func TestStateClassMembers(t *testing.T) {
-	c := New(Config{Nodes: 1, GPUsPerNode: 8, MemCapMB: 1000})
+	c := New(Config{Nodes: 1, GPUsPerNode: 8, Classes: uniformMem(1000)})
 	for i, g := range c.gpus {
 		fn := "g"
 		if i == 0 || i == 1 || i == 3 || i == 6 {

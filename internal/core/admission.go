@@ -2,7 +2,6 @@ package core
 
 import (
 	"math"
-	"strings"
 
 	"dilu/internal/sim"
 )
@@ -260,32 +259,4 @@ func (f *Function) estimateLatency() float64 {
 		return math.Inf(1)
 	}
 	return float64(backlog+1) / rate
-}
-
-// ---------------------------------------------------------------------------
-// Composition.
-
-// Chain composes admission policies: a request is admitted only when
-// every link admits it, evaluated in order with short-circuit on the
-// first shed (a later token bucket is not drained by a request an
-// earlier link already rejected).
-type Chain []AdmissionPolicy
-
-// Name implements AdmissionPolicy.
-func (c Chain) Name() string {
-	parts := make([]string, len(c))
-	for i, p := range c {
-		parts[i] = p.Name()
-	}
-	return strings.Join(parts, "+")
-}
-
-// Admit implements AdmissionPolicy.
-func (c Chain) Admit(now sim.Time, req Request, f *Function) bool {
-	for _, p := range c {
-		if !p.Admit(now, req, f) {
-			return false
-		}
-	}
-	return true
 }

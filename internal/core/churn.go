@@ -245,14 +245,6 @@ func (tj *TrainingJob) preemptRetired(failedOnly bool) {
 			break
 		}
 	}
-	if !hit && tj.elastic != nil {
-		for _, w := range tj.elastic.grown {
-			if check(w.dec) {
-				hit = true
-				break
-			}
-		}
-	}
 	if !hit {
 		return
 	}
@@ -262,7 +254,6 @@ func (tj *TrainingJob) preemptRetired(failedOnly bool) {
 		tj.sys.detachStages(d, tj.stagesOf(d))
 		d.Release()
 	}
-	tj.releaseElastic()
 	tj.decisions = nil
 	tj.stages = nil
 	tj.Job.SetActive(false)

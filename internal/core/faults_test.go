@@ -107,3 +107,70 @@ func TestRetryHedgeTimingsFollowOwnSLO(t *testing.T) {
 		}
 	}
 }
+
+// A hedge race records one service: the duplicate on the fast GPU wins,
+// the primary on the slowed GPU is discarded unrecorded — at its own
+// completion when it is already executing, or stolen from its queue the
+// moment the hedge wins — and the live-copy count returns to 0.
+func TestHedgeRaceFirstCompletionWins(t *testing.T) {
+	for _, tc := range []struct {
+		name   string
+		queued bool // the primary waits behind another request
+		// liveLoser is whether the loser is still a live copy when the
+		// hedge wins: an executing copy cannot be stolen, so it resolves
+		// as a discard at its own completion.
+		liveLoser bool
+	}{
+		{"executing loser", false, true},
+		{"queued loser", true, false},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			sys := MustSystem(Config{Nodes: 1, GPUsPerNode: 2, Seed: 1, Hedge: true})
+			f, err := sys.DeployInference("f", "BERT-base", InferOpts{
+				Instances: 2, Pin: []int{0, 1}, NoScaler: true,
+			})
+			if err != nil {
+				t.Fatal(err)
+			}
+			sys.SlowGPU(0, 0, 50)
+			slo := f.Rec.SLO()
+			if tc.queued {
+				// One request executes on each instance, so the
+				// deadline request queues on the first (ties go to it).
+				sys.Submit(0, Request{Func: "f"})
+				sys.Run(10 * sim.Millisecond)
+				sys.Submit(sys.Eng.Now(), Request{Func: "f"})
+			}
+			sys.Submit(sys.Eng.Now(), Request{Func: "f", Deadline: slo})
+			sys.Run(slo/2 + sim.Millisecond)
+			if st := f.ResilienceStats(); st.Hedges != 1 || f.ExtraCopies() != 1 {
+				t.Fatalf("after SLO/2: %d hedges, %d extra copies, want 1 and 1", st.Hedges, f.ExtraCopies())
+			}
+			for i := 0; i < 1000 && f.ResilienceStats().HedgeWins == 0; i++ {
+				sys.Run(sim.TickPeriod)
+			}
+			if f.ResilienceStats().HedgeWins != 1 {
+				t.Fatal("the hedge on the fast GPU never won")
+			}
+			if live := f.ExtraCopies() == 1; live != tc.liveLoser {
+				t.Fatalf("at the hedge's win: %d extra copies, live loser want %v", f.ExtraCopies(), tc.liveLoser)
+			}
+			sys.Run(100 * slo)
+			st := f.ResilienceStats()
+			discards := int64(0)
+			if tc.liveLoser {
+				discards = 1
+			}
+			if st.HedgeWins != 1 || st.HedgeDiscards != discards {
+				t.Fatalf("hedge wins %d, discards %d, want 1 and %d", st.HedgeWins, st.HedgeDiscards, discards)
+			}
+			if f.ExtraCopies() != 0 || f.InFlightCount() != 0 {
+				t.Fatalf("%d extra copies, %d in flight after the race", f.ExtraCopies(), f.InFlightCount())
+			}
+			unique, ok := f.UniqueServed()
+			if !ok || unique != f.Served() || f.Served() != f.admitted {
+				t.Fatalf("served %d (%d unique), admitted %d", f.Served(), unique, f.admitted)
+			}
+		})
+	}
+}

@@ -186,21 +186,6 @@ func TestDeadlineShedUnderBacklog(t *testing.T) {
 	}
 }
 
-func TestChainShortCircuits(t *testing.T) {
-	tb := NewTokenBucket(1, 1)
-	chain := Chain{NewTokenBucket(0, 0), tb}
-	if chain.Name() != "token-bucket+token-bucket" {
-		t.Fatalf("chain name %q", chain.Name())
-	}
-	if chain.Admit(0, Request{Tenant: "a"}, nil) {
-		t.Fatal("chain admitted through a deny-all link")
-	}
-	// The second bucket must not have been drained by the short-circuit.
-	if !tb.Admit(0, Request{Tenant: "a"}, nil) {
-		t.Fatal("short-circuited chain drained the downstream bucket")
-	}
-}
-
 func TestShedRequestsNeverReachInstances(t *testing.T) {
 	sys := MustSystem(Config{
 		Nodes: 1, GPUsPerNode: 2, Seed: 9,

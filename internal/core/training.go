@@ -28,10 +28,6 @@ type TrainOpts struct {
 	// StartAt delays job submission (the end-to-end scenario submits
 	// jobs at different times).
 	StartAt sim.Time
-	// Elastic enables elastic serverless training (§7 future work): the
-	// job grows data-parallel workers into residual capacity and retires
-	// them under inference pressure.
-	Elastic *ElasticOpts
 }
 
 // TrainingJob is one deployed training function.
@@ -46,7 +42,6 @@ type TrainingJob struct {
 	stages    []instance.Stage
 	released  bool
 	SubmitAt  sim.Time
-	elastic   *elasticState
 }
 
 // DeployTraining profiles, places, and starts a training job.
@@ -76,11 +71,6 @@ func (sys *System) DeployTraining(name, modelName string, opts TrainOpts) (*Trai
 		tj.Job.SetActive(true)
 		sys.liveJobs = append(sys.liveJobs, tj)
 		sys.wakeInst(tj.Job)
-		if opts.Elastic != nil && tj.Spec.TrainStages <= 1 {
-			// Pipeline jobs have a fixed stage count; only DDP jobs
-			// scale their worker set.
-			tj.enableElastic(*opts.Elastic, workers)
-		}
 	}
 	if opts.StartAt > 0 {
 		sys.Eng.Schedule(opts.StartAt, start)
@@ -154,7 +144,6 @@ func (tj *TrainingJob) maybeFinish(now sim.Time) {
 	}
 	tj.released = true
 	tj.Job.SetActive(false)
-	tj.releaseElastic()
 	for _, d := range tj.decisions {
 		tj.sys.detachStages(d, tj.stagesOf(d))
 		d.Release()

@@ -57,6 +57,30 @@ func TestEveryDriverDeclaresATier(t *testing.T) {
 	}
 }
 
+// TestEveryDriverNamesItsAim is the driver census: each driver names
+// one of the four aims, a figure or table driver (and only one) is a
+// paper driver, and each extra measures one of the other three.
+func TestEveryDriverNamesItsAim(t *testing.T) {
+	want := map[Aim]int{AimPaper: 17, AimPerformance: 2, AimCorrectness: 11, AimObservability: 4}
+	counts := map[Aim]int{}
+	for _, d := range All() {
+		if _, ok := want[d.Aim]; !ok {
+			t.Fatalf("driver %s has invalid aim %q", d.ID, d.Aim)
+		}
+		figure := !strings.HasSuffix(d.Paper, "(extra)") &&
+			(strings.HasPrefix(d.ID, "figure") || strings.HasPrefix(d.ID, "table"))
+		if figure != (d.Aim == AimPaper) {
+			t.Fatalf("driver %s (%s) has aim %s", d.ID, d.Paper, d.Aim)
+		}
+		counts[d.Aim]++
+	}
+	for a, n := range want {
+		if counts[a] != n {
+			t.Fatalf("%d %s drivers, want %d", counts[a], a, n)
+		}
+	}
+}
+
 func TestRegistryCompleteAndOrdered(t *testing.T) {
 	all := All()
 	if len(all) != 34 {

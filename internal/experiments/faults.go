@@ -180,7 +180,7 @@ func StragglerTail(opts Options) *report.Report {
 			rep.SetSLO(sum)
 		}
 	}
-	rep.AddNote("6× stragglers stretch a third of the fleet; a hedge races each deadline request on a second instance after half an SLO of waiting, so the tail rides the fast copy instead of the straggler's backoff cycle")
+	rep.AddNote("one pinned GPU of %d runs 6× slow for half the run; a hedge races each deadline request on a second instance after half an SLO of waiting, so the tail rides the fast copy. The timeout retry steals only requests still queued 2·SLO after admission, and the retries column shows how rarely that happens here: the gap between the arms is the hedge's", gpus)
 	return rep
 }
 

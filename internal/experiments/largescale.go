@@ -121,7 +121,8 @@ func runLargeScaleClu(mk func(*cluster.Cluster) sched.Scheduler, mix []lsInstanc
 	clu := cluster.New(cfg)
 	s := mk(clu)
 	var events []lsEvent
-	for i, inst := range mix {
+	for i := range mix {
+		inst := &mix[i]
 		events = append(events, lsEvent{inst.arrive, true, i})
 		if inst.depart < horizon {
 			events = append(events, lsEvent{inst.depart, false, i})
@@ -153,7 +154,7 @@ func runLargeScaleClu(mk func(*cluster.Cluster) sched.Scheduler, mix []lsInstanc
 	}
 	for _, ev := range events {
 		if ev.arrive {
-			inst := mix[ev.idx]
+			inst := &mix[ev.idx]
 			decs, err := s.Schedule(sched.Request{
 				Func: inst.fn, Profile: inst.profile,
 				Instances: inst.workers, GPUsPerInstance: inst.stages,

@@ -150,7 +150,7 @@ func (s *oldDilu) placeMultiGPU(req sched.Request, stages int) (sched.Decision, 
 		if !g.Schedulable() {
 			continue
 		}
-		if g.SumReq+p.SMReq > s.opts.Omega*g.Capacity+1e-9 {
+		if g.SumReq+p.SMReq > sched.Omega*g.Capacity+1e-9 {
 			continue
 		}
 		if g.SumLim+p.SMLim > s.opts.Gamma*g.Capacity+1e-9 {
@@ -255,15 +255,15 @@ func (s *oldDilu) selectOptGPU(cands []*cluster.GPU, p profiler.Profile, fn stri
 		newReq := g.SumReq + p.SMReq
 		newLim := g.SumLim + p.SMLim
 		newMem := g.MemUsedMB + p.MemMB
-		if newReq > s.opts.Omega*g.Capacity+1e-9 || newLim > s.opts.Gamma*g.Capacity+1e-9 || newMem > g.MemCapMB {
+		if newReq > sched.Omega*g.Capacity+1e-9 || newLim > s.opts.Gamma*g.Capacity+1e-9 || newMem > g.MemCapMB {
 			continue
 		}
 		if g.HostsFunc(fn) && p.Role == profiler.RoleTraining {
 			continue
 		}
-		score := s.opts.Alpha * (1 - newReq/g.Capacity)
+		score := sched.Alpha * (1 - newReq/g.Capacity)
 		if !s.opts.DisableComplementary {
-			score += s.opts.Beta * (1 - newMem/g.MemCapMB)
+			score += sched.Beta * (1 - newMem/g.MemCapMB)
 		}
 		if g.HostsFunc(fn) {
 			score += 0.5
@@ -282,7 +282,7 @@ func (s *oldDilu) selectOptGPU(cands []*cluster.GPU, p profiler.Profile, fn stri
 }
 
 func (s *oldDilu) freshGPU(p profiler.Profile) *cluster.GPU {
-	minCap := p.SMReq / s.opts.Omega
+	minCap := p.SMReq / sched.Omega
 	if lc := p.SMLim / s.opts.Gamma; lc > minCap {
 		minCap = lc
 	}
@@ -445,7 +445,7 @@ func (s *oldExclusive) Schedule(req sched.Request) ([]sched.Decision, error) {
 }
 
 func optsWithDefaults() sched.Options {
-	return sched.Options{Omega: 1.0, Gamma: 1.5, Alpha: 0.5, Beta: 0.5}
+	return sched.Options{Gamma: 1.5}
 }
 
 // replayMixEquiv replays the §5.5 arrival/departure sequence through the
@@ -719,10 +719,9 @@ func TestDiluOptionVariantsIndexEquivalence(t *testing.T) {
 		name string
 		opts sched.Options
 	}{
-		// Ω > 1: utilizations above 1 are feasible.
-		{"oversubscribed", sched.Options{Omega: 1.2, Gamma: 2, Alpha: 0.5, Beta: 0.5}},
-		{"sm-heavy", sched.Options{Omega: 1, Gamma: 1.5, Alpha: 0.8, Beta: 0.2}},
-		{"no-complementary", sched.Options{Omega: 1, Gamma: 1.5, Alpha: 0.5, Beta: 0.5, DisableComplementary: true}},
+		// γ = 2: limits may sum to twice a GPU's capacity.
+		{"oversubscribed", sched.Options{Gamma: 2}},
+		{"no-complementary", sched.Options{Gamma: 1.5, DisableComplementary: true}},
 	}
 	for _, v := range variants {
 		t.Run(v.name, func(t *testing.T) {

@@ -23,7 +23,8 @@
 // then walks the bisection's own midpoints, evaluating only those inside
 // that bracket. Because occupancy is nondecreasing in λ, every skipped
 // midpoint would have compared the same way, so the result is the
-// bisection's to the bit, in about six evaluations instead of 30. Each
+// bisection's to the bit. Over the scale-1 registry suite the 177,096
+// fresh solves take 14.2 evaluations each on average, instead of 30. Each
 // resident caches its curve's K-dependent constants when K is set, and
 // memoizes its eff and inverse evaluations keyed on K and the input:
 // its last eff, and one inverse per bound of its want (the grant-bounded

@@ -401,8 +401,9 @@ const maxNewton = 12
 // the step leaves it. The rest is the 30-step bisection itself, walking
 // the same midpoints, but evaluating only those strictly inside the
 // bracket: every other comparison is already decided by lo or hi. So the
-// result is bit-for-bit what the full bisection returns, in about 6
-// evaluations of occ instead of 30.
+// result is bit-for-bit what the full bisection returns, in 14.2
+// evaluations of occ on average instead of 30 (the mean over the
+// scale-1 registry suite's fresh solves).
 func (d *Device) contendedScale(tick []tickScratch, occ, elast float64) (scale, occScale float64) {
 	lo, hi := int64(0), int64(scaleGrid) // occ(0) = 0 ≤ 1 < occ(1)
 	occLo, lam := 0.0, 1.0

@@ -395,37 +395,6 @@ func (tr *Training) Preempt(workers []Stage) {
 	tr.syncUntil = 0
 }
 
-// AtBoundary reports whether the job is between iterations (syncing or
-// not yet launched) — the only safe point to change the worker set.
-func (tr *Training) AtBoundary() bool {
-	return !tr.active || tr.phase == TrainSyncing || tr.iterStart == 0
-}
-
-// TryAddWorker joins a new worker at an iteration boundary (the elastic
-// serverless training extension of the paper's §7). It fails outside
-// boundaries; callers retry on their next control period.
-func (tr *Training) TryAddWorker(st Stage) bool {
-	if tr.finished || !tr.AtBoundary() {
-		return false
-	}
-	st.Res.SetSatK(tr.Spec.TrainSatK())
-	tr.Workers = append(tr.Workers, st)
-	return true
-}
-
-// TryRemoveWorker retires the most recently added worker at an iteration
-// boundary, returning its stage for the caller to detach. Jobs never
-// shrink below one worker.
-func (tr *Training) TryRemoveWorker() (Stage, bool) {
-	if tr.finished || !tr.AtBoundary() || len(tr.Workers) <= 1 {
-		return Stage{}, false
-	}
-	last := tr.Workers[len(tr.Workers)-1]
-	tr.Workers = tr.Workers[:len(tr.Workers)-1]
-	last.Res.ClearWork()
-	return last, true
-}
-
 // MeanIterTime returns the average compute time per iteration.
 func (tr *Training) MeanIterTime() sim.Duration {
 	if tr.iters == 0 {

@@ -261,13 +261,13 @@ func TestFaSTGSRedistributesIdlePartition(t *testing.T) {
 }
 
 func TestFaSTGSOverheadReducesGrant(t *testing.T) {
-	dev, m := newHarness(FaSTGS{Overhead: 0.10})
+	dev, m := newHarness(FaSTGS{})
 	a := addClient(t, dev, m, "a", true, 0.5, 1.0)
 	a.Res.AddWork(1e9)
 	tick(dev, m, 2)
-	want := m.Config().MaxTokens * 1.0 * 0.9
+	want := m.Config().MaxTokens * 1.0 * (1 - fastGSOverhead)
 	if math.Abs(a.LastIssued()-want) > 1 {
-		t.Fatalf("grant = %v, want %v (10%% overhead)", a.LastIssued(), want)
+		t.Fatalf("grant = %v, want %v (7%% overhead)", a.LastIssued(), want)
 	}
 }
 

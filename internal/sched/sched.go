@@ -118,16 +118,20 @@ func stageID(id string, stage int) string {
 // ---------------------------------------------------------------------------
 // Dilu: Algorithm 1.
 
-// Options are the Dilu scheduler hyper-parameters.
+// Algorithm 1's fixed hyper-parameters: Omega bounds Σ request quotas
+// per GPU (Ω), and Alpha and Beta weight the SM and memory terms of the
+// fragmentation score.
+const (
+	Omega = 1.0
+	Alpha = 0.5
+	Beta  = 0.5
+)
+
+// Options are the Dilu scheduler's settable hyper-parameters.
 type Options struct {
-	// Omega bounds Σ request quotas per GPU (Ω, default 1.0).
-	Omega float64
 	// Gamma bounds Σ limit quotas per GPU (γ, default 1.5 — the
 	// oversubscription coefficient of Figure 18(a)).
 	Gamma float64
-	// Alpha and Beta weight the SM and memory terms of the
-	// fragmentation score (default 0.5 / 0.5).
-	Alpha, Beta float64
 	// DisableAffinity turns off Principle-1 (the -WA ablation).
 	DisableAffinity bool
 	// DisableComplementary turns off Principle-2 (the -RC ablation):
@@ -142,14 +146,8 @@ type Options struct {
 }
 
 func (o Options) withDefaults() Options {
-	if o.Omega <= 0 {
-		o.Omega = 1.0
-	}
 	if o.Gamma <= 0 {
 		o.Gamma = 1.5
-	}
-	if o.Alpha == 0 && o.Beta == 0 {
-		o.Alpha, o.Beta = 0.5, 0.5
 	}
 	return o
 }
@@ -221,7 +219,7 @@ func (s *Dilu) nextID(fn string) string {
 
 // placeSingle implements lines 10-18 for a one-GPU instance.
 func (s *Dilu) placeSingle(req Request) (Decision, error) {
-	p := req.Profile
+	p := &req.Profile
 	var gpu *cluster.GPU
 	if !s.opts.DisableAffinity {
 		gpu = s.selectOptGPU(s.affinityGPUs(req.Func), p, req.Func)
@@ -302,7 +300,8 @@ func (s *Dilu) placeMultiGPU(req Request, stages int) (Decision, error) {
 	if s.opts.DisableComplementary {
 		return s.placeExclusiveStages(req, stages)
 	}
-	p := shardProfile(req.Profile, stages)
+	prof := shardProfile(req.Profile, stages)
+	p := &prof
 	feasible := func(g *cluster.GPU) bool {
 		return g.Schedulable() && s.fits(g.SumReq, g.SumLim, g.MemUsedMB, g.Capacity, g.MemCapMB, p)
 	}
@@ -403,7 +402,7 @@ func (s *Dilu) placeExclusiveStages(req Request, stages int) (Decision, error) {
 	id := s.nextID(req.Func)
 	d := Decision{Instance: id, Func: req.Func}
 	for i := 0; i < stages; i++ {
-		g := s.freshGPU(prof)
+		g := s.freshGPU(&prof)
 		if g == nil {
 			d.Release()
 			return Decision{}, ErrNoCapacity
@@ -473,7 +472,7 @@ func (s *Dilu) affinityGPUs(fn string) []*cluster.GPU {
 // function are soft-penalized so replicas of one function spread over
 // fragments (same-function instances peak together, so stacking them
 // recreates the contention the affinity principle avoids).
-func (s *Dilu) selectOptGPU(cands []*cluster.GPU, p profiler.Profile, fn string) *cluster.GPU {
+func (s *Dilu) selectOptGPU(cands []*cluster.GPU, p *profiler.Profile, fn string) *cluster.GPU {
 	bestScore := 1e18
 	bestCold := 2
 	var best *cluster.GPU
@@ -503,8 +502,8 @@ func (s *Dilu) selectOptGPU(cands []*cluster.GPU, p profiler.Profile, fn string)
 
 // fits reports whether a GPU in the given state has room for profile p
 // under Ω, γ and its memory: constraints (2)-(4) of Algorithm 1.
-func (s *Dilu) fits(sumReq, sumLim, memUsed, capacity, memCap float64, p profiler.Profile) bool {
-	return sumReq+p.SMReq <= s.opts.Omega*capacity+1e-9 &&
+func (s *Dilu) fits(sumReq, sumLim, memUsed, capacity, memCap float64, p *profiler.Profile) bool {
+	return sumReq+p.SMReq <= Omega*capacity+1e-9 &&
 		sumLim+p.SMLim <= s.opts.Gamma*capacity+1e-9 &&
 		memUsed+p.MemMB <= memCap
 }
@@ -512,10 +511,10 @@ func (s *Dilu) fits(sumReq, sumLim, memUsed, capacity, memCap float64, p profile
 // score is the weighted fragmentation a GPU in the given state would be
 // left with after hosting profile p (lower is a tighter fit), before the
 // same-function penalty; −RC drops the memory term.
-func (s *Dilu) score(sumReq, memUsed, capacity, memCap float64, p profiler.Profile) float64 {
-	score := s.opts.Alpha * (1 - (sumReq+p.SMReq)/capacity)
+func (s *Dilu) score(sumReq, memUsed, capacity, memCap float64, p *profiler.Profile) float64 {
+	score := Alpha * (1 - (sumReq+p.SMReq)/capacity)
 	if !s.opts.DisableComplementary {
-		score += s.opts.Beta * (1 - (memUsed+p.MemMB)/memCap)
+		score += Beta * (1 - (memUsed+p.MemMB)/memCap)
 	}
 	return score
 }
@@ -548,7 +547,7 @@ func (s *Dilu) cacheCold(g *cluster.GPU, fn string) int {
 // same-function penalty (or are excluded, for training), so the class
 // scan passes over them and they are scored one by one from the posting
 // list.
-func (s *Dilu) selectOptGPUActive(p profiler.Profile, fn string) *cluster.GPU {
+func (s *Dilu) selectOptGPUActive(p *profiler.Profile, fn string) *cluster.GPU {
 	bestScore := 1e18
 	bestCold := 2
 	bestPos := -1
@@ -630,8 +629,8 @@ func (s *Dilu) warmMember(cl *cluster.StateClass, fn string, hostsAny bool) (*cl
 // the memory fits), served by the cluster's free index instead of an
 // inventory scan. On a homogeneous fleet every fresh GPU fits, so the
 // result is the first free GPU.
-func (s *Dilu) freshGPU(p profiler.Profile) *cluster.GPU {
-	minCap := p.SMReq / s.opts.Omega
+func (s *Dilu) freshGPU(p *profiler.Profile) *cluster.GPU {
+	minCap := p.SMReq / Omega
 	if lc := p.SMLim / s.opts.Gamma; lc > minCap {
 		minCap = lc
 	}

@@ -43,7 +43,7 @@ func TestDiluPacksComplementaryInstances(t *testing.T) {
 
 func TestDiluRespectsOmega(t *testing.T) {
 	clu := cluster.New(cluster.Config{Nodes: 1, GPUsPerNode: 2})
-	s := NewDilu(clu, Options{Omega: 1.0, Gamma: 1.5})
+	s := NewDilu(clu, Options{Gamma: 1.5})
 	p := trainProfile("GPT2-large") // request ~0.5-0.7
 	if _, err := s.Schedule(Request{Func: "a", Profile: p}); err != nil {
 		t.Fatal(err)
@@ -189,7 +189,7 @@ func TestDiluMultiGPUWorstFit(t *testing.T) {
 // list, as the share cutoff alone would (its share is far below it),
 // moves g1 behind g2 instead and picks g2.
 func TestDiluWorstFitKeepsSwapDisplacedFront(t *testing.T) {
-	clu := cluster.New(cluster.Config{Nodes: 1, GPUsPerNode: 4, MemCapMB: 40960})
+	clu := cluster.New(cluster.Config{Nodes: 1, GPUsPerNode: 4, Classes: []cluster.GPUClass{{Name: "uniform", Capacity: 1, MemCapMB: 40960}}})
 	gs := clu.GPUs()
 	for i, mem := range []float64{30000, 10000, 10000, 1000} {
 		pl := &cluster.Placement{Instance: fmt.Sprint("fill-", i), Func: "fill", Req: 0.1, Lim: 0.1, MemMB: mem}
@@ -216,7 +216,7 @@ func TestDiluWorstFitKeepsSwapDisplacedFront(t *testing.T) {
 // and the second goes to g4, the earlier of the tie. A cutoff that
 // dropped the tie would leave only the front to pick from and take g1.
 func TestDiluWorstFitKeepsCutoffTies(t *testing.T) {
-	clu := cluster.New(cluster.Config{Nodes: 1, GPUsPerNode: 6, MemCapMB: 1000})
+	clu := cluster.New(cluster.Config{Nodes: 1, GPUsPerNode: 6, Classes: []cluster.GPUClass{{Name: "uniform", Capacity: 1, MemCapMB: 1000}}})
 	gs := clu.GPUs()
 	for i, fill := range []struct{ req, mem float64 }{
 		{0.1, 800}, {0.1, 700}, {0.1, 100}, {0.1, 900}, {0.1, 400}, {0.2, 400},

@@ -18,10 +18,11 @@ import (
 // TestAdmissionInterleavingsConserveRequests drives random interleavings
 // of gateway submissions (random tenants, priorities, deadlines, burst
 // sizes) and serving progress (random run lengths, so batches complete
-// between bursts) through a rate-limited system. The armed
-// request-conservation checker audits ledger-vs-recount at every fired
-// tick; the explicit end-of-run check is the same full-recount reference
-// stated independently of the invariant code path.
+// between bursts) through a fair-share-limited system (its in-flight
+// cap sheds on seeds 4 and 5). The armed request-conservation checker
+// audits ledger-vs-recount at every fired tick; the explicit end-of-run
+// check is the same full-recount reference stated independently of the
+// invariant code path.
 func TestAdmissionInterleavingsConserveRequests(t *testing.T) {
 	tenants := []string{"", "alpha", "beta", "gamma"}
 	for seed := int64(1); seed <= 5; seed++ {
@@ -29,11 +30,8 @@ func TestAdmissionInterleavingsConserveRequests(t *testing.T) {
 		sys := core.MustSystem(core.Config{
 			Nodes: 1, GPUsPerNode: 2, Seed: seed,
 			Invariants: Checkers(),
-			Admission: core.Chain{
-				core.NewTokenBucket(40, 10),
-				core.FairShare{Capacity: 16},
-			},
-			NewScaler: func() scaler.Policy { return scaler.NewDilu(scaler.DiluConfig{}) },
+			Admission:  core.FairShare{Capacity: 16},
+			NewScaler:  func() scaler.Policy { return scaler.NewDilu(scaler.DiluConfig{}) },
 		})
 		if _, err := sys.DeployInference("f", "BERT-base", core.InferOpts{}); err != nil {
 			t.Fatal(err)
