@@ -218,25 +218,29 @@ func BenchmarkPrewarmPolicy(b *testing.B) { runExperiment(b, "prewarm_policy") }
 // submits that an always-full token bucket admits, on a warm function
 // with a fixed two-instance pool. Each op is a batch of 10k submits so
 // the single-iteration bench-gate run measures above the timer noise
-// floor; divide ns/op by submitsPerOp for the per-submit cost.
+// floor; divide ns/op by submitsPerOp for the per-submit cost. Every op
+// submits into a freshly built system (built with the timer stopped),
+// so no op inherits the queues an earlier op left behind.
 func BenchmarkGatewaySubmit(b *testing.B) {
 	const submitsPerOp = 10_000
-	sys := core.MustSystem(core.Config{
-		Nodes: 1, GPUsPerNode: 4, Seed: 1,
-		Admission: core.NewTokenBucket(1e12, 1e12),
-	})
-	if _, err := sys.DeployInference("gw", "ResNet152", core.InferOpts{Instances: 2, NoScaler: true, Tenant: "bench"}); err != nil {
-		b.Fatal(err)
-	}
-	sys.Run(sim.Second)
-	b.ResetTimer()
+	b.StopTimer()
 	for i := 0; i < b.N; i++ {
+		sys := core.MustSystem(core.Config{
+			Nodes: 1, GPUsPerNode: 4, Seed: 1,
+			Admission: core.NewTokenBucket(1e12, 1e12),
+		})
+		if _, err := sys.DeployInference("gw", "ResNet152", core.InferOpts{Instances: 2, NoScaler: true, Tenant: "bench"}); err != nil {
+			b.Fatal(err)
+		}
+		sys.Run(sim.Second)
 		now := sys.Eng.Now()
+		b.StartTimer()
 		for j := 0; j < submitsPerOp; j++ {
 			if !sys.Submit(now, core.Request{Func: "gw", Tenant: "bench"}) {
 				b.Fatal("bench bucket shed a request")
 			}
 		}
+		b.StopTimer()
 	}
 }
 

@@ -146,8 +146,8 @@ func (f *Function) sweepWarmRetired() {
 
 // evictFailed kills every served instance touching a failed GPU: its
 // queued and in-flight requests go back to the gateway (original Arrive
-// stamps — retries pay their lost work in recorded latency), the stages
-// detach, and a cold replacement launches immediately.
+// stamps — requeued requests pay their lost work in recorded latency),
+// the stages detach, and a cold replacement launches immediately.
 func (f *Function) evictFailed(now sim.Time) {
 	for i := len(f.active) - 1; i >= 0; i-- {
 		si := f.active[i]
@@ -205,13 +205,13 @@ func (f *Function) retire(si *servedInstance, now sim.Time) {
 
 // redispatch returns aborted requests to the gateway: straight onto the
 // least-loaded serving instance, or the pending queue when none serves.
-// Under resilience, a copy whose request was already served elsewhere
-// (a hedge loser caught in the abort) is dropped instead of redelivered
-// — at-most-once service survives churn and fault interleavings.
+// Under hedging, a copy whose request was already served elsewhere (a
+// hedge loser caught in the abort) is dropped instead of redelivered —
+// at-most-once service survives churn and fault interleavings.
 func (f *Function) redispatch(reqs []instance.Request, now sim.Time) {
 	for _, req := range reqs {
 		if f.res != nil && f.res.done[req.ID] {
-			f.res.dropCopy(req.ID)
+			delete(f.res.racing, req.ID)
 			continue
 		}
 		if in := f.pickLeastLoaded(); in != nil {

@@ -101,7 +101,7 @@ func (sys *System) SlowGPU(node, gpu int, factor float64) {
 // node with gpu == -1): every inference instance holding a reservation
 // there aborts its in-flight batch and queue, and the requests are
 // redelivered through the gateway with their original arrival stamps —
-// the retried work shows up in recorded latency. The device itself
+// the redone work shows up in recorded latency. The device itself
 // survives (no eviction); the health monitor observes the error for
 // its quarantine verdict. Training jobs ride out batch errors (their
 // recovery path is churn's checkpoint-restart, driven by real
@@ -153,8 +153,6 @@ func (sys *System) resilienceSLO() metrics.ResilienceSLO {
 	}
 	for _, f := range sys.funcs {
 		st := f.ResilienceStats()
-		r.Retries += st.Retries
-		r.RetrySuccess += st.RetrySuccess
 		r.Hedges += st.Hedges
 		r.HedgeWins += st.HedgeWins
 		r.HedgeDiscards += st.HedgeDiscards

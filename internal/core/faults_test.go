@@ -51,13 +51,12 @@ func TestErrorGPUClearsAbortedWork(t *testing.T) {
 	}
 }
 
-// Retry and hedge timings scale with each function's own SLO: two
-// functions of one model under different SLO overrides, every GPU
-// slowed so nothing completes, and each function's hedges fire SLO/2
-// after admission and its timeouts 2·SLO after it — never at the other
-// function's times.
-func TestRetryHedgeTimingsFollowOwnSLO(t *testing.T) {
-	sys := MustSystem(Config{Nodes: 1, GPUsPerNode: 4, Seed: 1, Retry: true, Hedge: true})
+// Hedge timings scale with each function's own SLO: two functions of
+// one model under different SLO overrides, every GPU slowed so nothing
+// completes, and each function's hedges fire SLO/2 after admission —
+// never at the other function's time.
+func TestHedgeTimingsFollowOwnSLO(t *testing.T) {
+	sys := MustSystem(Config{Nodes: 1, GPUsPerNode: 4, Seed: 1, Hedge: true})
 	slos := map[string]sim.Duration{"fast": 80 * sim.Millisecond, "slow": 400 * sim.Millisecond}
 	funcs := map[string]*Function{}
 	for _, name := range []string{"fast", "slow"} {
@@ -72,8 +71,8 @@ func TestRetryHedgeTimingsFollowOwnSLO(t *testing.T) {
 	for g := 0; g < 4; g++ {
 		sys.SlowGPU(0, g, 1000)
 	}
-	// 40 admitted requests per tenant buy a budget of 10 redeliveries;
-	// the 4 with a deadline hedge, leaving room for retries.
+	// 40 admitted requests per tenant buy a budget of 10 hedges; the 4
+	// with a deadline hedge.
 	for _, name := range []string{"fast", "slow"} {
 		for i := 0; i < 40; i++ {
 			req := Request{Func: name}
@@ -83,27 +82,15 @@ func TestRetryHedgeTimingsFollowOwnSLO(t *testing.T) {
 			sys.Submit(0, req)
 		}
 	}
-	hedges := func(f *Function) int64 { return f.ResilienceStats().Hedges }
-	retries := func(f *Function) int64 { return f.ResilienceStats().Retries }
-	for _, c := range []struct {
-		at    sim.Time
-		fn    string
-		kind  string
-		count func(*Function) int64
-	}{
-		{slos["fast"] / 2, "fast", "hedge", hedges},
-		{2 * slos["fast"], "fast", "timeout", retries},
-		{slos["slow"] / 2, "slow", "hedge", hedges},
-		{2 * slos["slow"], "slow", "timeout", retries},
-	} {
-		f := funcs[c.fn]
-		sys.Run(c.at - sim.Millisecond - sys.Eng.Now())
-		if n := c.count(f); n != 0 {
-			t.Fatalf("%s: %d before its %s time %v", c.fn, n, c.kind, c.at)
+	for _, fn := range []string{"fast", "slow"} {
+		f, at := funcs[fn], slos[fn]/2
+		sys.Run(at - sim.Millisecond - sys.Eng.Now())
+		if n := f.ResilienceStats().Hedges; n != 0 {
+			t.Fatalf("%s: %d hedges before its hedge time %v", fn, n, at)
 		}
 		sys.Run(2 * sim.Millisecond)
-		if c.count(f) == 0 {
-			t.Fatalf("%s: no %s fired by %v", c.fn, c.kind, c.at+sim.Millisecond)
+		if f.ResilienceStats().Hedges == 0 {
+			t.Fatalf("%s: no hedge fired by %v", fn, at+sim.Millisecond)
 		}
 	}
 }
@@ -163,6 +150,103 @@ func TestHedgeRaceFirstCompletionWins(t *testing.T) {
 			}
 			if st.HedgeWins != 1 || st.HedgeDiscards != discards {
 				t.Fatalf("hedge wins %d, discards %d, want 1 and %d", st.HedgeWins, st.HedgeDiscards, discards)
+			}
+			if f.ExtraCopies() != 0 || f.InFlightCount() != 0 {
+				t.Fatalf("%d extra copies, %d in flight after the race", f.ExtraCopies(), f.InFlightCount())
+			}
+			unique, ok := f.UniqueServed()
+			if !ok || unique != f.Served() || f.Served() != f.admitted {
+				t.Fatalf("served %d (%d unique), admitted %d", f.Served(), unique, f.admitted)
+			}
+		})
+	}
+}
+
+// keepWarm never changes the instance count on its own; the hedge
+// tests below scale in by hand so a descheduled instance lingers in
+// keep-alive for ttl.
+type keepWarm struct{ ttl sim.Duration }
+
+func (keepWarm) Name() string                               { return "keep-warm" }
+func (p keepWarm) KeepAliveTTL() sim.Duration               { return p.ttl }
+func (keepWarm) Decide(sim.Time, float64, int, float64) int { return 0 }
+
+// A hedge race whose copies leave the active pool still resolves to one
+// service. "keep-alive holder": the primary executes on an instance
+// that scales in to keep-alive before the hedge fires, so the hedge
+// finds its holder there and the loser is discarded at its own
+// completion. "pending loser": the hedge executes on an instance that
+// scales in, and the primary's instance is torn down, so the primary
+// waits in gateway pending when the hedge wins and is stolen from
+// there.
+func TestHedgeRaceOutsideActivePool(t *testing.T) {
+	for _, tc := range []struct {
+		name     string
+		pending  bool
+		discards int64
+	}{
+		{"keep-alive holder", false, 1},
+		{"pending loser", true, 0},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			sys := MustSystem(Config{Nodes: 1, GPUsPerNode: 2, Seed: 1, Hedge: true})
+			f, err := sys.DeployInference("f", "BERT-base", InferOpts{
+				Instances: 2, Pin: []int{0, 1}, NoScaler: true,
+			})
+			if err != nil {
+				t.Fatal(err)
+			}
+			f.policy = keepWarm{ttl: 10 * sim.Second}
+			slo := f.Rec.SLO()
+			a, b := f.active[0], f.active[1]
+			if tc.pending {
+				// The plain request takes a (ties go to it), so the
+				// deadline primary lands on b.
+				sys.SlowGPU(0, 1, 50)
+				sys.Submit(0, Request{Func: "f"})
+				sys.Submit(0, Request{Func: "f", Deadline: slo})
+			} else {
+				sys.SlowGPU(0, 0, 50)
+				sys.Submit(0, Request{Func: "f", Deadline: slo})
+				sys.Submit(0, Request{Func: "f"})
+				sys.Run(sim.TickPeriod)
+				// Both loads are 1, so scale-in takes a — and with it
+				// the executing primary.
+				f.scaleIn(sys.Eng.Now())
+				if len(f.warm) != 1 || f.warm[0].si != a || a.inst.InFlight() != 1 {
+					t.Fatal("the primary's instance did not enter keep-alive executing it")
+				}
+			}
+			sys.Run(slo/2 + sim.Millisecond - sys.Eng.Now())
+			if st := f.ResilienceStats(); st.Hedges != 1 || f.ExtraCopies() != 1 {
+				t.Fatalf("after SLO/2: %d hedges, %d extra copies, want 1 and 1", st.Hedges, f.ExtraCopies())
+			}
+			if tc.pending {
+				if a.inst.InFlight() != 1 {
+					t.Fatal("the hedge is not executing on a")
+				}
+				// a (index 0) wins the scale-in tie, carrying the hedge
+				// into keep-alive; tearing b down leaves no active
+				// instance, so its primary waits in gateway pending.
+				f.scaleIn(sys.Eng.Now())
+				f.retire(b, sys.Eng.Now())
+				if len(f.active) != 0 || len(f.pending) != 1 {
+					t.Fatalf("%d active, %d pending, want 0 and 1", len(f.active), len(f.pending))
+				}
+			}
+			for i := 0; i < 1000 && f.ResilienceStats().HedgeWins == 0; i++ {
+				sys.Run(sim.TickPeriod)
+			}
+			if f.ResilienceStats().HedgeWins != 1 {
+				t.Fatal("the hedge never won")
+			}
+			if tc.pending && (len(f.pending) != 0 || f.ExtraCopies() != 0) {
+				t.Fatalf("at the hedge's win: %d pending, %d extra copies, want the loser stolen",
+					len(f.pending), f.ExtraCopies())
+			}
+			sys.Run(100 * slo)
+			if st := f.ResilienceStats(); st.HedgeDiscards != tc.discards {
+				t.Fatalf("hedge discards %d, want %d", st.HedgeDiscards, tc.discards)
 			}
 			if f.ExtraCopies() != 0 || f.InFlightCount() != 0 {
 				t.Fatalf("%d extra copies, %d in flight after the race", f.ExtraCopies(), f.InFlightCount())

@@ -120,10 +120,9 @@ type Function struct {
 	admitted  int64
 	shed      int64
 
-	// res is the request-resilience state (timeout/retry/hedge); nil
-	// unless Config.Retry or Config.Hedge is set. Every touchpoint guards
-	// on it so a function without mitigations allocates none of it: a
-	// zero value would still need its two per-request maps.
+	// res is the hedging state; nil unless Config.Hedge is set. Every
+	// touchpoint guards on it so a function without hedging allocates
+	// none of it: a zero value would still need its two per-request maps.
 	res *resilience
 
 	// llm is the token-level serving state (profile, token recorder,
@@ -158,8 +157,9 @@ func (f *Function) InFlightCount() int64 { return f.admitted - f.Served() }
 // RecountInFlight recounts in-flight requests from first principles —
 // gateway pending plus every instance's queued and batched work,
 // including keep-alive entries whose expiry fired but whose teardown
-// kept the entry in the list. The conservation invariant compares this
-// against InFlightCount every tick.
+// kept the entry in the list. Hedge duplicates inflate the recount by
+// design: the conservation invariant compares it every tick against
+// InFlightCount() + ExtraCopies().
 func (f *Function) RecountInFlight() int64 {
 	n := int64(len(f.pending))
 	for _, si := range f.active {
@@ -169,12 +169,6 @@ func (f *Function) RecountInFlight() int64 {
 		if !w.reused {
 			n += int64(w.si.inst.Load())
 		}
-	}
-	if f.res != nil {
-		// Backed-off retries sit in no queue but are still in flight;
-		// hedge duplicates inflate the recount by design — the invariant
-		// compares against InFlightCount() + ExtraCopies().
-		n += f.res.parked
 	}
 	return n
 }
@@ -216,7 +210,7 @@ func (sys *System) DeployInference(name, modelName string, opts InferOpts) (*Fun
 		f.llm = st
 		sys.llmDeployed = true
 	}
-	if sys.cfg.Retry || sys.cfg.Hedge {
+	if sys.cfg.Hedge {
 		f.res = newResilience()
 	}
 	if f.tenant != "" {
@@ -284,8 +278,8 @@ func (f *Function) inject(now sim.Time, greq Request) {
 		// through untouched.
 		req.PromptTokens, req.DecodeTokens = f.llm.sampleTokens()
 	}
-	if f.res != nil {
-		f.armResilience(req, now)
+	if f.res != nil && req.Deadline > 0 {
+		f.armHedge(req, now)
 	}
 	if in := f.pickLeastLoaded(); in != nil {
 		req.Dispatch = now

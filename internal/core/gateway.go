@@ -42,17 +42,15 @@ type Request struct {
 	DecodeTokens int
 }
 
-// TenantStats is the gateway's per-tenant admission ledger. Retries and
-// Hedges count resilience redeliveries drawn against the tenant's retry
-// budget (Retries + Hedges ≤ RetryBudget × Admitted — the budget check
-// reads exactly these counters, so amplification is bounded per tenant,
-// not per function).
+// TenantStats is the gateway's per-tenant admission ledger. Hedges
+// counts speculative duplicates drawn against the tenant's hedge budget
+// (Hedges ≤ HedgeBudget × Admitted — the budget check reads exactly this
+// counter, so amplification is bounded per tenant, not per function).
 type TenantStats struct {
 	Tenant    string
 	Submitted int64
 	Admitted  int64
 	Shed      int64
-	Retries   int64
 	Hedges    int64
 }
 
@@ -141,7 +139,6 @@ func (sys *System) gatewaySLO(horizon sim.Duration) metrics.GatewaySLO {
 			Submitted: ts.Submitted,
 			Admitted:  ts.Admitted,
 			Shed:      ts.Shed,
-			Retries:   ts.Retries,
 			Hedges:    ts.Hedges,
 		}
 		if row.Tenant == "" {

@@ -48,13 +48,10 @@ type Config struct {
 	// the pre-gateway behaviour). Policies hold per-run state — build a
 	// fresh value per System.
 	Admission AdmissionPolicy
-	// Retry re-delivers a request still queued 2·SLO after admission
-	// (its own function's SLO), after capped exponential backoff (see
-	// Backoff). Hedge races a deadline-carrying request on a second
-	// instance SLO/2 after admission. Both draw on a per-tenant retry
-	// budget (see resilience.go); with both off the layer has no
+	// Hedge races a deadline-carrying request on a second instance
+	// SLO/2 after admission (its own function's SLO), drawing on a
+	// per-tenant hedge budget (see resilience.go); off, the layer has no
 	// per-request state and no timers.
-	Retry bool
 	Hedge bool
 	// Quarantine enables the per-GPU health monitor: slow or flaky GPUs
 	// leave the schedulable indexes until a probe finds them clean (see

@@ -107,12 +107,12 @@ func GrayFailure(opts Options) *report.Report {
 }
 
 // StragglerTail is the standard-tier tail-latency study: a pure
-// straggler population (no errors) against hedging on vs off, both with
-// timeout/retry enabled — isolating what speculative duplicates buy at
-// the tail beyond retries alone, the classic tail-at-scale result.
+// straggler population (no errors) against hedging on vs off —
+// isolating what speculative duplicates buy at the tail, the classic
+// tail-at-scale result.
 func StragglerTail(opts Options) *report.Report {
 	opts = opts.withDefaults()
-	rep := report.New("straggler_tail", "Straggler tail: hedged dispatch vs timeout-only under a slow-GPU population (extra)")
+	rep := report.New("straggler_tail", "Straggler tail: hedged dispatch vs no hedging under a slow-GPU population (extra)")
 	dur := opts.dur(120 * sim.Second)
 
 	const modelName = "BERT-base"
@@ -133,19 +133,18 @@ func StragglerTail(opts Options) *report.Report {
 		name  string
 		hedge bool
 	}{
-		{"timeout-only", false},
-		{"timeout+hedge", true},
+		{"no-hedge", false},
+		{"hedge", true},
 	}
 
 	t := rep.AddTable(report.NewTable(
 		"Straggler tail: per-arm attainment (same straggler schedule)",
-		"arm", "reqs", "p95 ms", "p99 ms", "goodput rps",
-		"retries", "retry success", "hedges", "hedge wins"))
+		"arm", "reqs", "p95 ms", "p99 ms", "goodput rps", "hedges", "hedge wins"))
 
 	for _, arm := range arms {
 		sys := core.MustSystem(core.Config{
 			Nodes: nodes, GPUsPerNode: gpusPerNode, Seed: opts.Seed, Meter: opts.Meter,
-			Retry: true, Hedge: arm.hedge,
+			Hedge: arm.hedge,
 		})
 		if _, err := sys.DeployInference("tail-fn", modelName, core.InferOpts{
 			Instances: instances, NoScaler: true,
@@ -160,8 +159,6 @@ func StragglerTail(opts Options) *report.Report {
 		var rs core.ResilienceStats
 		for _, f := range sys.Functions() {
 			st := f.ResilienceStats()
-			rs.Retries += st.Retries
-			rs.RetrySuccess += st.RetrySuccess
 			rs.Hedges += st.Hedges
 			rs.HedgeWins += st.HedgeWins
 		}
@@ -175,21 +172,21 @@ func StragglerTail(opts Options) *report.Report {
 			}
 		}
 		t.AddRow(arm.name, float64(sum.Requests), p95, p99, sum.GoodputRPS,
-			rs.Retries, rs.RetrySuccess, rs.Hedges, rs.HedgeWins)
+			rs.Hedges, rs.HedgeWins)
 		if arm.hedge {
 			rep.SetSLO(sum)
 		}
 	}
-	rep.AddNote("one pinned GPU of %d runs 6× slow for half the run; a hedge races each deadline request on a second instance after half an SLO of waiting, so the tail rides the fast copy. The timeout retry steals only requests still queued 2·SLO after admission, and the retries column shows how rarely that happens here: the gap between the arms is the hedge's", gpus)
+	rep.AddNote("one pinned GPU of %d runs 6× slow for half the run; a hedge races each deadline request on a second instance after half an SLO of waiting, so the tail rides the fast copy: the gap between the arms is the hedge's", gpus)
 	return rep
 }
 
 // DisturbanceReplayOn replays external churn and/or fault schedules
 // (the -churn / -faults CSV flags of cmd/dilu-bench) against the
-// standard three-function serving mix on a Dilu system with retry and
-// quarantine enabled — the harness entry point for reproducing a
-// recorded production incident. Hedging is left off: the mix carries no
-// deadline requests, the only ones a hedge races.
+// standard three-function serving mix on a Dilu system with quarantine
+// enabled — the harness entry point for reproducing a recorded
+// production incident. Hedging is left off: the mix carries no deadline
+// requests, the only ones a hedge races.
 func DisturbanceReplayOn(opts Options, churn []workload.ChurnEvent, faults []workload.FaultEvent) *report.Report {
 	opts = opts.withDefaults()
 	rep := report.New("disturbance_replay", "External churn/fault schedule replay (extra)")
@@ -197,7 +194,7 @@ func DisturbanceReplayOn(opts Options, churn []workload.ChurnEvent, faults []wor
 
 	sys := core.MustSystem(core.Config{
 		Nodes: 5, GPUsPerNode: 4, Seed: opts.Seed, Meter: opts.Meter,
-		Retry: true, Quarantine: true,
+		Quarantine: true,
 	})
 	churnDeploy(sys, 1.0)
 	sys.ScheduleChurn(churn)
@@ -211,15 +208,11 @@ func DisturbanceReplayOn(opts Options, churn []workload.ChurnEvent, faults []wor
 		"Disturbance replay: SLO accounting and lifecycle fallout",
 		"reqs", "SVR %", "goodput rps", "p99 attain %",
 		"failures", "drains", "slow events", "error events",
-		"retries", "quarantines"))
-	var retries int64
-	for _, f := range sys.Functions() {
-		retries += f.ResilienceStats().Retries
-	}
+		"quarantines"))
 	t.AddRow(float64(sum.Requests), sum.ViolationRate()*100, sum.GoodputRPS,
 		sum.P99Attainment*100, cs.Failures, cs.Drains,
-		fs.SlowEvents, fs.ErrorEvents, retries, fs.Quarantines)
+		fs.SlowEvents, fs.ErrorEvents, fs.Quarantines)
 	rep.SetSLO(sum)
-	rep.AddNote("replayed %d churn + %d fault events against the three-function mix with retry/quarantine enabled", len(churn), len(faults))
+	rep.AddNote("replayed %d churn + %d fault events against the three-function mix with quarantine enabled", len(churn), len(faults))
 	return rep
 }

@@ -89,7 +89,7 @@ func All() []Driver {
 		{"overload_shed", "Admission policy vs SLO goodput at 2× capacity (extra)", TierQuick, AimCorrectness, OverloadShed},
 		{"tenant_fairness", "DRF fair-share admission under a tenant flood (extra)", TierQuick, AimCorrectness, TenantFairness},
 		{"gray_failure", "Hedge/quarantine vs adversarial slowdown+error schedule (extra)", TierQuick, AimCorrectness, GrayFailure},
-		{"straggler_tail", "Hedged dispatch vs timeout-only under slow-GPU population (extra)", TierStandard, AimCorrectness, StragglerTail},
+		{"straggler_tail", "Hedged dispatch vs no hedging under slow-GPU population (extra)", TierStandard, AimCorrectness, StragglerTail},
 		{"coldstart_stages", "Staged cold-start attribution + kernel-cache warm pools (extra)", TierQuick, AimObservability, ColdStartStages},
 		{"prewarm_policy", "Predictive prewarming vs reactive scaling on a demand ramp (extra)", TierStandard, AimObservability, PrewarmPolicy},
 		{"llm_continuous_batch", "Continuous batching vs run-to-completion on a Zipf token mix (extra)", TierQuick, AimCorrectness, LLMContinuousBatch},

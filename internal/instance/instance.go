@@ -43,12 +43,9 @@ type Request struct {
 	Priority int
 	Deadline sim.Time
 
-	// Resilience metadata (see core.Config.Retry). Attempt counts
-	// timeout-driven redeliveries of this request (0 = first try); Hedge
-	// marks a speculative duplicate racing the primary copy. Both are
-	// zero on every request when resilience is off.
-	Attempt int
-	Hedge   bool
+	// Hedge marks a speculative duplicate racing the primary copy (see
+	// core.Config.Hedge); false on every request when hedging is off.
+	Hedge bool
 
 	// ColdStage is the cold-start stage on this request's critical path,
 	// stamped by the serving plane when a launch's activation flush
@@ -210,7 +207,7 @@ func (in *Inference) PostTick(now sim.Time) {
 // teardown of a node failure or migration, where waiting for the batch
 // is not an option. Every uncompleted request (executing ones first, in
 // batch order, then the queue) is returned for gateway re-dispatch with
-// its original Arrive stamp, so retried requests pay their lost work in
+// its original Arrive stamp, so requeued requests pay their lost work in
 // recorded latency. Execution state resets, leaving the instance idle.
 func (in *Inference) Abort() []Request {
 	reqs := append(make([]Request, 0, in.Load()), in.batch...)

@@ -77,9 +77,8 @@ func (s *server) QueueLen() int { return len(s.queue) }
 func (s *server) Served() int64 { return s.served }
 
 // StealQueued removes and returns the queued (not yet executing) copy
-// of request id, if present. The resilience layer uses it to pull a
-// timed-out request off a straggling instance's queue for retry
-// elsewhere, and to cancel hedge losers that never started executing.
+// of request id, if present. The hedging layer uses it to cancel a
+// hedge race's loser that never started executing.
 func (s *server) StealQueued(id int64) (Request, bool) {
 	for i, req := range s.queue {
 		if req.ID == id {

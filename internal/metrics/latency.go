@@ -132,7 +132,7 @@ func (r *LatencyRecorder) StageViolations(stage ColdStage) int {
 
 // WarmQueueViolations returns the violating samples that waited at the
 // gateway with no launch on their critical path — warm queueing,
-// redispatch after churn, retry/hedge waits.
+// redispatch after churn or faults, hedge waits.
 func (r *LatencyRecorder) WarmQueueViolations() int { return r.warmQueueViolations }
 
 // Goodput returns the number of samples that met the SLO. With no SLO

@@ -56,11 +56,9 @@ type TenantSLOStats struct {
 	Admitted  int64  `json:"admitted"`
 	Shed      int64  `json:"shed"`
 	Served    int64  `json:"served"`
-	// Retries and Hedges count resilience redeliveries charged to the
-	// tenant's retry budget; omitted (keeping pre-fault bytes) when the
-	// resilience layer never acted for the tenant.
-	Retries int64 `json:"retries,omitempty"`
-	Hedges  int64 `json:"hedges,omitempty"`
+	// Hedges counts speculative duplicates charged to the tenant's
+	// hedge budget; omitted when hedging never acted for the tenant.
+	Hedges int64 `json:"hedges,omitempty"`
 	// GoodputRPS is the tenant's SLO-met request rate over the horizon.
 	GoodputRPS float64 `json:"goodput_rps"`
 }
@@ -85,16 +83,14 @@ func (g *GatewaySLO) ShedRate() float64 {
 }
 
 // ResilienceSLO is the gray-failure block of a run summary: injected
-// fault events and per-cause mitigation attribution (retries, retry
-// successes, hedge wins, quarantine migrations). Always present; a run
-// without faults or mitigations reads all zeros.
+// fault events and per-cause mitigation attribution (hedges, hedge
+// wins, quarantine migrations). Always present; a run without faults
+// or mitigations reads all zeros.
 type ResilienceSLO struct {
 	SlowEvents           int64 `json:"slow_events"`
 	ErrorEvents          int64 `json:"error_events"`
 	AbortedBatches       int64 `json:"aborted_batches"`
 	AbortedRequests      int64 `json:"aborted_requests"`
-	Retries              int64 `json:"retries"`
-	RetrySuccess         int64 `json:"retry_success"`
 	Hedges               int64 `json:"hedges"`
 	HedgeWins            int64 `json:"hedge_wins"`
 	HedgeDiscards        int64 `json:"hedge_discards"`

@@ -117,18 +117,18 @@ func KVConservation() core.Invariant {
 //     even when its request-level tenant differs from the function's
 //     deployment tenant).
 //
-// Under resilience (retries/hedges) the conservation equation gains the
-// duplicate-copy term — recount = in-flight + extra live copies — and
-// the at-most-once-service check arms: distinct served request IDs must
-// equal recorded service count, so no interleaving of abort, retry, and
-// hedge ever records the same request twice. The tenant ledgers'
-// retry/hedge totals must likewise match the per-function mitigation
-// stats (the budget is charged exactly once per redelivery).
+// Under hedging the conservation equation gains the duplicate-copy term
+// — recount = in-flight + extra live copies — and the at-most-once-
+// service check arms: distinct served request IDs must equal recorded
+// service count, so no interleaving of abort and hedge ever records the
+// same request twice. The tenant ledgers' hedge totals must likewise
+// match the per-function hedge stats (the budget is charged exactly
+// once per hedge).
 func RequestConservation() core.Invariant {
 	return core.Invariant{
 		Name: "request-conservation",
 		Check: func(sys *core.System, now sim.Time) error {
-			var fSub, fAdm, fShed, fRetry, fHedge int64
+			var fSub, fAdm, fShed, fHedge int64
 			for _, f := range sys.Functions() {
 				sub, adm, shed := f.GatewayCounts()
 				if sub != adm+shed {
@@ -141,21 +141,19 @@ func RequestConservation() core.Invariant {
 						f.Name, adm, f.Served())
 				}
 				if recount, extra := f.RecountInFlight(), f.ExtraCopies(); recount != inflight+extra {
-					return fmt.Errorf("%s: in-flight drifted: ledger %d + %d extra copies, ground truth %d (pending+queued+batched+parked)",
+					return fmt.Errorf("%s: in-flight drifted: ledger %d + %d extra copies, ground truth %d (pending+queued+batched)",
 						f.Name, inflight, extra, recount)
 				}
 				if unique, ok := f.UniqueServed(); ok && unique != f.Served() {
 					return fmt.Errorf("%s: at-most-once service violated: %d distinct requests served, %d services recorded",
 						f.Name, unique, f.Served())
 				}
-				st := f.ResilienceStats()
-				fRetry += st.Retries
-				fHedge += st.Hedges
+				fHedge += f.ResilienceStats().Hedges
 				fSub += sub
 				fAdm += adm
 				fShed += shed
 			}
-			var tSub, tAdm, tShed, tRetry, tHedge int64
+			var tSub, tAdm, tShed, tHedge int64
 			for _, ts := range sys.GatewayTenantStats() {
 				if ts.Submitted != ts.Admitted+ts.Shed {
 					return fmt.Errorf("tenant %q: gateway ledger leak: submitted %d ≠ admitted %d + shed %d",
@@ -164,16 +162,15 @@ func RequestConservation() core.Invariant {
 				tSub += ts.Submitted
 				tAdm += ts.Admitted
 				tShed += ts.Shed
-				tRetry += ts.Retries
 				tHedge += ts.Hedges
 			}
 			if tSub != fSub || tAdm != fAdm || tShed != fShed {
 				return fmt.Errorf("tenant/function ledgers disagree: tenants %d/%d/%d, functions %d/%d/%d (submitted/admitted/shed)",
 					tSub, tAdm, tShed, fSub, fAdm, fShed)
 			}
-			if tRetry != fRetry || tHedge != fHedge {
-				return fmt.Errorf("retry-budget ledgers disagree: tenants %d/%d, functions %d/%d (retries/hedges)",
-					tRetry, tHedge, fRetry, fHedge)
+			if tHedge != fHedge {
+				return fmt.Errorf("hedge-budget ledgers disagree: tenants %d, functions %d (hedges)",
+					tHedge, fHedge)
 			}
 			return nil
 		},

@@ -12,46 +12,15 @@ import (
 	"dilu/internal/workload"
 )
 
-// Property tests for the resilience layer, wired into `make
-// test-race-subsys`: the capped exponential backoff's determinism and
-// bounds, the SRE retry budget against the tenant ledger, and
-// at-most-once service under random fault/retry/hedge interleavings
-// with the armed invariants auditing every tick.
-
-// TestBackoffDeterministicAndCapped: for every catalog model's SLO,
-// Backoff is a pure function of the attempt number — deterministic,
-// monotone non-decreasing, starting at SLO/4 and never exceeding 2·SLO.
-func TestBackoffDeterministicAndCapped(t *testing.T) {
-	for _, spec := range model.All() {
-		base, limit := spec.SLO/4, 2*spec.SLO
-		prev := sim.Duration(0)
-		for n := 1; n <= 40; n++ {
-			d := core.Backoff(spec.SLO, n)
-			if d != core.Backoff(spec.SLO, n) {
-				t.Fatalf("%s: Backoff(%d) not deterministic", spec.Name, n)
-			}
-			if d < base || d > limit {
-				t.Fatalf("%s: Backoff(%d)=%v outside [SLO/4 %v, 2·SLO %v]",
-					spec.Name, n, d, base, limit)
-			}
-			if d < prev {
-				t.Fatalf("%s: Backoff(%d)=%v < Backoff(%d)=%v", spec.Name, n, d, n-1, prev)
-			}
-			if n == 1 && d != base {
-				t.Fatalf("%s: first backoff %v ≠ SLO/4 %v", spec.Name, d, base)
-			}
-			prev = d
-		}
-		if got := core.Backoff(spec.SLO, 40); got != limit {
-			t.Fatalf("%s: Backoff(40)=%v never reached the cap %v", spec.Name, got, limit)
-		}
-	}
-}
+// Property tests for the hedging layer, wired into `make
+// test-race-subsys`: the SRE-style hedge budget against the tenant
+// ledger, and at-most-once service under random fault/hedge
+// interleavings with the armed invariants auditing every tick.
 
 // resilienceChaos drives one random interleaving of request bursts and
 // direct fault injections (slowdowns, restores, batch errors) against a
-// two-node system with retry, hedging and quarantine on and the
-// invariants armed, then drains and returns the system for property
+// two-node system with hedging and quarantine on and the invariants
+// armed, then drains and returns the system for property
 // assertions.
 func resilienceChaos(t *testing.T, seed int64) *core.System {
 	t.Helper()
@@ -59,7 +28,7 @@ func resilienceChaos(t *testing.T, seed int64) *core.System {
 	sys := core.MustSystem(core.Config{
 		Nodes: 2, GPUsPerNode: 2, Seed: seed,
 		Invariants: Checkers(),
-		Retry:      true, Hedge: true, Quarantine: true,
+		Hedge:      true, Quarantine: true,
 	})
 	if _, err := sys.DeployInference("f", "BERT-base", core.InferOpts{Instances: 2, NoScaler: true}); err != nil {
 		t.Fatal(err)
@@ -89,9 +58,9 @@ func resilienceChaos(t *testing.T, seed int64) *core.System {
 		}
 		sys.Run(sim.Duration(1+rng.Intn(40)) * 5 * sim.Millisecond)
 	}
-	// Restore every device and drain: retries park for a few backoffs,
-	// hedges resolve at first completion, and the drain outlasts two
-	// readmit probes so a quarantined GPU comes back.
+	// Restore every device and drain: hedges resolve at first
+	// completion, and the drain outlasts two readmit probes so a
+	// quarantined GPU comes back.
 	for n := 0; n < 2; n++ {
 		for g := 0; g < 2; g++ {
 			sys.SlowGPU(n, g, 1)
@@ -101,35 +70,34 @@ func resilienceChaos(t *testing.T, seed int64) *core.System {
 	return sys
 }
 
-// TestRetryBudgetBoundsRedeliveries: across random fault interleavings,
-// each tenant's retries + hedges stay within the SRE budget — a
-// fraction of its admitted traffic (one in-flight redelivery of slack
-// past the strict bound, since the budget is checked before acting).
-func TestRetryBudgetBoundsRedeliveries(t *testing.T) {
-	const budget = core.RetryBudget
+// TestHedgeBudgetBoundsHedges: across random fault interleavings, each
+// tenant's hedges stay within the SRE budget — a fraction of its
+// admitted traffic (one in-flight hedge of slack past the strict bound,
+// since the budget is checked before acting).
+func TestHedgeBudgetBoundsHedges(t *testing.T) {
+	const budget = core.HedgeBudget
 	for seed := int64(1); seed <= 5; seed++ {
 		sys := resilienceChaos(t, seed)
 		var acted bool
 		for _, ts := range sys.GatewayTenantStats() {
-			redelivered := float64(ts.Retries + ts.Hedges)
-			if bound := budget*float64(ts.Admitted) + 1; redelivered > bound {
-				t.Fatalf("seed %d: tenant %q redelivered %v > budget %.2f × admitted %d + 1",
-					seed, ts.Tenant, redelivered, budget, ts.Admitted)
+			if bound := budget*float64(ts.Admitted) + 1; float64(ts.Hedges) > bound {
+				t.Fatalf("seed %d: tenant %q hedged %d > budget %.2f × admitted %d + 1",
+					seed, ts.Tenant, ts.Hedges, budget, ts.Admitted)
 			}
-			if ts.Retries+ts.Hedges > 0 {
+			if ts.Hedges > 0 {
 				acted = true
 			}
 		}
 		if !acted {
-			t.Fatalf("seed %d: no retries or hedges fired — chaos too gentle to test the budget", seed)
+			t.Fatalf("seed %d: no hedges fired — chaos too gentle to test the budget", seed)
 		}
 	}
 }
 
-// TestAtMostOnceUnderFaultInterleavings: random abort/retry/hedge
+// TestAtMostOnceUnderFaultInterleavings: random abort/hedge
 // interleavings never serve a request twice and never leak one — the
 // unique-served count matches the ledger and the extended conservation
-// recount (parked + in-flight + speculative copies) balances. The armed
+// recount (in-flight + speculative copies) balances. The armed
 // checkers audit the same invariants at every fired tick; this is the
 // independent end-of-run restatement.
 func TestAtMostOnceUnderFaultInterleavings(t *testing.T) {

@@ -118,10 +118,6 @@ type TenantArrivals struct {
 	// Tenant is the structured tenant identity, for core.InferOpts.Tenant
 	// / core.Request.Tenant — the gateway's accounting key.
 	Tenant string
-	// Name is the per-tenant function name. It equals Tenant (the
-	// pre-gateway name-mangled encoding), kept as a separate field so
-	// deployments that predate structured tenancy stay byte-identical.
-	Name   string
 	Weight float64 // popularity share in (0,1], Σ = 1
 	Times  []sim.Time
 }
@@ -177,7 +173,6 @@ func (m TenantMix) Split(rng *sim.RNG, dur sim.Duration) []TenantArrivals {
 		id := fmt.Sprintf("tenant-%02d", i)
 		out[i] = TenantArrivals{
 			Tenant: id,
-			Name:   id,
 			Weight: w,
 			Times:  m.shape(i, m.TotalRPS*w).Generate(rng.Fork(int64(i+1)), dur),
 		}

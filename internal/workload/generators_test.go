@@ -130,11 +130,8 @@ func TestTenantMixSplitSkewed(t *testing.T) {
 		if !sortedTimes(ta.Times) {
 			t.Fatalf("tenant %d not sorted", i)
 		}
-		if ta.Name == "" || ta.Weight <= 0 {
+		if ta.Tenant == "" || ta.Weight <= 0 {
 			t.Fatalf("tenant %d metadata: %+v", i, ta)
-		}
-		if ta.Tenant != ta.Name {
-			t.Fatalf("tenant %d: structured ID %q diverged from name %q", i, ta.Tenant, ta.Name)
 		}
 	}
 	// Determinism: same seed, same split.
