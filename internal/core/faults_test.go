@@ -162,9 +162,9 @@ func TestHedgeRaceFirstCompletionWins(t *testing.T) {
 	}
 }
 
-// keepWarm never changes the instance count on its own; the hedge
-// tests below scale in by hand so a descheduled instance lingers in
-// keep-alive for ttl.
+// keepWarm never changes the instance count on its own; the test below
+// scales in by hand, and a descheduled instance lingers in keep-alive
+// for ttl.
 type keepWarm struct{ ttl sim.Duration }
 
 func (keepWarm) Name() string                               { return "keep-warm" }

@@ -159,7 +159,7 @@ func (f *Function) stealCopy(id int64) bool {
 		}
 	}
 	for _, si := range f.active {
-		if _, ok := si.inst.StealQueued(id); ok {
+		if si.inst.StealQueued(id) {
 			return true
 		}
 	}

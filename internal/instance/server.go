@@ -21,7 +21,7 @@ type Server interface {
 	Load() int
 	Served() int64
 	SetOnComplete(fn func(req Request, done sim.Time) bool)
-	StealQueued(id int64) (Request, bool)
+	StealQueued(id int64) bool
 	HasRequest(id int64) bool
 	DropQueue() []Request
 	Abort() []Request
@@ -76,17 +76,17 @@ func (s *server) QueueLen() int { return len(s.queue) }
 // Served returns the number of completed requests.
 func (s *server) Served() int64 { return s.served }
 
-// StealQueued removes and returns the queued (not yet executing) copy
-// of request id, if present. The hedging layer uses it to cancel a
-// hedge race's loser that never started executing.
-func (s *server) StealQueued(id int64) (Request, bool) {
+// StealQueued removes the queued (not yet executing) copy of request
+// id and reports whether there was one. The hedging layer uses it to
+// cancel a hedge race's loser that never started executing.
+func (s *server) StealQueued(id int64) bool {
 	for i, req := range s.queue {
 		if req.ID == id {
 			s.queue = append(s.queue[:i], s.queue[i+1:]...)
-			return req, true
+			return true
 		}
 	}
-	return Request{}, false
+	return false
 }
 
 // queued reports whether a copy of request id waits in the queue.
