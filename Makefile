@@ -20,18 +20,21 @@ test-short:
 
 # Race-detected pass over the event-engine order properties, the
 # invariant checkers, the workload subsystem (trace parsing,
-# generators) and the cluster index property tests, then a short fuzz
-# of each external-input parser (trace CSV/JSON, churn CSV, fault CSV),
-# of RCKM's cached KLC inflation against its recompute and of the LLM
-# runtime's one-charge KV growth against per-sequence charging — fast
+# generators), the cluster index property tests and the serving
+# runtimes (instance queue against its slice model, LLM record reuse),
+# then a short fuzz of each external-input parser (trace CSV/JSON, churn
+# CSV, fault CSV), of RCKM's cached KLC inflation against its recompute,
+# of the LLM runtime's one-charge KV growth against per-sequence
+# charging and of the instance queue against a plain slice — fast
 # enough for the check gate, where the full -race suite is not.
 # `go test -fuzz` takes one target per run, hence the loop; each entry
 # is target:package.
 FUZZ_TARGETS = FuzzParseTraceCSV:./internal/workload FuzzParseTraceJSON:./internal/workload \
 	FuzzParseChurnCSV:./internal/workload FuzzParseFaultCSV:./internal/workload \
-	FuzzKLCDeltaT:./internal/rckm FuzzGrowKV:./internal/instance
+	FuzzKLCDeltaT:./internal/rckm FuzzGrowKV:./internal/instance FuzzServerQueue:./internal/instance
 test-race-subsys:
-	$(GO) test -race ./internal/sim/... ./internal/simtest/... ./internal/workload/... ./internal/cluster/...
+	$(GO) test -race ./internal/sim/... ./internal/simtest/... ./internal/workload/... ./internal/cluster/... \
+		./internal/instance/...
 	@set -e; for tp in $(FUZZ_TARGETS); do \
 		f=$${tp%%:*}; pkg=$${tp#*:}; \
 		echo "fuzz $$f (3s)"; \

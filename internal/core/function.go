@@ -361,7 +361,7 @@ func (f *Function) flushPending(now sim.Time, st model.ColdStartStages) {
 	if drained == 0 {
 		return
 	}
-	f.pending = append(f.pending[:0], f.pending[drained:]...)
+	f.pending = slices.Delete(f.pending, 0, drained) // clears the vacated tail
 }
 
 // InstancesActive returns the number of serving (or cold-starting)

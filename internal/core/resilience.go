@@ -1,6 +1,8 @@
 package core
 
 import (
+	"slices"
+
 	"dilu/internal/instance"
 	"dilu/internal/sim"
 )
@@ -154,7 +156,7 @@ func (f *Function) onRequestComplete(req instance.Request, at sim.Time) bool {
 func (f *Function) stealCopy(id int64) bool {
 	for i, req := range f.pending {
 		if req.ID == id {
-			f.pending = append(f.pending[:i], f.pending[i+1:]...)
+			f.pending = slices.Delete(f.pending, i, i+1)
 			return true
 		}
 	}

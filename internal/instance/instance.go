@@ -134,21 +134,22 @@ func (in *Inference) InFlight() int { return len(in.batch) }
 
 // Load returns queued plus in-flight requests — the dispatch signal used
 // by the least-loaded balancer.
-func (in *Inference) Load() int { return len(in.queue) + len(in.batch) }
+func (in *Inference) Load() int { return in.queue.len() + len(in.batch) }
 
 // PreTick forms a batch from the queue when the previous one finished.
 // Under queue pressure the batch grows past the profiled IBS (adaptive
 // batching à la BATCH/INFless) up to twice the profiled size — the burst
 // regime the doubled limit quota is provisioned for.
 func (in *Inference) PreTick(now sim.Time) {
-	if !in.active || in.steps > 0 || len(in.queue) == 0 {
-		if len(in.queue) <= 2*in.IBS {
+	queued := in.queue.len()
+	if !in.active || in.steps > 0 || queued == 0 {
+		if queued <= 2*in.IBS {
 			in.setPressured(false)
 		}
 		return
 	}
 	maxBatch := in.IBS
-	pressured := len(in.queue) > 2*in.IBS
+	pressured := queued > 2*in.IBS
 	if pressured {
 		maxBatch = 2 * in.IBS
 		if maxBatch > model.MaxIBS {
@@ -156,12 +157,9 @@ func (in *Inference) PreTick(now sim.Time) {
 		}
 	}
 	in.setPressured(pressured)
-	n := len(in.queue)
-	if n > maxBatch {
-		n = maxBatch
-	}
-	in.batch = append(in.batch[:0], in.queue[:n]...)
-	in.queue = in.queue[n:]
+	n := min(queued, maxBatch)
+	in.batch = append(in.batch[:0], in.queue.items()[:n]...)
+	in.queue.pop(n)
 	in.applySaturation(n)
 	if in.Spec.Generative {
 		in.totalSteps = 1 + in.Spec.AvgOutTokens
@@ -194,8 +192,9 @@ func (in *Inference) PostTick(now sim.Time) {
 	for _, req := range in.batch {
 		in.complete(req, done, perTok)
 	}
+	clear(in.batch)
 	in.batch = in.batch[:0]
-	if len(in.queue) == 0 {
+	if in.queue.len() == 0 {
 		// The instance is about to leave the world's active set; perform
 		// the pressure-flag clearing its next (never-delivered) PreTick
 		// would have done, so RCKM never sees a stale backlog signal.
@@ -211,6 +210,7 @@ func (in *Inference) PostTick(now sim.Time) {
 // recorded latency. Execution state resets, leaving the instance idle.
 func (in *Inference) Abort() []Request {
 	reqs := append(make([]Request, 0, in.Load()), in.batch...)
+	clear(in.batch)
 	in.batch = in.batch[:0]
 	in.steps = 0
 	in.totalSteps = 0
@@ -220,7 +220,7 @@ func (in *Inference) Abort() []Request {
 // Busy implements Ticker: queued or in-flight work exists. Note this is
 // independent of Active — a descheduled instance still drains its
 // in-flight batch.
-func (in *Inference) Busy() bool { return len(in.queue) > 0 || in.steps > 0 }
+func (in *Inference) Busy() bool { return in.queue.len() > 0 || in.steps > 0 }
 
 func (in *Inference) String() string {
 	return fmt.Sprintf("inf[%s %s ibs=%d stages=%d]", in.ID, in.Spec.Name, in.IBS, len(in.Stages))

@@ -47,6 +47,9 @@ type LLM struct {
 
 	seqs   []*llmSeq
 	inStep bool
+	// spare holds sequence records freed by completion, preemption and
+	// Abort; admit reuses them, overwriting every field.
+	spare []*llmSeq
 	// prefillStep marks the current step as carrying at least one
 	// prefill; its KLC is not a decode iteration and is skipped for
 	// RCKM's T_min floor, like Inference's prefill steps.
@@ -89,7 +92,7 @@ func (in *LLM) SetOnPreempt(fn func(req Request)) { in.onPreempt = fn }
 func (in *LLM) InFlight() int { return len(in.seqs) }
 
 // Load returns queued plus resident requests.
-func (in *LLM) Load() int { return len(in.queue) + len(in.seqs) }
+func (in *LLM) Load() int { return in.queue.len() + len(in.seqs) }
 
 // KVUsedMB returns the KV memory currently reserved across all resident
 // sequences (summed over stages) — the recount source for the
@@ -146,7 +149,9 @@ func (in *LLM) preemptYoungest() {
 	s := in.seqs[last]
 	in.releaseKV(s.kvMB)
 	s.kvMB = 0
+	in.seqs[last] = nil
 	in.seqs = in.seqs[:last]
+	in.spare = append(in.spare, s)
 	if in.Tok != nil {
 		in.Tok.NotePreemption()
 	}
@@ -159,8 +164,8 @@ func (in *LLM) preemptYoungest() {
 // last. A head refused on memory stays queued (FIFO order is part of
 // the determinism contract) and is counted once via the refusal latch.
 func (in *LLM) admit() {
-	for len(in.queue) > 0 && len(in.seqs) < in.Cfg.MaxBatch {
-		req := in.queue[0]
+	for in.queue.len() > 0 && len(in.seqs) < in.Cfg.MaxBatch {
+		req := in.queue.items()[0]
 		prompt := req.PromptTokens
 		if prompt < 1 {
 			prompt = 1
@@ -180,8 +185,17 @@ func (in *LLM) admit() {
 			}
 			return
 		}
-		in.queue = in.queue[1:]
-		in.seqs = append(in.seqs, &llmSeq{req: req, target: target, kvMB: need, prefill: true})
+		in.queue.pop(1)
+		var s *llmSeq
+		if last := len(in.spare) - 1; last >= 0 {
+			s = in.spare[last]
+			in.spare[last] = nil
+			in.spare = in.spare[:last]
+		} else {
+			s = new(llmSeq)
+		}
+		*s = llmSeq{req: req, target: target, kvMB: need, prefill: true}
+		in.seqs = append(in.seqs, s)
 	}
 }
 
@@ -242,7 +256,7 @@ func (in *LLM) PreTick(now sim.Time) {
 	if in.inStep || !in.active {
 		return
 	}
-	if len(in.queue) == 0 && len(in.seqs) == 0 {
+	if in.queue.len() == 0 && len(in.seqs) == 0 {
 		in.setPressured(false)
 		return
 	}
@@ -257,7 +271,7 @@ func (in *LLM) PreTick(now sim.Time) {
 	} else {
 		in.admit()
 	}
-	in.setPressured(len(in.queue) > in.Cfg.MaxBatch)
+	in.setPressured(in.queue.len() > in.Cfg.MaxBatch)
 	if len(in.seqs) == 0 {
 		return // queue head refused on memory; retry next tick
 	}
@@ -307,13 +321,11 @@ func (in *LLM) PostTick(now sim.Time) {
 			continue
 		}
 		in.completeSeq(s, done)
+		in.spare = append(in.spare, s)
 	}
-	// Zero the dropped tail so completed sequences don't pin memory.
-	for i := len(kept); i < len(in.seqs); i++ {
-		in.seqs[i] = nil
-	}
+	clear(in.seqs[len(kept):])
 	in.seqs = kept
-	if len(in.queue) == 0 && len(in.seqs) == 0 {
+	if in.queue.len() == 0 && len(in.seqs) == 0 {
 		// About to leave the active set: clear the pressure flag the next
 		// (never-delivered) PreTick would have cleared.
 		in.setPressured(false)
@@ -349,14 +361,16 @@ func (in *LLM) Abort() []Request {
 		s.kvMB = 0
 		reqs = append(reqs, s.req)
 	}
-	in.seqs = nil
+	in.spare = append(in.spare, in.seqs...)
+	clear(in.seqs)
+	in.seqs = in.seqs[:0]
 	in.inStep = false
 	in.prefillStep = false
 	return in.abort(reqs)
 }
 
 // Busy implements Ticker.
-func (in *LLM) Busy() bool { return len(in.queue) > 0 || len(in.seqs) > 0 }
+func (in *LLM) Busy() bool { return in.queue.len() > 0 || len(in.seqs) > 0 }
 
 func (in *LLM) String() string {
 	return fmt.Sprintf("llm[%s %s max=%d stages=%d]", in.ID, in.Spec.Name, in.Cfg.MaxBatch, len(in.Stages))

@@ -1,6 +1,8 @@
 package instance
 
 import (
+	"slices"
+
 	"dilu/internal/metrics"
 	"dilu/internal/model"
 	"dilu/internal/sim"
@@ -38,7 +40,7 @@ type server struct {
 	Rec    *metrics.LatencyRecorder
 
 	active bool
-	queue  []Request
+	queue  fifo
 	served int64
 
 	stepStart sim.Time
@@ -68,10 +70,10 @@ func (s *server) SetActive(active bool) { s.active = active }
 func (s *server) Active() bool { return s.active }
 
 // Enqueue hands a request to the instance's local queue.
-func (s *server) Enqueue(req Request) { s.queue = append(s.queue, req) }
+func (s *server) Enqueue(req Request) { s.queue.push(req) }
 
 // QueueLen returns queued (not yet executing) requests.
-func (s *server) QueueLen() int { return len(s.queue) }
+func (s *server) QueueLen() int { return s.queue.len() }
 
 // Served returns the number of completed requests.
 func (s *server) Served() int64 { return s.served }
@@ -80,9 +82,9 @@ func (s *server) Served() int64 { return s.served }
 // id and reports whether there was one. The hedging layer uses it to
 // cancel a hedge race's loser that never started executing.
 func (s *server) StealQueued(id int64) bool {
-	for i, req := range s.queue {
+	for i, req := range s.queue.items() {
 		if req.ID == id {
-			s.queue = append(s.queue[:i], s.queue[i+1:]...)
+			s.queue.remove(i)
 			return true
 		}
 	}
@@ -91,7 +93,7 @@ func (s *server) StealQueued(id int64) bool {
 
 // queued reports whether a copy of request id waits in the queue.
 func (s *server) queued(id int64) bool {
-	for _, req := range s.queue {
+	for _, req := range s.queue.items() {
 		if req.ID == id {
 			return true
 		}
@@ -100,12 +102,10 @@ func (s *server) queued(id int64) bool {
 }
 
 // DropQueue fails queued requests back to the caller (instance teardown);
-// it returns them for re-dispatch.
-func (s *server) DropQueue() []Request {
-	q := s.queue
-	s.queue = nil
-	return q
-}
+// it returns them for re-dispatch. The returned slice is the queue's old
+// buffer: the instance starts a fresh one, so a later Enqueue cannot
+// write into it.
+func (s *server) DropQueue() []Request { return s.queue.take() }
 
 // abort is the queue half of Abort: it appends the queue to the
 // runtime's in-flight requests, drops it and resets the step. The
@@ -113,8 +113,7 @@ func (s *server) DropQueue() []Request {
 // batch error stays placed, and blocks left behind would keep drawing
 // RCKM grants and hold up its next step's drain.
 func (s *server) abort(reqs []Request) []Request {
-	reqs = append(reqs, s.queue...)
-	s.queue = nil
+	reqs = append(reqs, s.queue.take()...)
 	s.stepWork = 0
 	for _, st := range s.Stages {
 		st.Res.ClearWork()
@@ -175,6 +174,60 @@ func (s *server) complete(req Request, done sim.Time, perTok int) bool {
 	}
 	s.served++
 	return true
+}
+
+// fifo is an instance's local request queue. Popping from the front of
+// a plain slice shrinks its capacity, so the next append reallocates
+// about once per request; fifo keeps its backing array and a head index
+// instead. A push into a full buffer whose live part is at most half of
+// it compacts in place rather than growing, so every operation stays
+// amortised O(1) under a long backlog. Popped and vacated slots are
+// cleared so the buffer retains no request's strings.
+type fifo struct {
+	buf  []Request // buf[head:] is the queue, oldest first
+	head int
+}
+
+func (q *fifo) len() int { return len(q.buf) - q.head }
+
+// items returns the queued requests, oldest first. The slice is valid
+// until the next push, pop, remove or take.
+func (q *fifo) items() []Request { return q.buf[q.head:] }
+
+func (q *fifo) push(req Request) {
+	if len(q.buf) == cap(q.buf) && q.head > 0 && 2*q.len() <= cap(q.buf) {
+		q.buf, q.head = slices.Delete(q.buf, 0, q.head), 0
+	}
+	q.buf = append(q.buf, req)
+}
+
+// pop removes the n oldest requests.
+func (q *fifo) pop(n int) {
+	clear(q.buf[q.head : q.head+n])
+	q.head += n
+	if q.head == len(q.buf) {
+		q.buf, q.head = q.buf[:0], 0
+	}
+}
+
+// remove deletes the i-th oldest request, keeping the order of the rest.
+func (q *fifo) remove(i int) {
+	q.buf = slices.Delete(q.buf, q.head+i, q.head+i+1) // clears the vacated slot
+	if q.head == len(q.buf) {
+		q.buf, q.head = q.buf[:0], 0
+	}
+}
+
+// take empties the queue and returns its requests, oldest first. The
+// caller owns the returned slice: a non-empty queue hands its buffer
+// over and starts a fresh one; an empty one returns nil and keeps it.
+func (q *fifo) take() []Request {
+	if q.len() == 0 {
+		return nil
+	}
+	reqs := q.items()
+	*q = fifo{}
+	return reqs
 }
 
 // satKMemo caches Spec.InferSatK per batch size for one instance, filled

@@ -1,7 +1,9 @@
 package instance
 
 import (
+	"math/rand"
 	"reflect"
+	"slices"
 	"testing"
 
 	"dilu/internal/metrics"
@@ -188,4 +190,95 @@ func TestLLMPreemptionReleasesKV(t *testing.T) {
 			t.Fatalf("room %d: served %d, KV used %v, backing %v", room, l.Served(), l.KVUsedMB(), kv.used)
 		}
 	}
+}
+
+// Sequence records go back to the instance on completion, cache-full
+// preemption and Abort, and admission reuses them. On a KV-tight
+// instance that readmits every preempted and aborted request, a reused
+// record must carry nothing of its last sequence: after every tick each
+// resident record's target, tokens, first-token stamp and KV charge
+// follow from its request and progress alone, no record is both resident
+// and spare, the recount equals the backing's charge, and no more
+// records exist than the batch ever held.
+func TestLLMRecycledSeqsStartClean(t *testing.T) {
+	spec := model.ByName("LLaMA2-7B")
+	prof := spec.LLM()
+	w := newWorld(rckm.Exclusive{})
+	kv := &fakeKV{cap: prof.KVForTokens(96)}
+	st := w.addStage(t, "l0", true, spec.InferMemMB, 0.5, 1.0)
+	st.KV = kv
+	const maxBatch = 4
+	l := NewLLM("l0", "llama", spec, LLMConfig{Prof: prof, MaxBatch: maxBatch}, []Stage{st}, nil, nil)
+	preempted := 0
+	l.SetOnPreempt(func(req Request) { preempted++; l.Enqueue(req) })
+	l.SetActive(true)
+	w.insts = append(w.insts, l)
+	w.eng.Run(10 * sim.Millisecond) // every first-token stamp is nonzero
+
+	rng := rand.New(rand.NewSource(28))
+	records := map[*llmSeq]bool{} // true once the record has been spare
+	reused, abortedSeqs := 0, 0
+	var id int64
+	for tick := 0; tick < 6000; tick++ {
+		if rng.Intn(30) == 0 {
+			id++
+			l.Enqueue(Request{ID: id, Arrive: w.eng.Now(), PromptTokens: rng.Intn(40), DecodeTokens: rng.Intn(24)})
+		}
+		if tick%500 == 499 {
+			abortedSeqs += l.InFlight()
+			for _, req := range l.Abort() {
+				l.Enqueue(req)
+			}
+		}
+		w.eng.Step()
+
+		if l.KVUsedMB() != kv.used {
+			t.Fatalf("tick %d: KV recount %v, backing %v", tick, l.KVUsedMB(), kv.used)
+		}
+		for _, s := range l.spare {
+			records[s] = true
+		}
+		for _, s := range l.seqs {
+			if records[s] {
+				if slices.Contains(l.spare, s) {
+					t.Fatalf("tick %d: record of request %d is resident and spare", tick, s.req.ID)
+				}
+				reused++
+			} else {
+				records[s] = false
+			}
+			prompt, target := max(s.req.PromptTokens, 1), max(s.req.DecodeTokens, 1)
+			kvWant := prof.KVForTokens(prompt + 1)
+			if !s.prefill {
+				kvWant = prof.KVForTokens(prompt + s.generated)
+				if l.inStep {
+					kvWant += prof.KVForTokens(1)
+				}
+			}
+			switch {
+			case s.target != target:
+				t.Fatalf("tick %d: request %d targets %d tokens, asked %d", tick, s.req.ID, s.target, target)
+			case s.prefill && (s.generated != 0 || s.firstTok != 0):
+				t.Fatalf("tick %d: request %d awaits prefill with %d tokens, first at %v", tick, s.req.ID, s.generated, s.firstTok)
+			case !s.prefill && (s.generated < 1 || s.generated >= s.target || s.firstTok < s.req.Arrive):
+				t.Fatalf("tick %d: request %d decoding at %d of %d tokens, first at %v", tick, s.req.ID, s.generated, s.target, s.firstTok)
+			case s.kvMB != kvWant:
+				t.Fatalf("tick %d: request %d holds %v MB of KV, its progress %v", tick, s.req.ID, s.kvMB, kvWant)
+			}
+		}
+	}
+	w.eng.Run(w.eng.Now() + 120*sim.Second)
+	if l.Busy() || l.KVUsedMB() != 0 || kv.used != 0 {
+		t.Fatalf("after the drain: busy %v, KV used %v, backing %v", l.Busy(), l.KVUsedMB(), kv.used)
+	}
+	if l.Served() != id {
+		t.Fatalf("served %d of %d requests", l.Served(), id)
+	}
+	if len(records) > maxBatch {
+		t.Fatalf("%d sequence records for a batch of at most %d", len(records), maxBatch)
+	}
+	if reused == 0 || preempted == 0 || abortedSeqs == 0 {
+		t.Fatalf("%d reused records, %d preemptions, %d aborted sequences: a case is missing", reused, preempted, abortedSeqs)
+	}
+	t.Logf("%d requests, %d preemptions, %d aborted sequences, %d reused-record checks", id, preempted, abortedSeqs, reused)
 }
